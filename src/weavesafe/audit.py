@@ -324,39 +324,26 @@ def _check_steps(matrix: Matrix, steps) -> str | None:
 def certify_extended_parity(codec: SecureCodec) -> DecodeCertificate:
     """Constructive full-rank witness for the extended parity-check matrix.
 
-    Decode order: type k first (it owns a full complement of rows), then
-    down through type 2, then the single-row types above k, then type 1.
+    The steps are the coset encoder's own (``OuterCode.solve_steps``):
+    type k first (it owns a full complement of rows), then down through
+    type 2, then the single-row types above k, then type 1.  Each is
+    re-verified here independently of how the encoder built it.
     """
-    p = codec.params
     outer = codec.outer
     matrix = outer.parity_check_ext
-    ind = outer.index_sets
-    rows_by_type: dict = {t: [] for t in range(1, p.d + 1)}
-    for r, (t, hat) in enumerate(outer.row_types):
-        rows_by_type[t].append((r, f"check:{hat}"))
-    ext_k = matrix.rows - 2  # appended type-k row, coefficient row d
-    ext_1 = matrix.rows - 1  # appended type-1 row, coefficient row 1
-    rows_by_type[p.k].append((ext_k, f"added:{p.d}"))
-    rows_by_type[1].append((ext_1, "added:1"))
+    checks = len(outer.row_types)
 
-    decoded: set = set()
-    steps = []
-    order = list(range(p.k, 1, -1)) + list(range(p.k + 1, p.d + 1)) + [1]
-    for t in order:
-        variables = tuple(b for b in ind[t - 1] if b not in decoded)
-        entries = rows_by_type[t]
-        steps.append(
-            CertStep(t, variables, tuple(r for r, _ in entries), tuple(s for _, s in entries))
-        )
-        decoded.update(variables)
+    def source(r):
+        hat = outer.ext_row_types[r][1]
+        return f"check:{hat}" if r < checks else f"added:{hat}"
 
+    steps = tuple(
+        CertStep(s.type_index, s.variables, s.rows, tuple(source(r) for r in s.rows))
+        for s in outer.solve_steps
+    )
     problem = _check_steps(matrix, steps)
     return DecodeCertificate(
-        matrix,
-        tuple(steps),
-        ((p.k, p.d), (1, 1)),
-        problem is None,
-        problem,
+        matrix, steps, outer.ext_row_types[checks:], problem is None, problem
     )
 
 

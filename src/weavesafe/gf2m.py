@@ -23,12 +23,24 @@ written with one build must decode with any other):
     m=15 : x^15 + x + 1                     0x8003
     m=16 : x^16 + x^12 + x^3 + x + 1        0x1100B
 
-Multiplication and inversion go through exp/log tables built on the
-smallest multiplicative generator (for m=8 the canonical polynomial is
-irreducible but x itself is not a generator, so the builder searches).
+Scalar multiplication and inversion go through exp/log tables built on
+the smallest multiplicative generator (for m=8 the canonical polynomial
+is irreducible but x itself is not a generator, so the builder searches).
 Addition is xor; in characteristic 2 every element is its own negative,
 so a + b = 0 exactly when a = b.
+
+Bulk multiplication (``mul_vec``, ``mat_mul_cols``) works on numpy arrays
+of symbols at native width: uint8 for m <= 8, uint16 above.  It is one
+gather from a product table per coefficient, after Plank, Greenan and
+Miller's split tables ("Screaming Fast Galois Field Arithmetic Using
+Intel SIMD Instructions", FAST 2013).  For m <= 8 each Field holds the
+full 2^m x 2^m uint8 product table; above that, each coefficient gets a
+low-byte and a high-byte uint16 table, built on first use, whose two
+lookups are xored.  Multiplication by a fixed coefficient is linear over
+GF(2), so every table is the xor span of the coefficient times x^i.
 """
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -80,11 +92,26 @@ def is_irreducible(poly: int, m: int) -> bool:
     return True
 
 
-class Field:
-    """GF(2^m) with precomputed discrete-log tables.
+def native_dtype(m: int) -> np.dtype:
+    """The numpy dtype that holds one m-bit symbol: uint8 or uint16."""
+    return np.dtype(np.uint8 if m <= 8 else np.uint16)
 
-    Immutable after construction; all operations are pure, so one Field
-    instance can be shared freely across threads.
+
+def _xor_span(basis: np.ndarray) -> np.ndarray:
+    """Tables over the last axis: entry b is the xor of basis[..., i] over
+    the set bits i of b."""
+    table = np.zeros(basis.shape[:-1] + (1,), dtype=basis.dtype)
+    for i in range(basis.shape[-1]):
+        table = np.concatenate([table, table ^ basis[..., i : i + 1]], axis=-1)
+    return table
+
+
+class Field:
+    """GF(2^m) with precomputed discrete-log and product tables.
+
+    All operations are pure, so one Field instance can be shared freely
+    across threads; the only state added after construction is the
+    per-coefficient table cache for m > 8, whose entries never change.
     """
 
     def __init__(self, m: int):
@@ -107,7 +134,13 @@ class Field:
             self.exp_table[i] = x
             self.log_table[x] = i
             x = clmul_reduce(x, generator, poly, m)
-        self._np = None
+
+        self.dtype = native_dtype(m)
+        if m <= 8:
+            basis = np.stack(self._times_x_powers(np.arange(self.order)), axis=-1)
+            self._product = _xor_span(basis.astype(self.dtype))
+        else:
+            self._split = {}  # coefficient -> (low-byte table, high-byte table)
 
     def _find_generator(self) -> int:
         group_order = self.order - 1
@@ -195,38 +228,39 @@ class Field:
             out.append(s)
         return out
 
-    # -- vectorized companions (numpy) --------------------------------------
-    # Used by the store module to push whole symbol streams through fixed
-    # small matrices; results are identical to the scalar operations.
+    # -- bulk multiplication on native-width numpy arrays -----------------
 
-    def _np_tables(self):
-        if self._np is None:
-            import numpy as np
+    def _times_x_powers(self, a):
+        """[a, a*x, ..., a*x^(m-1)] for an element or an array of them."""
+        out = []
+        for _ in range(self.m):
+            out.append(a)
+            a = (a << 1) ^ ((a >> (self.m - 1)) & 1) * self.reduction_poly
+        return out
 
-            exp = np.array(self.exp_table + self.exp_table, dtype=np.int64)
-            log = np.array([0] + self.log_table[1:], dtype=np.int64)
-            self._np = (np, exp, log)
-        return self._np
+    def _split_tables(self, a: int):
+        tables = self._split.get(a)
+        if tables is None:
+            basis = np.array(self._times_x_powers(a), dtype=self.dtype)
+            tables = self._split[a] = (_xor_span(basis[:8]), _xor_span(basis[8:]))
+        return tables
 
     def mul_vec(self, a: int, vec):
-        """Multiply every entry of a numpy int vector by the scalar a."""
-        np, exp, log = self._np_tables()
-        if a == 0:
-            return np.zeros_like(vec)
-        out = exp[self.log_table[a] + log[vec]]
-        return np.where(vec == 0, 0, out)
+        """Multiply every entry of a numpy vector of symbols by the scalar a."""
+        if self.m <= 8:
+            return np.take(self._product[a], vec)
+        low, high = self._split_tables(a)
+        return np.take(low, vec & 0xFF) ^ np.take(high, vec >> 8)
 
     def mat_mul_cols(self, rows, cols):
         """Apply a small matrix (list of coefficient rows) to a 2-D numpy
         array whose axis 0 indexes matrix columns; xor-accumulates rows."""
-        np, _, _ = self._np_tables()
         out = np.zeros((len(rows), cols.shape[1]), dtype=cols.dtype)
         for r, row in enumerate(rows):
             acc = out[r]
             for c, coeff in enumerate(row):
                 if coeff:
                     acc ^= self.mul_vec(coeff, cols[c])
-            out[r] = acc
         return out
 
 

@@ -300,16 +300,18 @@ def reconstruct_bulk(code: InnerCode, share_cols: dict):
     f = code.field
     node_rows = [n - 1 for n in nodes]
     selector = submatrix(code.encoding_matrix, node_rows, range(p.k))
-    mixer = submatrix(code.encoding_matrix, node_rows, range(p.k, p.d))
     sel_inv = invert(selector)
 
     received = np.stack([share_cols[n] for n in nodes])  # (k, d, N)
     left = received[:, : p.k, :]
-    right = received[:, p.k :, :]
-    wing = f.mat_mul_cols(sel_inv.data, right.reshape(p.k, -1)).reshape(p.k, p.d - p.k, n_chunks)
-    wing_t = wing.transpose(1, 0, 2)
-    mixed = f.mat_mul_cols(mixer.data, wing_t.reshape(p.d - p.k, -1)).reshape(p.k, p.k, n_chunks)
-    core = f.mat_mul_cols(sel_inv.data, (left ^ mixed).reshape(p.k, -1)).reshape(p.k, p.k, n_chunks)
+    if p.d > p.k:  # d == k leaves no off-diagonal wing at all
+        mixer = submatrix(code.encoding_matrix, node_rows, range(p.k, p.d))
+        right = received[:, p.k :, :]
+        wing = f.mat_mul_cols(sel_inv.data, right.reshape(p.k, -1)).reshape(p.k, p.d - p.k, n_chunks)
+        wing_t = wing.transpose(1, 0, 2)
+        mixed = f.mat_mul_cols(mixer.data, wing_t.reshape(p.d - p.k, -1)).reshape(p.k, p.k, n_chunks)
+        left = left ^ mixed
+    core = f.mat_mul_cols(sel_inv.data, left.reshape(p.k, -1)).reshape(p.k, p.k, n_chunks)
 
     out = np.zeros((p.total_symbols, n_chunks), dtype=received.dtype)
     for b, (i, j) in enumerate(message_cells(p.k, p.d)):

@@ -18,8 +18,11 @@ Share file format (bit-exact):
 The plaintext is packed big-endian into m-bit symbols, grouped into
 chunks of B-2 symbols (zero-padded at the tail), and every chunk runs
 through coset encoding with two fresh random symbols before the inner
-code fans it out to the nodes.  A failed node is simply a missing share
-file; repair rebuilds it bit-identically from d live helpers.
+code fans it out to the nodes.  In memory, symbols are numpy arrays at
+native width from chunking to share files and back: uint8 for m <= 8,
+uint16 above (``gf2m.native_dtype``).  A failed node is simply a
+missing share file; repair rebuilds it bit-identically from d live
+helpers.
 
 Reusing a seed voids the uniformity that the coset layer's secrecy rests
 on: the seed flag exists for tests and reproducibility checks only.
@@ -40,6 +43,7 @@ from .errors import (
     ParameterError,
     ShareFormatError,
 )
+from .gf2m import native_dtype
 from .pm_mbr import CodeParams, encode_bulk, params_new, reconstruct_bulk, repair_bulk
 from .weaksec import make_codec
 
@@ -53,26 +57,33 @@ _HEADER = struct.Struct("<4sBBBBBBHI")
 
 def plaintext_to_symbols(data: bytes, m: int) -> np.ndarray:
     """Big-endian bit packing at m bits per symbol, zero-padded tail."""
+    dtype = native_dtype(m)
+    if m % 8 == 0:  # byte-aligned: the bytes already are the symbols
+        width = m // 8
+        padded = data + bytes(-len(data) % width)
+        return np.frombuffer(padded, dtype=f">u{width}").astype(dtype)
     if not data:
-        return np.zeros(0, dtype=np.int32)
+        return np.zeros(0, dtype=dtype)
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     pad = (-len(bits)) % m
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int32)
-    return bits.reshape(-1, m).astype(np.int32) @ weights
+    weights = (1 << np.arange(m - 1, -1, -1)).astype(dtype)
+    return bits.reshape(-1, m).astype(dtype) @ weights
 
 
 def symbols_to_plaintext(symbols: np.ndarray, m: int, byte_length: int) -> bytes:
     """Inverse of plaintext_to_symbols given the original byte length."""
     if byte_length == 0:
         return b""
-    shifts = np.arange(m - 1, -1, -1, dtype=np.int32)
-    bits = ((symbols.reshape(-1, 1) >> shifts) & 1).astype(np.uint8).reshape(-1)
-    total = byte_length * 8
-    if len(bits) < total:
-        raise ValueError(f"{len(symbols)} symbols cannot hold {byte_length} bytes")
-    return np.packbits(bits[:total]).tobytes()
+    if symbols.size * m < byte_length * 8:
+        raise ValueError(f"{symbols.size} symbols cannot hold {byte_length} bytes")
+    if m % 8 == 0:
+        raw = symbols.astype(f">u{m // 8}").tobytes()
+    else:
+        shifts = np.arange(m - 1, -1, -1, dtype=symbols.dtype)
+        raw = np.packbits(((symbols.reshape(-1, 1) >> shifts) & 1).astype(np.uint8)).tobytes()
+    return raw[:byte_length]
 
 
 def chunk_plaintext(data: bytes, params: CodeParams) -> np.ndarray:
@@ -80,7 +91,7 @@ def chunk_plaintext(data: bytes, params: CodeParams) -> np.ndarray:
     symbols = plaintext_to_symbols(data, params.m)
     width = params.secure_symbols
     count = -(-len(symbols) // width) if len(symbols) else 0
-    padded = np.zeros(count * width, dtype=np.int32)
+    padded = np.zeros(count * width, dtype=symbols.dtype)
     padded[: len(symbols)] = symbols
     return padded.reshape(count, width)
 
@@ -125,10 +136,8 @@ class SymbolSource:
         return bytes(out[:nbytes])
 
     def symbols(self, count: int) -> np.ndarray:
-        if count == 0:
-            return np.zeros(0, dtype=np.int32)
-        raw = np.frombuffer(self._stream(2 * count), dtype=">u2").astype(np.int32)
-        return raw & self.mask
+        raw = np.frombuffer(self._stream(2 * count), dtype=">u2") & self.mask
+        return raw.astype(native_dtype(self.m))
 
 
 # -- manifest -------------------------------------------------------------------
@@ -233,7 +242,7 @@ def read_share(path) -> tuple[ShareHeader, np.ndarray]:
     payload = raw[_HEADER.size :]
     if len(payload) != expected:
         raise ShareFormatError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    symbols = np.frombuffer(payload, dtype=_symbol_dtype(m)).astype(np.int32)
+    symbols = np.frombuffer(payload, dtype=_symbol_dtype(m)).astype(native_dtype(m))
     if m < 16 and symbols.size and int(symbols.max()) >= (1 << m):
         raise ShareFormatError(f"{path}: symbol out of range for m={m}")
     return ShareHeader(version, m, n, k, d, node, chunk_count), symbols.reshape(chunk_count, d)

@@ -11,15 +11,24 @@ one Cauchy matrix on 2^m >= n + 2d distinct points achieves that.
 Encoding a message of B-2 symbols picks the coset member selected by
 two fresh random symbols: the parity-check matrix extended by two more
 rows is invertible, so (message, randomness) -> codeword is a bijection
-and uniform randomness yields a uniform coset element.  Decoding is a
-single syndrome computation.
+and uniform randomness yields a uniform coset element.  The extension is
+solved by successive decoding, one type at a time (type k, then k-1 down
+to 2, then the types above k, then type 1): each step is a small square
+solve with a precomputed inverse, after the symbols fixed by earlier
+steps are cancelled from its rows.  The nonsingular steps are the proof
+that the extension is invertible, and the same steps are the encoder;
+no B x B inverse is ever formed.  Decoding is a single syndrome
+computation.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParameterError
+import numpy as np
+
+from .errors import ParameterError, SingularMatrixError
 from .gf2m import Field, field_new
-from .linalg import Matrix, cauchy, invert, mat_vec, rank, submatrix, vstack
+from .linalg import Matrix, cauchy, invert, mat_vec, submatrix, vstack
 from .pm_mbr import CodeParams, InnerCode, type_positions
 
 
@@ -86,13 +95,30 @@ def make_type_row(field: Field, k: int, d: int, type_index: int, coeffs: list[in
     return row
 
 
+@dataclass(frozen=True)
+class SolveStep:
+    """One step of the successive decode of H_ext * c = z.
+
+    The rows of one type fix that type's codeword symbols not fixed by an
+    earlier step: c[variables] = inverse * (z[rows] + coupling * c[known]).
+    """
+
+    type_index: int
+    rows: tuple  # 0-based rows of the extended parity check
+    variables: tuple  # 1-based codeword indices solved here
+    known: tuple  # 0-based codeword indices, solved earlier, that the rows touch
+    inverse: list  # coefficient rows of the inverse of the rows x variables block
+    coupling: list  # coefficient rows of the rows x known block
+
+
 class OuterCode:
     """Parity-check machinery for one parameter set.
 
     Holds the (B-2) x B parity-check matrix, its per-row (type,
     coefficient-row) ledger, and the invertible B x B extension used for
-    uniform coset encoding.  Immutable after construction; encoding
-    consumes caller-supplied randomness and is otherwise deterministic.
+    uniform coset encoding, together with the type-ordered solve steps
+    that invert it.  Immutable after construction; encoding consumes
+    caller-supplied randomness and is otherwise deterministic.
     """
 
     def __init__(self, params: CodeParams, field: Field, coeff_matrix: Matrix):
@@ -123,11 +149,11 @@ class OuterCode:
             raise ParameterError(
                 f"type cardinalities sum to {len(rows)}, expected B-2 = {secure}"
             )
-        if rank(self.parity_check) != secure:
-            raise ParameterError("parity-check matrix is rank-deficient")
 
         self.parity_check_ext = self._extend()
-        self._ext_inverse = invert(self.parity_check_ext)
+        self.ext_row_types = self.row_types + ((params.k, params.d), (1, 1))
+        # Nonsingular steps prove H_ext invertible, hence H of full row rank.
+        self.solve_steps = self._solve_steps()
 
     def _extend(self) -> Matrix:
         """Append a type-k row (last coefficient row) and a type-1 row
@@ -142,9 +168,37 @@ class OuterCode:
         )
         return vstack(self.parity_check, extra)
 
-    @property
-    def ext_inverse(self) -> Matrix:
-        return self._ext_inverse
+    def _solve_steps(self) -> tuple:
+        """The successive decode of H_ext, one square solve per type.
+
+        Type k goes first (it owns a full complement of rows), then down
+        through type 2, then the single-row types above k, then type 1.
+        A type-t row is supported exactly on type t's index set, so after
+        the earlier steps it touches only the symbols solved here.
+        """
+        k, d = self.params.k, self.params.d
+        ext = self.parity_check_ext
+        solved: set = set()
+        steps = []
+        for t in list(range(k, 1, -1)) + list(range(k + 1, d + 1)) + [1]:
+            rows = tuple(r for r, (rt, _) in enumerate(self.ext_row_types) if rt == t)
+            variables = tuple(b for b in self.index_sets[t - 1] if b - 1 not in solved)
+            known = tuple(b - 1 for b in self.index_sets[t - 1] if b - 1 in solved)
+            if len(rows) != len(variables):
+                raise ParameterError(
+                    f"parity-check matrix is rank-deficient: type {t} has {len(rows)} rows "
+                    f"for {len(variables)} unsolved symbols"
+                )
+            try:
+                inverse = invert(submatrix(ext, rows, [b - 1 for b in variables]))
+            except SingularMatrixError:
+                raise ParameterError(
+                    f"extended parity-check matrix is singular: type {t} step"
+                ) from None
+            coupling = submatrix(ext, rows, known).data
+            steps.append(SolveStep(t, rows, variables, known, inverse.data, coupling))
+            solved.update(b - 1 for b in variables)
+        return tuple(steps)
 
     # -- coset encode / decode ------------------------------------------
 
@@ -156,7 +210,12 @@ class OuterCode:
             raise ValueError(f"exactly 2 randomness symbols required, got {len(randomness)}")
         for v in message + randomness:
             self.field.check(v)
-        return mat_vec(self._ext_inverse, list(message) + list(randomness))
+        dtype = self.field.dtype
+        column = self.coset_encode_bulk(
+            np.array(message, dtype=dtype).reshape(-1, 1),
+            np.array(randomness, dtype=dtype).reshape(-1, 1),
+        )
+        return column[:, 0].tolist()
 
     def coset_decode(self, codeword: list[int]) -> list[int]:
         p = self.params
@@ -167,10 +226,16 @@ class OuterCode:
     # -- bulk variants ----------------------------------------------------
 
     def coset_encode_bulk(self, message_cols, randomness_cols):
-        import numpy as np
-
-        stacked = np.vstack([message_cols, randomness_cols])
-        return self.field.mat_mul_cols(self._ext_inverse.data, stacked)
+        """Solve H_ext * c = [message; randomness] for every column, step by step."""
+        f = self.field
+        syndrome = np.vstack([message_cols, randomness_cols])
+        out = np.empty_like(syndrome)
+        for step in self.solve_steps:
+            rhs = syndrome[list(step.rows)]
+            if step.known:
+                rhs ^= f.mat_mul_cols(step.coupling, out[list(step.known)])
+            out[[b - 1 for b in step.variables]] = f.mat_mul_cols(step.inverse, rhs)
+        return out
 
     def coset_decode_bulk(self, codeword_cols):
         return self.field.mat_mul_cols(self.parity_check.data, codeword_cols)

@@ -194,6 +194,9 @@ def test_extension_certificate_grid():
             assert sorted(decoded) == list(range(1, total + 1))
             y = [rng.randrange(codec.field.order) for _ in range(total)]
             assert replay_certificate(cert, y) == y
+    for params, steps in (((6, 3, 5, 4), 5), ((7, 4, 6, 5), 6), ((20, 10, 16, 8), 16)):
+        cert = certify_extended_parity(make_codec(params_new(*params)))
+        assert cert.success and len(cert.steps) == steps, params
 
 
 # -- completion certificates -------------------------------------------------

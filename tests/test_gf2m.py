@@ -150,14 +150,28 @@ def test_fields_compare_by_degree():
 
 
 def test_mul_vec_matches_scalar():
+    """The table kernel against the brute-force oracle: exhaustive over
+    (a, x) for m <= 8, sampled above; every input width gives field-width
+    output."""
     np = pytest.importorskip("numpy")
-    for m in (4, 8, 16):
+    for m in range(3, 17):
         f = field_new(m)
-        rng = random.Random(m)
-        vec = np.array([rng.randrange(f.order) for _ in range(100)], dtype=np.int32)
-        for a in (0, 1, rng.randrange(1, f.order)):
-            out = f.mul_vec(a, vec)
-            assert [f.mul(a, int(v)) for v in vec] == out.tolist()
+        if m <= 8:
+            coeffs = range(f.order)
+            xs = np.arange(f.order)
+            dtypes = (np.uint8, np.uint16, np.int32)
+        else:
+            rng = random.Random(m)
+            coeffs = [0, 1, 2, f.order - 1] + [rng.randrange(3, f.order - 1) for _ in range(12)]
+            edges = [0, 1, 0xFF, 0x100, f.order - 1]
+            xs = np.array(edges + [rng.randrange(f.order) for _ in range(200)])
+            dtypes = (np.uint16, np.int32)
+        for a in coeffs:
+            expected = [gf_mul_bruteforce(a, int(x), m) for x in xs]
+            for dtype in dtypes:
+                out = f.mul_vec(a, xs.astype(dtype))
+                assert out.dtype == f.dtype, (m, dtype)
+                assert out.tolist() == expected, (m, a, dtype)
 
 
 def test_mat_mul_cols_matches_scalar(gf16):

@@ -11,6 +11,7 @@ from weavesafe.errors import (
     IntegrityError,
     ShareFormatError,
 )
+from weavesafe.gf2m import native_dtype
 from weavesafe.pm_mbr import params_new
 from weavesafe.store import (
     Cluster,
@@ -57,6 +58,7 @@ def test_symbol_packing_roundtrip(m):
     for length in (0, 1, 2, 7, 64, 251):
         data = bytes(rng.randrange(256) for _ in range(length))
         symbols = plaintext_to_symbols(data, m)
+        assert symbols.dtype == native_dtype(m)
         assert symbols.size == -(-length * 8 // m) if length else symbols.size == 0
         assert symbols_to_plaintext(symbols, m, length) == data
 
@@ -72,6 +74,7 @@ def test_chunking_pads_and_roundtrips():
     data = b"hello, storage"
     for params in (P534, P534_BYTE):
         chunks = chunk_plaintext(data, params)
+        assert chunks.dtype == native_dtype(params.m)
         assert chunks.shape[1] == params.secure_symbols
         assert unchunk_plaintext(chunks, len(data), params) == data
     assert chunk_plaintext(b"", P534).shape == (0, 7)
@@ -90,6 +93,7 @@ def test_symbol_source_determinism_and_range():
     a = SymbolSource(11, seed=99).symbols(1000)
     b = SymbolSource(11, seed=99).symbols(1000)
     assert a.tolist() == b.tolist()
+    assert a.dtype == np.uint16 and SymbolSource(8, 99).symbols(3).dtype == np.uint8
     assert int(a.max()) < 2**11 and int(a.min()) >= 0
 
 
@@ -134,6 +138,7 @@ def test_share_two_byte_symbols(tmp_path):
     raw = path.read_bytes()
     assert raw[16:18] == b"\x0a\xbc"
     _, back = read_share(path)
+    assert back.dtype == np.uint16
     assert back.tolist() == [[0xABC, 1, 2, 3]]
 
 
@@ -329,3 +334,101 @@ def test_share_manifest_cross_validation(tmp_path):
     write_share(cluster.share_path(1), other, 1, np.zeros((0, 4), dtype=np.int32))
     with pytest.raises(ShareFormatError):
         cluster.read_share_columns(1)
+
+
+# Seeded share files pinned across builds: SHA-256 of the manifest and of each
+# node's share after storing GOLDEN_DATA with seed=13, recorded from
+# weavesafe 0.1.0.  Covers m = 8, 5 and 16.
+GOLDEN_DATA = bytes(range(256)) * 40 + b"tail"
+GOLDEN_DIGESTS = {
+    (5, 3, 4, 8): (
+        "e6107602ef728e62f92c97b6ae0f28597c76099f67512aa3ebb244d54b4698ef",
+        (
+            "33c5b6ff687bf436cb66390b0c121358291eddb015b7e6ac448a0aca1ee3a122",
+            "10c31cc4d24f0427f06066d7570c09177aa4c29c9a239ffc137ea08064565d0d",
+            "4fe4a24ba9395ddba3afedfb075f175eb249ade571dd05ca492eab1fffc7e38d",
+            "3fa3ec16a2309c5f6c7c97ee6d6caa4eebb64f1a4a079090ddcd2a890e97d568",
+            "932ed2910c05cc77bdebe67ea6e9001d43e3977ba6251daa3808f820c53f5236",
+        ),
+    ),
+    (20, 10, 16, 8): (
+        "ff64a7aeb0a23b8e9727cd93b9a2dc733f695fac326a498349b839b1a4df24ac",
+        (
+            "49e74e72e2463a994bc467f99c45af8a597e753fa7a17589b3052b0884c22ba7",
+            "d7920130d3a06f2061b338b8d6825f334a4764aebe54e344f6ffb6ca6fb703c1",
+            "34277b18e2e0534854973d792eb961d8b93ff719ec4fc5fe2ab245ee8e6cdce7",
+            "e0e5a58ec99534da0f38034a9d630ee018414c7b84ddf51db4ef7dff2a744f38",
+            "3a775051cfbcd2c04083f6de62ca9de1f48e289b5a1665c0100a0c441f90fe0f",
+            "d938935be858865974675a4e524238c2143f9c1b47b6654ec87bb899a2f63950",
+            "2eb4ec47714c50f2ed63783f6a15dbaf9bbd3c12c6176503cd9830095e068d4d",
+            "2374ccf945634dc868f130fadebfc41ae0ceda77c05694bff34debf52e324bbb",
+            "a286bec52cbc8e3bf7793d0597fa5cae216d003c12b92882695e5b97c075a3ba",
+            "fb0f34f193a4a9334bd9cc9fb4af4b93ff1e2fbe447d000a0fb16adcfe619a84",
+            "bbf698d93f41742db1819635b236ac7dd4d0d2e000c6c5f47f228d82d3df1cc2",
+            "2e592c279720f9cf9f0e3adc7efadd30e76632ebf05af25e153e8efc77f81714",
+            "4c6b333fd9ff0a9ba3a808b1f18ebb2a7b91242764f16a6b75b8c9bb358e1ddb",
+            "75f98a1073e1bdc1ec510be4772917322c23022e4e4d850f380f2bdbd23368f3",
+            "082b99f8eb91ac1b4112d6db601e71c454ce20921e972fb02f9944a524a83ba6",
+            "3c84bc58aed3352e64e540db2096592da079d7fdc0d24f002c4cf9a3a28e3613",
+            "b3bce0efd5f71c82c63e405f584a9556e355da75a45bbe5139ef6679bb3ababa",
+            "639269c8fd0fc3a22395e244efcf8cc82a5bcae69df10383f8cb5592e060e492",
+            "22a6f5f656bf815fff8ad1b903d9cdfad01a420737d6e899f6f736f0b5633ceb",
+            "89a2b0e0eb0caf2c0c273575ee2da823051d837484f3e12ac6330e509f83a644",
+        ),
+    ),
+    (7, 4, 6, 5): (
+        "ddce97f6d653aadb8dac291cf9aeca5637a33e16b7b0a42784f82e9fc6051b25",
+        (
+            "97a96728a32a2e2f76db79a17feb2bce5f8e5b11a8616f77837a93eb68c306a9",
+            "37de0bc88c54b371760207e5649dc2f0d70a450fd263368d870dc968d587bfb2",
+            "dd1ea8d3510e173802f181b9e8148dbd29b8ea577c391a3ebd417fd31b8278b9",
+            "5b981e0da30d870971a005790913ad5cdf7b07ed2db10e1d32c4f5af9be92e77",
+            "4d9f666ae5aaf58c485a70384f9f17b7051c399cba08ffd3beb75bfe801da312",
+            "d94ffc3763d06ec86c723c1cce4637e0f9ef47994351a8b5138875eceb109167",
+            "5b508dc786dad0ac433cd685b3d8f9182664d66a92648b03970ce52c9dcae36f",
+        ),
+    ),
+    (12, 6, 10, 16): (
+        "403eb0908e909554e2c71e148ea8301cd26669e81e4c20c8c3c052613fadf2e5",
+        (
+            "565e8ba20f017cd8f3805d76ceccf0f2873d846426dbbe526d9c3167a7c27b21",
+            "2c3007807f94f3d2eda5bceb92efbca28f1c7c1a29182e6789fe60432ef19d6d",
+            "137fe17ec510c3a8ec8750f312ac90fd6839c382120546b36b2234b5fd1317ae",
+            "8055ff76323aef5788fa6503d3e2b90bc38525ff65cde510a0adb598f13eda10",
+            "3d691be475ba4af9359467a9eccc566ca1cf3db164414b7be1e8c9182fa312dd",
+            "15956227ec8c28b6c4149e56e484326baeb130fcd24d58326b8631ae5900481c",
+            "c1d8824035c484ce314b9db545f01aeefbcb45536d5ec96e435a0a8cacba533a",
+            "a489904290f7457a610d7f37b023b42498a416a9b1e78f57472dd3eece337189",
+            "9ab9733358cb599361bd1b3f08a0625bc047b8f8e2cf2c78afab70c863034bd7",
+            "f32b5027d82e1d14707a52cb905360ab69aa804ea3481bc83ba893c9354768f4",
+            "50dbd042c62494bd2ca3555cb1ecae1d2ec64435f41b48333df3dd62d079feb9",
+            "2dc74823f8b5dc08922ab1a52f02c789a8c657d7c96a002d2b5a951a04da13e7",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("params", sorted(GOLDEN_DIGESTS), ids=str)
+def test_seeded_share_files_match_golden_digests(tmp_path, params):
+    cluster_store(GOLDEN_DATA, params_new(*params), tmp_path, seed=13)
+    manifest_digest, share_digests = GOLDEN_DIGESTS[params]
+    assert hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest() == manifest_digest
+    cluster = Cluster(tmp_path)
+    for e, expected in enumerate(share_digests, start=1):
+        assert hashlib.sha256(cluster.share_path(e).read_bytes()).hexdigest() == expected, e
+    assert cluster_reconstruct(tmp_path) == GOLDEN_DATA
+
+
+@pytest.mark.parametrize("params", [(4, 3, 3, 4), (5, 3, 3, 8)], ids=str)
+def test_lifecycle_with_d_equal_to_k(tmp_path, params):
+    """With d == k the message matrix has no off-diagonal wing."""
+    data = bytes(random.Random(sum(params)).randrange(256) for _ in range(777))
+    cluster_store(data, params_new(*params), tmp_path, seed=17)
+    assert cluster_reconstruct(tmp_path) == data
+    share_path = Cluster(tmp_path).share_path(2)
+    original = share_path.read_bytes()
+    cluster_fail(tmp_path, 2)
+    stats = cluster_repair(tmp_path, 2)
+    assert share_path.read_bytes() == original
+    assert stats.symbols_per_chunk == params[2]
+    assert cluster_reconstruct(tmp_path) == data

@@ -7,7 +7,7 @@ import pytest
 from conftest import grid_params
 from weavesafe.errors import ParameterError
 from weavesafe.gf2m import field_new
-from weavesafe.linalg import mat_vec, null_space, rank, submatrix
+from weavesafe.linalg import invert, mat_vec, null_space, rank, submatrix
 from weavesafe.pm_mbr import params_new
 from weavesafe.weaksec import (
     OuterCode,
@@ -246,6 +246,27 @@ def test_coset_bulk_matches_scalar(codec534):
     for t in range(11):
         assert cols[:, t].tolist() == outer.coset_encode(msgs[t], rnds[t])
         assert decoded[:, t].tolist() == msgs[t]
+
+
+def test_coset_encode_bulk_matches_dense_inverse_on_grid():
+    """The type-ordered solve gives exactly the dense inverse's product."""
+    rng = random.Random(4)
+    for k in range(2, 9):
+        for d in range(k, 9):
+            codec = make_codec(grid_params(k, d))
+            outer, field = codec.outer, codec.field
+            dense = invert(outer.parity_check_ext)
+
+            def draw(rows):
+                cells = [[rng.randrange(field.order) for _ in range(6)] for _ in range(rows)]
+                return np.array(cells, dtype=field.dtype)
+
+            msgs, rnds = draw(codec.params.secure_symbols), draw(2)
+            cols = outer.coset_encode_bulk(msgs, rnds)
+            assert cols.dtype == field.dtype
+            for t in range(6):
+                z = msgs[:, t].tolist() + rnds[:, t].tolist()
+                assert cols[:, t].tolist() == mat_vec(dense, z), (k, d, t)
 
 
 # -- capacity formulas ------------------------------------------------------
