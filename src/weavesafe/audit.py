@@ -10,19 +10,44 @@ A subset of message indices plays the role of the symbols an
 eavesdropper tries to pin down; all such subsets up to a target size
 are enumerated lexicographically, sizes ascending, so the first
 counterexample found is minimal and every run reports the same one.
-Every check is a pure function of immutable inputs, so the (subset,
-node) grid can be split across workers as long as results are merged
-back in enumeration order.
+
+What node e learns about the message rows H_S of the check matrix is
+rank(H_S) + rank(G_e) - rank([H_S; G_e]), with G_e the node's generator
+matrix; ``leakage`` computes exactly that.  When the check matrix has
+full row rank, rank(H_S) = |S| and the identity becomes
+
+    leakage(S, e) = |S| - rank(H_S reduced modulo rowspace(G_e)).
+
+The parity-check matrix H has full row rank because the coset encoder's
+nonsingular solve steps invert its square extension; the identity
+matrix of the baseline (no outer code) has it trivially.  The verifier
+therefore reduces the check matrix once per node against an echelon
+basis of G_e, then walks each size level's subsets as prefixes, keeping
+every node's remaining rows reduced modulo the prefix: a check is one
+test for zero.  Sizes go up one at a time, so each prefix is already
+known independent and a leaking subset leaks exactly one symbol; the
+walk asserts this rather than assuming it, and ``leakage`` re-derives
+the verdict's witness as an oracle.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import product
 
 from .errors import CapExceededError
-from .linalg import Matrix, invert, mat_vec, rank, submatrix, vstack
+from .linalg import (
+    Matrix,
+    first_dependent_subset,
+    invert,
+    mat_vec,
+    rank,
+    reduce_modulo,
+    submatrix,
+    vstack,
+)
 from .weaksec import SecureCodec, index_sets, make_type_row, perfect_capacity
 
 DEFAULT_VERIFY_CAP = 5_000_000
@@ -77,6 +102,14 @@ def verify_weak_secrecy(
 
     baseline=True drops the outer code (identity parity check), which is
     how the bare inner code's security level is measured.
+
+    Checks run sizes ascending, then subsets in lexicographic order, then
+    nodes, and ``checks`` counts them up to the first leak.  Each node's
+    check rows are reduced once modulo its generator's row space; a
+    size-s level then walks subsets as prefixes and costs one zero test
+    per check.  ``leakage`` re-derives the counterexample, or on a pass
+    the last subset against every node, and any disagreement raises
+    AssertionError.
     """
     p = codec.params
     check_matrix = _message_matrix(codec, baseline)
@@ -87,20 +120,36 @@ def verify_weak_secrecy(
     if total > max_checks:
         raise CapExceededError(f"{total} rank checks exceed cap {max_checks}")
 
-    generators = [codec.inner.generator_matrix(e) for e in range(1, p.n + 1)]
+    nodes = range(1, p.n + 1)
+    quotients = [
+        reduce_modulo(codec.field, check_matrix.data, codec.inner.generator_rows(e))
+        for e in nodes
+    ]
     checks = 0
     for size in range(1, guesses + 2):
-        for subset in combinations(range(1, width + 1), size):
-            rows = submatrix(check_matrix, [i - 1 for i in subset], range(check_matrix.cols))
-            for e in range(1, p.n + 1):
-                leaked = leakage(rows, generators[e - 1])
-                checks += 1
-                if leaked:
-                    return VerifyResult(
-                        guesses, baseline, False, checks,
-                        LeakageReport(e, subset, leaked),
-                    )
+        visited, subset, group = first_dependent_subset(codec.field, quotients, size)
+        checks += visited
+        if subset is not None:
+            # Every smaller subset passed, so the prefix is independent
+            # modulo the node's rows and exactly one symbol leaks.
+            report = LeakageReport(nodes[group], tuple(i + 1 for i in subset), 1)
+            _cross_check(codec, check_matrix, report)
+            return VerifyResult(guesses, baseline, False, checks, report)
+    last = tuple(range(width - guesses, width + 1))
+    for e in nodes:
+        _cross_check(codec, check_matrix, LeakageReport(e, last, 0))
     return VerifyResult(guesses, baseline, True, checks, None)
+
+
+def _cross_check(codec: SecureCodec, check_matrix: Matrix, report: LeakageReport) -> None:
+    """Recompute one verdict with the rank-formula oracle."""
+    rows = submatrix(check_matrix, [i - 1 for i in report.subset], range(check_matrix.cols))
+    leaked = leakage(rows, codec.inner.generator_matrix(report.node))
+    if leaked != report.leaked_symbols:
+        raise AssertionError(
+            f"audit engine found {report.leaked_symbols} leaked symbol(s) for subset "
+            f"{report.subset} at node {report.node}, the rank formula {leaked}"
+        )
 
 
 # -- exact mutual-information oracle ---------------------------------------
@@ -213,91 +262,93 @@ def plan_completion(k: int, d: int, row_types: tuple) -> CompletionPlan:
     test; the node rows (one per type) are implicit.  The plan depends
     only on these counts, never on the node index or field values, so
     one plan certifies the row-selection for every node at once.
+
+    Step order, variables and failure depend only on the per-type row
+    counts and are memoized on them; the coefficient rows already used
+    pick the rows each step appends, and the subset's own positions are
+    mapped back into each step.
+    """
+    positions = [[] for _ in range(d + 1)]
+    used_hats = [[] for _ in range(d + 1)]
+    for pos, (t, hat) in enumerate(row_types):
+        positions[t].append(pos)
+        used_hats[t].append(hat)
+    skeleton, failure = _plan_skeleton(k, d, tuple(map(len, positions)))
+
+    steps = [
+        _plan_step(d, t, tuple(positions[t]), tuple(used_hats[t]), extra, variables)
+        for t, extra, variables in skeleton
+    ]
+    appended = [(s.type_index, h) for s in steps for h in s.added_rows]
+    return CompletionPlan(failure is None, failure, tuple(steps), tuple(appended))
+
+
+@lru_cache(maxsize=1 << 14)
+def _plan_step(d: int, t: int, check_rows: tuple, used: tuple, extra, variables: tuple) -> PlanStep:
+    """One plan step.  A full step (extra is not None) appends the first
+    ``extra`` coefficient rows of type t, in order, that are not in used."""
+    hats = ()
+    if extra is not None:
+        hats = tuple(h for h in range(1, d + 1) if h not in used)[:extra]
+        if len(hats) != extra:
+            raise AssertionError(f"bookkeeping broke at type {t}")
+    return PlanStep(t, check_rows, True, hats, variables)
+
+
+@lru_cache(maxsize=None)
+def _plan_skeleton(k: int, d: int, counts: tuple) -> tuple:
+    """The part of a completion plan fixed by the per-type row counts
+    (counts[t] rows of type t; counts[0] is unused).
+
+    Returns (steps, failure): per step its type, the number of rows it
+    appends (None when it uses only the rows present) and its variables;
+    failure is None, or the reason the plan stops after those steps.
     """
     total = k * (k + 1) // 2 + k * (d - k)
     ind = index_sets(k, d)
-    lam = [0] + [1] * d  # 1-based; node row contributes one per type
-    used_hats: dict = {t: set() for t in range(1, d + 1)}
-    check_rows_by_type: dict = {t: [] for t in range(1, d + 1)}
-    for pos, (t, hat) in enumerate(row_types):
-        lam[t] += 1
-        used_hats[t].add(hat)
-        check_rows_by_type[t].append(pos)
-
+    lam = tuple(1 + c for c in counts)  # the node row adds one per type
     decoded: set = set()
     steps: list = []
-    appended: list = []
 
-    def undecoded(t):
-        return tuple(b for b in ind[t - 1] if b not in decoded)
-
-    def full_step(t, equations):
-        """Step using all present rows of type t plus fresh appended rows."""
-        extra = equations - lam[t]
-        avail = [h for h in range(1, d + 1) if h not in used_hats[t]]
-        hats = tuple(avail[:extra])
-        variables = undecoded(t)
-        if len(variables) != equations or len(hats) != extra:
+    def step(t, equations, extra):
+        variables = tuple(b for b in ind[t - 1] if b not in decoded)
+        if len(variables) != equations:
             raise AssertionError(f"bookkeeping broke at type {t}")
-        appended.extend((t, h) for h in hats)
-        steps.append(PlanStep(t, tuple(check_rows_by_type[t]), True, hats, variables))
+        steps.append((t, extra, variables))
         decoded.update(variables)
-
-    def small_step(t, expect):
-        variables = undecoded(t)
-        if len(variables) != expect:
-            raise AssertionError(f"bookkeeping broke at type {t}")
-        steps.append(PlanStep(t, tuple(check_rows_by_type[t]), True, (), variables))
-        decoded.update(variables)
-
-    def fail(t, need, have):
-        return CompletionPlan(
-            False,
-            f"type {t} has {need} rows present but only {have} variables remain undecoded",
-            tuple(steps),
-            tuple(appended),
-        )
 
     group_one = sorted(range(1, k + 1), key=lambda t: (lam[t], t))
     group_two = sorted(range(k + 1, d + 1), key=lambda t: (lam[t], t))
     two_row = [t for t in group_two if lam[t] == 2]
     one_row = [t for t in group_two if lam[t] == 1]
 
+    def fail(t, have):
+        reason = f"type {t} has {lam[t]} rows present but only {have} variables remain undecoded"
+        return tuple(steps), reason
+
     remaining = d
-    if k >= 3:
-        for pos in range(k - 1, 1, -1):
-            t = group_one[pos]
-            if lam[t] > remaining:
-                return fail(t, lam[t], remaining)
-            full_step(t, remaining)
-            remaining -= 1
-        for t in two_row:
-            small_step(t, 2)
-        remaining -= len(two_row)
-        t = group_one[1]
+    for pos in range(k - 1, 1, -1):  # none when k == 2
+        t = group_one[pos]
         if lam[t] > remaining:
-            return fail(t, lam[t], remaining)
-        full_step(t, remaining)
-        for t in one_row:
-            small_step(t, 1)
-        small_step(group_one[0], 1)
-    else:  # k == 2
-        for t in two_row:
-            small_step(t, 2)
-        remaining -= len(two_row)
-        t = group_one[1]
-        if lam[t] > remaining:
-            return fail(t, lam[t], remaining)
-        full_step(t, remaining)
-        for t in one_row:
-            small_step(t, 1)
-        small_step(group_one[0], 1)
+            return fail(t, remaining)
+        step(t, remaining, remaining - lam[t])
+        remaining -= 1
+    for t in two_row:
+        step(t, 2, None)
+    remaining -= len(two_row)
+    t = group_one[1]
+    if lam[t] > remaining:
+        return fail(t, remaining)
+    step(t, remaining, remaining - lam[t])
+    for t in one_row:
+        step(t, 1, None)
+    step(group_one[0], 1, None)
 
     if len(decoded) != total:
         raise AssertionError(f"plan decoded {len(decoded)} of {total} variables")
-    if len(appended) != total - len(row_types) - d:
+    if sum(extra or 0 for _, extra, _ in steps) != total - sum(counts) - d:
         raise AssertionError("append count does not square the matrix")
-    return CompletionPlan(True, None, tuple(steps), tuple(appended))
+    return tuple(steps), None
 
 
 def _check_steps(matrix: Matrix, steps) -> str | None:
@@ -361,9 +412,8 @@ def certify_completion(codec: SecureCodec, subset: tuple, node: int) -> DecodeCe
     row_types = tuple(outer.row_types[i - 1] for i in subset)
     plan = plan_completion(p.k, p.d, row_types)
 
-    gen = codec.inner.generator_matrix(node)
     rows = [outer.parity_check.row(i - 1) for i in subset]
-    rows.extend(gen.data)
+    rows.extend(codec.inner.generator_rows(node))
     appended_at = {}
     for t, hat in plan.appended:
         appended_at[(t, hat)] = len(rows)
@@ -575,7 +625,7 @@ def _cluster_observation_demo(codec: SecureCodec, root) -> dict:
     codeword_cols = reconstruct_bulk(codec.inner, share_cols)
     ok = 0
     for e, cols in share_cols.items():
-        expected = codec.field.mat_mul_cols(codec.inner.generator_matrix(e).data, codeword_cols)
+        expected = codec.field.mat_mul_cols(codec.inner.generator_rows(e), codeword_cols)
         if (expected == cols).all():
             ok += 1
     return {

@@ -4,9 +4,13 @@ Everything is elimination-based: rank decides nonsingularity, there is
 no determinant code path.  Pivoting always takes the first nonzero
 entry in column order, so results are deterministic.  Matrices are
 value-semantic; operations return fresh objects and never mutate their
-inputs.
+inputs.  Exhaustive searches over index subsets walk them as prefixes,
+so that each prefix's elimination is shared by all of its extensions
+(``first_dependent_subset``).
 """
 
+from array import array
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import CapExceededError, SingularMatrixError
@@ -151,12 +155,22 @@ def cauchy(field: Field, row_points: list[int], col_points: list[int]) -> Matrix
     )
 
 
+@lru_cache(maxsize=None)
+def _log_tables(field: Field):
+    """(log, exp) with exp doubled, so exp[log[a] + log[b]] = a * b for
+    nonzero a, b without a modulo; log[0] is -1.  Fields of one degree
+    are equal and share the tables."""
+    return field.log_table, field.exp_table * 2
+
+
 def _eliminate(field: Field, data: list[list[int]], col_limit: int | None = None):
     """In-place forward elimination; returns list of (row, pivot_col).
 
     Pivots are searched only in the first col_limit columns (all by
     default); row operations always span the full width.
     """
+    log, exp = _log_tables(field)
+    order = field.order - 1
     rows = len(data)
     cols = len(data[0]) if rows else 0
     pivots = []
@@ -170,17 +184,18 @@ def _eliminate(field: Field, data: list[list[int]], col_limit: int | None = None
         if piv is None:
             continue
         data[r], data[piv] = data[piv], data[r]
-        inv_p = field.inv(data[r][c])
-        if inv_p != 1:
-            data[r] = [field.mul(inv_p, v) for v in data[r]]
+        inv_log = order - log[data[r][c]]
+        if inv_log != order:  # pivot is not 1: scale the row by its inverse
+            data[r] = [exp[log[v] + inv_log] if v else 0 for v in data[r]]
         prow = data[r]
+        plog = [log[v] for v in prow]
         for i in range(rows):
             if i != r and data[i][c]:
-                f = data[i][c]
+                lf = log[data[i][c]]
                 irow = data[i]
                 for j in range(c, cols):
                     if prow[j]:
-                        irow[j] ^= field.mul(f, prow[j])
+                        irow[j] ^= exp[lf + plog[j]]
         pivots.append((r, c))
         r += 1
         if r == rows:
@@ -191,6 +206,109 @@ def _eliminate(field: Field, data: list[list[int]], col_limit: int | None = None
 def rank(a: Matrix) -> int:
     data = [list(row) for row in a.data]
     return len(_eliminate(a.field, data))
+
+
+def _clear_column(tables, pivot: list[int], col: int, vectors: list) -> list:
+    """vectors with entry col cleared by adding multiples of pivot.
+
+    pivot[col] must be nonzero.  Vectors already zero at col are passed
+    through as the same objects; the others are fresh lists.
+    """
+    log, exp = tables
+    order = len(exp) // 2
+    shift = order - log[pivot[col]]  # scales pivot to 1 at col
+    plog = [(log[x] + shift) % order if x else -1 for x in pivot]
+    out = []
+    for v in vectors:
+        a = v[col]
+        if a:
+            la = log[a]
+            v = [x ^ exp[la + lp] if lp >= 0 else x for x, lp in zip(v, plog)]
+        out.append(v)
+    return out
+
+
+def reduce_modulo(field: Field, rows, modulus) -> list[array]:
+    """Each row reduced modulo the row space of modulus, as a vector on the
+    columns where modulus has no pivot.
+
+    Rows are congruent modulo that space exactly when their reductions are
+    equal, so a set of rows is independent modulo it exactly when the
+    reductions are linearly independent.  The vectors are compact arrays of
+    symbols, since an audit holds one set per node.
+    """
+    basis = [list(r) for r in modulus]
+    pivots = _eliminate(field, basis)
+    out = [list(r) for r in rows]
+    tables = _log_tables(field)
+    # basis is in reduced echelon form: clearing one pivot column leaves
+    # the others untouched.
+    for r, c in pivots:
+        out = _clear_column(tables, basis[r], c, out)
+    pivot_cols = {c for _, c in pivots}
+    keep = [c for c in range(len(out[0]) if out else 0) if c not in pivot_cols]
+    typecode = "B" if field.m <= 8 else "H"
+    return [array(typecode, [v[c] for c in keep]) for v in out]
+
+
+def first_dependent_subset(field: Field, groups, size: int):
+    """The first index subset whose vectors are linearly dependent.
+
+    groups holds one list of vectors per group, each indexed the same way.
+    Subsets of ``size`` indices (0-based) are taken in lexicographic order
+    and, for each, the groups in order.  Returns (visited, subset, group),
+    where visited counts the (subset, group) pairs examined up to and
+    including the hit, or (visited, None, None) if there is no hit.
+
+    The walk is a depth-first search over prefixes.  Each group keeps the
+    vectors after the prefix reduced modulo the prefix's span, so a pair
+    costs one zero test and each extension of a prefix clears one column.
+    The test is exact only when every proper prefix is independent, which
+    holds when every (size-1)-subset is independent in every group; walk
+    sizes in ascending order to establish it.  A dependent prefix raises
+    AssertionError instead of being assumed away.
+    """
+    if size < 1:
+        raise ValueError(f"subset size {size} must be at least 1")
+    count = len(groups[0]) if groups else 0
+    tables = _log_tables(field)
+    visited = 0
+
+    def walk(prefix, states):
+        nonlocal visited
+        start = prefix[-1] + 1 if prefix else 0
+        if len(prefix) == size - 1:
+            hits = []
+            for g, state in enumerate(states):
+                zero = next((o for o, v in enumerate(state) if not any(v)), None)
+                if zero is not None:
+                    hits.append((zero, g))
+            if not hits:
+                visited += (count - start) * len(states)
+                return None
+            offset, g = min(hits)
+            visited += offset * len(states) + g + 1
+            return prefix + (start + offset,), g
+        for offset in range(count - start - (size - 1 - len(prefix))):
+            children = []
+            for g, state in enumerate(states):
+                pivot = state[offset]
+                col = next((c for c, x in enumerate(pivot) if x), None)
+                if col is None:
+                    raise AssertionError(
+                        f"subset {prefix + (start + offset,)} is dependent in group {g}; "
+                        f"smaller subsets must be walked before size {size}"
+                    )
+                children.append(_clear_column(tables, pivot, col, state[offset + 1 :]))
+            found = walk(prefix + (start + offset,), children)
+            if found:
+                return found
+        return None
+
+    found = walk((), list(groups))
+    if found is None:
+        return visited, None, None
+    return visited, found[0], found[1]
 
 
 def invert(a: Matrix) -> Matrix:
@@ -275,6 +393,13 @@ def all_square_submatrices_nonsingular(a: Matrix, max_order: int, minor_cap: int
     Returns True, or the first offending (row_set, col_set) in
     size-ascending lexicographic order.  Exponential: guarded by
     minor_cap, meant for audits and tests, not for encoding paths.
+
+    Each order is one walk over row sets that keeps, for every column
+    set, the rows after the current row prefix reduced modulo the prefix;
+    the prefix eliminations are shared by all column sets.  Orders are
+    checked ascending, so every s-1 rows are independent on every s
+    columns when order s is reached, as ``first_dependent_subset``
+    requires.
     """
     if max_order > min(a.rows, a.cols):
         raise ValueError("max_order exceeds matrix dimensions")
@@ -282,8 +407,9 @@ def all_square_submatrices_nonsingular(a: Matrix, max_order: int, minor_cap: int
     if total > minor_cap:
         raise CapExceededError(f"{total} minors exceed cap {minor_cap}")
     for s in range(1, max_order + 1):
-        for rset in combinations(range(a.rows), s):
-            for cset in combinations(range(a.cols), s):
-                if rank(submatrix(a, rset, cset)) < s:
-                    return (rset, cset)
+        csets = list(combinations(range(a.cols), s))
+        groups = [[[row[c] for c in cset] for row in a.data] for cset in csets]
+        _, rset, g = first_dependent_subset(a.field, groups, s)
+        if rset is not None:
+            return (rset, csets[g])
     return True

@@ -172,18 +172,27 @@ class InnerCode:
         # msg is symmetric, so msg * row^T equals row * msg transposed.
         return mat_vec(msg, self.encoding_matrix.row(node - 1))
 
-    def generator_matrix(self, node: int) -> Matrix:
-        """d x B matrix sending a codeword to the symbols node stores."""
+    def generator_rows(self, node: int) -> list[list[int]]:
+        """Coefficient rows of node's generator matrix, as fresh plain lists.
+
+        Row t holds node's encoding row on the symbols of message-matrix
+        row t.  The entries come from the encoding matrix, which was
+        validated when it was built, so they are not checked again.
+        """
         self._check_node(node)
         p = self.params
-        enc_row = self.encoding_matrix.row(node - 1)
+        enc_row = self.encoding_matrix.data[node - 1]
         rows = []
         for t in range(p.d):
             row = [0] * p.total_symbols
             for b, j in type_positions(p.k, p.d, t):
                 row[b] = enc_row[j]
             rows.append(row)
-        return Matrix(self.field, rows)
+        return rows
+
+    def generator_matrix(self, node: int) -> Matrix:
+        """d x B matrix sending a codeword to the symbols node stores."""
+        return Matrix(self.field, self.generator_rows(node))
 
     # -- reconstruction ---------------------------------------------------
 
@@ -283,7 +292,7 @@ class InnerCode:
 def encode_bulk(code: InnerCode, codeword_cols):
     """Encode every chunk for every node: {node: d x N array}."""
     return {
-        e: code.field.mat_mul_cols(code.generator_matrix(e).data, codeword_cols)
+        e: code.field.mat_mul_cols(code.generator_rows(e), codeword_cols)
         for e in range(1, code.params.n + 1)
     }
 

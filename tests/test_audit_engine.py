@@ -1,0 +1,239 @@
+"""The quotient-space audit engine against the per-check loop it replaced.
+
+Each reference below is the earlier implementation, kept here verbatim in
+behaviour: ``reference_verify`` runs the rank formula ``leakage`` for
+every (subset, node) pair, sizes ascending, then subsets in lexicographic
+order, then nodes; ``reference_plan`` recomputes a completion plan from
+scratch on every call.  The engine and the memoized planner must return
+equal results, counts and counterexamples included.
+"""
+
+import math
+import random
+from itertools import combinations
+
+import pytest
+
+from conftest import grid_params
+from weavesafe import audit
+from weavesafe.audit import (
+    CompletionPlan,
+    LeakageReport,
+    PlanStep,
+    VerifyResult,
+    _message_matrix,
+    leakage,
+    plan_completion,
+    verify_weak_secrecy,
+)
+from weavesafe.errors import CapExceededError
+from weavesafe.linalg import submatrix
+from weavesafe.pm_mbr import params_new
+from weavesafe.weaksec import index_sets, make_codec
+
+# The pairs that criterion 6 certifies in full; they include the running
+# example (5,3,4,4) and the tiny enumeration set (3,2,2,3).
+GRID = [grid_params(k, d) for k, d in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)]]
+
+
+def reference_verify(codec, guesses, baseline=False, max_checks=audit.DEFAULT_VERIFY_CAP):
+    p = codec.params
+    check_matrix = _message_matrix(codec, baseline)
+    width = check_matrix.rows
+    if not 0 <= guesses <= width - 1:
+        raise ValueError(f"guesses {guesses} out of range 0..{width - 1}")
+    total = sum(math.comb(width, s) for s in range(1, guesses + 2)) * p.n
+    if total > max_checks:
+        raise CapExceededError(f"{total} rank checks exceed cap {max_checks}")
+
+    generators = [codec.inner.generator_matrix(e) for e in range(1, p.n + 1)]
+    checks = 0
+    for size in range(1, guesses + 2):
+        for subset in combinations(range(1, width + 1), size):
+            rows = submatrix(check_matrix, [i - 1 for i in subset], range(check_matrix.cols))
+            for e in range(1, p.n + 1):
+                leaked = leakage(rows, generators[e - 1])
+                checks += 1
+                if leaked:
+                    return VerifyResult(
+                        guesses, baseline, False, checks,
+                        LeakageReport(e, subset, leaked),
+                    )
+    return VerifyResult(guesses, baseline, True, checks, None)
+
+
+def reference_plan(k: int, d: int, row_types: tuple) -> CompletionPlan:
+    """plan_completion as first written: no memoization, one pass per call."""
+    total = k * (k + 1) // 2 + k * (d - k)
+    ind = index_sets(k, d)
+    lam = [0] + [1] * d  # 1-based; node row contributes one per type
+    used_hats: dict = {t: set() for t in range(1, d + 1)}
+    check_rows_by_type: dict = {t: [] for t in range(1, d + 1)}
+    for pos, (t, hat) in enumerate(row_types):
+        lam[t] += 1
+        used_hats[t].add(hat)
+        check_rows_by_type[t].append(pos)
+
+    decoded: set = set()
+    steps: list = []
+    appended: list = []
+
+    def undecoded(t):
+        return tuple(b for b in ind[t - 1] if b not in decoded)
+
+    def full_step(t, equations):
+        """Step using all present rows of type t plus fresh appended rows."""
+        extra = equations - lam[t]
+        avail = [h for h in range(1, d + 1) if h not in used_hats[t]]
+        hats = tuple(avail[:extra])
+        variables = undecoded(t)
+        if len(variables) != equations or len(hats) != extra:
+            raise AssertionError(f"bookkeeping broke at type {t}")
+        appended.extend((t, h) for h in hats)
+        steps.append(PlanStep(t, tuple(check_rows_by_type[t]), True, hats, variables))
+        decoded.update(variables)
+
+    def small_step(t, expect):
+        variables = undecoded(t)
+        if len(variables) != expect:
+            raise AssertionError(f"bookkeeping broke at type {t}")
+        steps.append(PlanStep(t, tuple(check_rows_by_type[t]), True, (), variables))
+        decoded.update(variables)
+
+    def fail(t, need, have):
+        return CompletionPlan(
+            False,
+            f"type {t} has {need} rows present but only {have} variables remain undecoded",
+            tuple(steps),
+            tuple(appended),
+        )
+
+    group_one = sorted(range(1, k + 1), key=lambda t: (lam[t], t))
+    group_two = sorted(range(k + 1, d + 1), key=lambda t: (lam[t], t))
+    two_row = [t for t in group_two if lam[t] == 2]
+    one_row = [t for t in group_two if lam[t] == 1]
+
+    remaining = d
+    if k >= 3:
+        for pos in range(k - 1, 1, -1):
+            t = group_one[pos]
+            if lam[t] > remaining:
+                return fail(t, lam[t], remaining)
+            full_step(t, remaining)
+            remaining -= 1
+        for t in two_row:
+            small_step(t, 2)
+        remaining -= len(two_row)
+        t = group_one[1]
+        if lam[t] > remaining:
+            return fail(t, lam[t], remaining)
+        full_step(t, remaining)
+        for t in one_row:
+            small_step(t, 1)
+        small_step(group_one[0], 1)
+    else:  # k == 2
+        for t in two_row:
+            small_step(t, 2)
+        remaining -= len(two_row)
+        t = group_one[1]
+        if lam[t] > remaining:
+            return fail(t, lam[t], remaining)
+        full_step(t, remaining)
+        for t in one_row:
+            small_step(t, 1)
+        small_step(group_one[0], 1)
+
+    if len(decoded) != total:
+        raise AssertionError(f"plan decoded {len(decoded)} of {total} variables")
+    if len(appended) != total - len(row_types) - d:
+        raise AssertionError("append count does not square the matrix")
+    return CompletionPlan(True, None, tuple(steps), tuple(appended))
+
+
+def test_engine_matches_reference_loop_on_grid():
+    """Every g the range allows, with and without the outer code."""
+    failing = 0
+    for params in GRID:
+        codec = make_codec(params)
+        for baseline in (False, True):
+            width = _message_matrix(codec, baseline).rows
+            for g in range(width):
+                expected = reference_verify(codec, g, baseline)
+                assert verify_weak_secrecy(codec, g, baseline) == expected, (params, baseline, g)
+                failing += not expected.passed
+    assert failing >= 20  # the failing branch is exercised, not only passes
+
+
+def test_engine_matches_reference_on_6354_baseline():
+    """The baseline probes of the benchmark's (6,3,5,4) battery."""
+    codec = make_codec(params_new(6, 3, 5, 4))
+    for g in (1, 2):
+        assert verify_weak_secrecy(codec, g, True) == reference_verify(codec, g, True)
+    fail = verify_weak_secrecy(codec, 2, baseline=True)
+    assert fail.checks == 691
+    assert fail.counterexample == LeakageReport(1, (1, 6, 10), 1)
+    assert verify_weak_secrecy(codec, 4).checks == 3822
+
+
+def test_engine_caps_and_ranges_match_reference(codec534):
+    for g, cap in ((3, 10), (3, 489), (2, 0)):
+        for fn in (verify_weak_secrecy, reference_verify):
+            with pytest.raises(CapExceededError):
+                fn(codec534, g, max_checks=cap)
+    assert verify_weak_secrecy(codec534, 3, max_checks=490).checks == 490
+    for g in (-1, 7):
+        for fn in (verify_weak_secrecy, reference_verify):
+            with pytest.raises(ValueError):
+                fn(codec534, g)
+
+
+def test_weak_secrecy_at_full_strength_7465():
+    result = verify_weak_secrecy(make_codec(params_new(7, 4, 6, 5)), 6)
+    assert result.passed and result.counterexample is None
+    assert result.checks == 184324  # 7 nodes x all 26332 subsets of size <= 7 of 16
+
+
+def test_engine_cross_checks_every_verdict(codec534, monkeypatch):
+    """The oracle recomputes the last subset on a pass and the
+    counterexample on a failure; a disagreement is an error."""
+    calls = []
+
+    def recording(rows, observation):
+        calls.append(rows.rows)
+        return leakage(rows, observation)
+
+    monkeypatch.setattr(audit, "leakage", recording)
+    verify_weak_secrecy(codec534, 3)
+    assert calls == [4] * 5  # subset (4, 5, 6, 7) against each node
+    calls.clear()
+    verify_weak_secrecy(codec534, 2, baseline=True)
+    assert calls == [3]
+
+    monkeypatch.setattr(audit, "leakage", lambda rows, observation: 0)
+    with pytest.raises(AssertionError, match="rank formula 0"):
+        verify_weak_secrecy(codec534, 2, baseline=True)
+    monkeypatch.setattr(audit, "leakage", lambda rows, observation: 1)
+    with pytest.raises(AssertionError, match="rank formula 1"):
+        verify_weak_secrecy(codec534, 3)
+
+
+def test_plan_matches_reference_on_grid():
+    """Every subset of every size, so failed plans are compared too."""
+    failed = 0
+    for k in range(2, 5):
+        for d in range(k, 6):
+            row_types = make_codec(grid_params(k, d)).outer.row_types
+            for size in range(len(row_types) + 1):
+                for subset in combinations(row_types, size):
+                    expected = reference_plan(k, d, subset)
+                    assert plan_completion(k, d, subset) == expected, (k, d, subset)
+                    failed += not expected.success
+    assert failed > 500
+
+
+def test_plan_maps_positions_of_unsorted_rows():
+    rng = random.Random(9)
+    row_types = make_codec(grid_params(4, 5)).outer.row_types
+    for _ in range(200):
+        subset = tuple(rng.sample(row_types, rng.randrange(len(row_types) + 1)))
+        assert plan_completion(4, 5, subset) == reference_plan(4, 5, subset), subset

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,11 +11,13 @@ from weavesafe.linalg import (
     all_square_submatrices_nonsingular,
     cauchy,
     count_square_submatrices,
+    first_dependent_subset,
     invert,
     mat_mul,
     mat_vec,
     null_space,
     rank,
+    reduce_modulo,
     solve,
     submatrix,
     transpose,
@@ -172,3 +175,85 @@ def test_matrix_validation(gf8):
         Matrix(gf8, [[1, 2], [3]])
     with pytest.raises(ValueError):
         Matrix(gf8, [[9]])
+
+
+# -- quotient reduction and the prefix walk ------------------------------------
+
+
+def reference_all_minors(a, max_order):
+    """The all-minors check as first written: one rank per (rows, cols) pair."""
+    for s in range(1, max_order + 1):
+        for rset in combinations(range(a.rows), s):
+            for cset in combinations(range(a.cols), s):
+                if rank(submatrix(a, rset, cset)) < s:
+                    return (rset, cset)
+    return True
+
+
+def test_reduce_modulo_keeps_rank_over_the_quotient(gf16):
+    rng = random.Random(11)
+    for _ in range(40):
+        modulus = random_matrix(gf16, rng.randrange(0, 5), 7, rng)
+        rows = random_matrix(gf16, rng.randrange(1, 5), 7, rng)
+        reduced = reduce_modulo(gf16, rows.data, modulus.data)
+        assert all(len(v) == 7 - rank(modulus) for v in reduced)
+        quotient_rank = rank(Matrix(gf16, reduced)) if reduced[0] else 0
+        assert quotient_rank == rank(Matrix(gf16, rows.data + modulus.data)) - rank(modulus)
+
+
+def test_reduce_modulo_zero_exactly_on_the_row_space(gf16):
+    rng = random.Random(12)
+    modulus = random_matrix(gf16, 3, 6, rng)
+    inside = mat_mul(random_matrix(gf16, 4, 3, rng), modulus)
+    assert all(not any(v) for v in reduce_modulo(gf16, inside.data, modulus.data))
+    outside = Matrix(gf16, [[0, 0, 0, 0, 0, 1]])
+    if rank(vstack(modulus, outside)) > 3:
+        assert any(reduce_modulo(gf16, outside.data, modulus.data)[0])
+
+
+def test_first_dependent_subset_matches_ranks(gf8):
+    """Walked in ascending sizes, the first hit and the count of examined
+    (subset, group) pairs agree with one rank per pair."""
+    rng = random.Random(13)
+    for _ in range(30):
+        groups = [
+            [[rng.choice((0, 0, 1, rng.randrange(8))) for _ in range(4)] for _ in range(6)]
+            for _ in range(rng.randrange(1, 4))
+        ]
+        for size in range(1, 5):
+            visited, subset, group = first_dependent_subset(gf8, groups, size)
+            expected = (0, None, None)
+            for cand in combinations(range(6), size):
+                for g, vectors in enumerate(groups):
+                    expected = (expected[0] + 1, None, None)
+                    if rank(Matrix(gf8, [vectors[i] for i in cand])) < size:
+                        expected = (expected[0], cand, g)
+                        break
+                if expected[1] is not None:
+                    break
+            assert (visited, subset, group) == expected
+            if subset is not None:
+                break
+
+
+def test_first_dependent_subset_refuses_a_dependent_prefix(gf8):
+    vectors = [[0, 0], [1, 0], [0, 1]]  # index 0 alone is dependent
+    with pytest.raises(AssertionError, match=r"subset \(0,\) is dependent"):
+        first_dependent_subset(gf8, [vectors], 2)
+    assert first_dependent_subset(gf8, [vectors], 1) == (1, (0,), 0)
+
+
+def test_all_minors_matches_reference_first_offender(gf16):
+    rng = random.Random(14)
+    offenders = 0
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        mat = Matrix(gf16, [[rng.choice((0, 1, 2, rng.randrange(16))) for _ in range(cols)] for _ in range(rows)])
+        order = rng.randrange(1, min(rows, cols) + 1)
+        expected = reference_all_minors(mat, order)
+        assert all_square_submatrices_nonsingular(mat, order) == expected
+        offenders += expected is not True
+    points = list(range(1, 10))
+    vand = Matrix(gf16, [[gf16.pow(p, j) for j in range(4)] for p in points])
+    assert all_square_submatrices_nonsingular(vand, 4) == reference_all_minors(vand, 4)
+    assert offenders > 20

@@ -165,6 +165,17 @@ def test_generator_full_rank(code534):
         assert rank(code534.generator_matrix(e)) == 4
 
 
+def test_generator_rows_are_fresh_plain_lists(code534):
+    for e in range(1, 6):
+        rows = code534.generator_rows(e)
+        assert rows == code534.generator_matrix(e).data
+        assert all(type(v) is int for row in rows for v in row)
+        rows[0][0] ^= 1
+        assert code534.generator_rows(e) == code534.generator_matrix(e).data
+    with pytest.raises(ValueError, match="out of range"):
+        code534.generator_rows(6)
+
+
 def test_generator_values_come_from_encoding_row(code534):
     g = code534.generator_matrix(2)
     psi = code534.encoding_matrix.row(1)
