@@ -418,7 +418,7 @@ def certify_completion(codec: SecureCodec, subset: tuple, node: int) -> DecodeCe
     for t, hat in plan.appended:
         appended_at[(t, hat)] = len(rows)
         rows.append(make_type_row(codec.field, p.k, p.d, t, outer.coeff_matrix.row(hat - 1)))
-    matrix = Matrix(codec.field, rows)
+    matrix = Matrix.derived(codec.field, rows)
 
     if not plan.success:
         return DecodeCertificate(

@@ -30,14 +30,48 @@ Addition is xor; in characteristic 2 every element is its own negative,
 so a + b = 0 exactly when a = b.
 
 Bulk multiplication (``mul_vec``, ``mat_mul_cols``) works on numpy arrays
-of symbols at native width: uint8 for m <= 8, uint16 above.  It is one
-gather from a product table per coefficient, after Plank, Greenan and
-Miller's split tables ("Screaming Fast Galois Field Arithmetic Using
-Intel SIMD Instructions", FAST 2013).  For m <= 8 each Field holds the
-full 2^m x 2^m uint8 product table; above that, each coefficient gets a
-low-byte and a high-byte uint16 table, built on first use, whose two
-lookups are xored.  Multiplication by a fixed coefficient is linear over
-GF(2), so every table is the xor span of the coefficient times x^i.
+of symbols at native width: uint8 for m <= 8, uint16 above.  It has two
+paths, both from Plank, Greenan and Miller ("Screaming Fast Galois Field
+Arithmetic Using Intel SIMD Instructions", FAST 2013):
+
+* Table path: one gather from a product table per nonzero coefficient,
+  xor-accumulated per row.  For m <= 8 each Field holds the full
+  2^m x 2^m uint8 product table; above that, each coefficient gets a
+  low-byte and a high-byte uint16 table, built on first use, whose two
+  lookups are xored.  Multiplication by a fixed coefficient is linear
+  over GF(2), so every table is the xor span of the coefficient times
+  x^i.  ``mul_vec`` is always this path.
+* Bit-sliced path (their "BYTWO" region multiply on 64-bit words): a
+  window of each used column is viewed as uint64 words of 8 (m <= 8) or
+  4 (m > 8) symbol lanes and expanded once into its m planes x^i * column
+  by a lane-wise xtime (shift left, clear the bit that left each lane,
+  xor the reduction polynomial into the lanes whose top bit was set).
+  Row r of the product is the xor of the planes picked by the set bits of
+  its coefficients: one gather and one ``np.bitwise_xor.reduce`` per
+  window for every batch of up to eight rows.  Plane scratch is bounded
+  by ``_PLANE_BYTES`` (1 MiB) and the batch gather by half of that, so
+  neither grows with the input.
+
+``mat_mul_cols`` picks the path per call from the nonzeros per used
+column (the fan-out f: how many coefficients each expanded column feeds)
+and m.  The expansion costs m-1 xtimes per column and each coefficient
+about m/2 plane xors, against one gather (two above m = 8) per
+coefficient on the table path, so the bit-sliced path wins once f is
+large enough, later for larger m.  The rule is
+
+    bit-sliced  iff  f >= max(m // 2 + 1, m - 4)
+
+that is f >= 2, 3, 3, 4, 4, 5 for m = 3..8 and 5, 6, 7, 8, 9, 10, 11, 12
+for m = 9..16.  It was calibrated on dense f x 4 and f x 16 maps over
+40k-symbol columns (2-vCPU Xeon VM, numpy 2.4) as the smallest f from
+which on the bit-sliced path was not slower, rounded up where the two
+paths were within noise; at f = 16 it is about 2 times as fast for
+m = 8 and 1.2 to 1.6 times for m = 16.  At (20,10,16,8) and (7,4,6,5)
+inner encode (f = 38 and 12), coset decode, the solve steps of types 2
+to k with their couplings, and the reconstruct and repair inverses take
+the bit-sliced path, and the one-row solve steps (f = 1) stay on tables;
+at (5,3,4,8) and at (12,6,10,16) only inner encode (f = 8 and 22) is
+bit-sliced.
 """
 
 import numpy as np
@@ -60,6 +94,11 @@ CANONICAL_POLYS = {
     15: 0x8003,
     16: 0x1100B,
 }
+
+
+# Least nonzeros per used column at which mat_mul_cols takes the
+# bit-sliced path (see the module docstring for the calibration).
+_SLICED_FANOUT = {m: max(m // 2 + 1, m - 4) for m in range(3, 17)}
 
 
 def clmul_reduce(a: int, b: int, poly: int, m: int) -> int:
@@ -127,20 +166,25 @@ class Field:
 
         generator = self._find_generator()
         self.generator = generator
-        self.exp_table = [0] * (self.order - 1)
-        self.log_table = [-1] * self.order
-        x = 1
-        for i in range(self.order - 1):
-            self.exp_table[i] = x
-            self.log_table[x] = i
-            x = clmul_reduce(x, generator, poly, m)
-
         self.dtype = native_dtype(m)
         if m <= 8:
             basis = np.stack(self._times_x_powers(np.arange(self.order)), axis=-1)
             self._product = _xor_span(basis.astype(self.dtype))
         else:
             self._split = {}  # coefficient -> (low-byte table, high-byte table)
+
+        # Powers of the generator by doubling: the block g^L .. g^(2L-1) is
+        # the block before it times g^L.
+        powers = np.ones(1, dtype=self.dtype)
+        step = generator
+        while powers.size < self.order - 1:
+            powers = np.concatenate([powers, self._times(step, powers)])
+            step = clmul_reduce(step, step, poly, m)
+        powers = powers[: self.order - 1]
+        log = np.full(self.order, -1, dtype=np.int64)
+        log[powers] = np.arange(self.order - 1)
+        self.exp_table = powers.tolist()
+        self.log_table = log.tolist()
 
     def _find_generator(self) -> int:
         group_order = self.order - 1
@@ -245,23 +289,125 @@ class Field:
             tables = self._split[a] = (_xor_span(basis[:8]), _xor_span(basis[8:]))
         return tables
 
-    def mul_vec(self, a: int, vec):
+    def _times(self, a: int, vec):
         """Multiply every entry of a numpy vector of symbols by the scalar a."""
         if self.m <= 8:
             return np.take(self._product[a], vec)
         low, high = self._split_tables(a)
         return np.take(low, vec & 0xFF) ^ np.take(high, vec >> 8)
 
+    # Bulk coding calls the public name; the field's own set-up calls
+    # _times, so that profiles and counters of mul_vec see coding work only.
+    mul_vec = _times
+
     def mat_mul_cols(self, rows, cols):
         """Apply a small matrix (list of coefficient rows) to a 2-D numpy
-        array whose axis 0 indexes matrix columns; xor-accumulates rows."""
-        out = np.zeros((len(rows), cols.shape[1]), dtype=cols.dtype)
-        for r, row in enumerate(rows):
-            acc = out[r]
-            for c, coeff in enumerate(row):
-                if coeff:
-                    acc ^= self.mul_vec(coeff, cols[c])
+        array whose axis 0 indexes matrix columns.
+
+        Returns a field-width array with one row per coefficient row.  Maps
+        whose columns feed enough coefficients take the bit-sliced path,
+        the rest xor-accumulate one table gather per nonzero coefficient
+        (see the module docstring for the rule).
+        """
+        out = np.zeros((len(rows), cols.shape[1]), dtype=self.dtype)
+        if not len(rows):
+            return out
+        coeffs = np.array(rows, dtype=self.dtype).reshape(len(rows), -1)
+        row_of, col_of = np.nonzero(coeffs)
+        used = np.flatnonzero(np.bincount(col_of, minlength=coeffs.shape[1]))
+        if row_of.size and row_of.size >= _SLICED_FANOUT[self.m] * used.size:
+            self._mat_mul_sliced(coeffs[:, used], cols, used, out)
+        else:
+            for r, c in zip(row_of.tolist(), col_of.tolist()):
+                out[r] ^= self.mul_vec(int(coeffs[r, c]), cols[c])
         return out
+
+    def _mat_mul_sliced(self, coeffs, cols, used, out):
+        """out = coeffs * cols[used], window by window on 64-bit lane planes.
+
+        Each window of a used column is viewed as uint64 words of symbol
+        lanes and expanded once into its m planes x^i * column by a
+        lane-wise xtime; row r of the product is the xor of the planes
+        picked by the set bits of its coefficients.
+        """
+        m = self.m
+        lane_bits = 8 * self.dtype.itemsize
+        lanes = 64 // lane_bits
+        ones = _lanes(1, lane_bits)
+        keep = _lanes((1 << m) - 2, lane_bits)  # drops the bit shifted out of each lane
+        poly = np.uint64(self.reduction_poly & ((1 << m) - 1))
+        n_used = coeffs.shape[1]
+        n = cols.shape[1]
+        words = max(min(_PLANE_BYTES // (8 * n_used * m), -(-n // lanes)), 1)
+        batches = _row_batches(coeffs, m, max(_PLANE_BYTES // (16 * words), 1))
+
+        # All scratch is allocated once per call: the planes (the last one
+        # stays zero), the xtime carry, and a batch's gather and reduce.
+        flat = np.zeros((n_used * m + 1, words), dtype=np.uint64)
+        planes = flat[:-1].reshape(n_used, m, words)
+        carry = np.empty((n_used, words), dtype=np.uint64)
+        gather = np.empty(max(index.size for _, index in batches) * words, dtype=np.uint64)
+        acc = np.empty((_GROUP, words), dtype=np.uint64)
+        low = planes[:, 0].view(self.dtype)
+        every_row = n_used == cols.shape[0] and used[-1] == n_used - 1
+        for start in range(0, n, words * lanes):
+            stop = min(n, start + words * lanes)
+            width = stop - start
+            k = -(-width // lanes)
+            low[:, :width] = cols[:, start:stop] if every_row else cols[used, start:stop]
+            low[:, width : k * lanes] = 0
+            for i in range(1, m):
+                prev, cur, c = planes[:, i - 1, :k], planes[:, i, :k], carry[:, :k]
+                np.right_shift(prev, m - 1, out=c)
+                c &= ones
+                c *= poly
+                np.left_shift(prev, 1, out=cur)
+                cur &= keep
+                cur ^= c
+            view = flat[:, :k]
+            for rows, index in batches:
+                picked = gather[: index.size * k].reshape(index.shape + (k,))
+                np.take(view, index, axis=0, out=picked, mode="clip")
+                np.bitwise_xor.reduce(picked, axis=1, out=acc[: len(rows), :k])
+                out[rows, start:stop] = acc[: len(rows), :k].view(self.dtype)[:, :width]
+
+
+def _row_batches(coeffs, m: int, max_picks: int) -> list:
+    """The bit-sliced path's rows as (rows, index) batches.
+
+    Plane u*m + i is x^i times used column u, and the plane after the last
+    one is zero.  Row r xors the planes of its coefficients' set bits.
+    Rows in order of their number of picks go in batches of up to _GROUP,
+    at most max_picks planes in all, that share one gather and one reduce:
+    index[j] lists the planes of rows[j], padded with the zero plane.
+    All-zero rows are left out.
+    """
+    row_of, col_of = np.nonzero(coeffs)
+    values = coeffs[row_of, col_of]
+    entry, bit = np.nonzero((values[:, None] >> np.arange(m, dtype=values.dtype)) & 1)
+    counts = np.bincount(row_of[entry], minlength=coeffs.shape[0])
+    picks = np.split(col_of[entry] * m + bit, np.cumsum(counts)[:-1])
+    live = sorted((r for r in range(len(counts)) if counts[r]), key=counts.__getitem__)
+    group = max(min(_GROUP, max_picks // int(counts.max())), 1)
+    batches = []
+    for first in range(0, len(live), group):
+        rows = live[first : first + group]
+        index = np.full((len(rows), counts[rows[-1]]), coeffs.shape[1] * m)
+        for j, r in enumerate(rows):
+            index[j, : counts[r]] = picks[r]
+        batches.append((rows, index))
+    return batches
+
+
+# Plane scratch of one bit-sliced call, in bytes: a window holds as many
+# uint64 words per plane as fit, so scratch never grows with the input.
+_PLANE_BYTES = 1 << 20
+_GROUP = 8  # most rows in one batch
+
+
+def _lanes(value: int, lane_bits: int) -> np.uint64:
+    """value repeated in every lane_bits-wide lane of a 64-bit word."""
+    return np.uint64(sum(value << s for s in range(0, 64, lane_bits)))
 
 
 def field_new(m: int) -> Field:

@@ -34,12 +34,24 @@ class Matrix:
         self.data = [list(row) for row in data]
 
     @classmethod
+    def derived(cls, field: Field, data: list[list[int]]) -> "Matrix":
+        """A Matrix on fresh rows whose entries are field elements by
+        construction: copied from validated matrices or computed by field
+        operations.  They are taken as they are, neither checked nor copied."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.rows = len(data)
+        out.cols = len(data[0]) if data else 0
+        out.data = data
+        return out
+
+    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, [[0] * cols for _ in range(rows)])
+        return cls.derived(field, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.derived(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def column(cls, field: Field, entries: list[int]) -> "Matrix":
@@ -91,7 +103,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             for j in range(b.cols):
                 if brow[j]:
                     orow[j] ^= f.mul(aik, brow[j])
-    return Matrix(f, out)
+    return Matrix.derived(f, out)
 
 
 def mat_vec(a: Matrix, v: list[int]) -> list[int]:
@@ -110,7 +122,7 @@ def mat_vec(a: Matrix, v: list[int]) -> list[int]:
 
 
 def transpose(a: Matrix) -> Matrix:
-    return Matrix(a.field, [[a.data[i][j] for i in range(a.rows)] for j in range(a.cols)])
+    return Matrix.derived(a.field, [[a.data[i][j] for i in range(a.rows)] for j in range(a.cols)])
 
 
 def vstack(a: Matrix, b: Matrix) -> Matrix:
@@ -118,7 +130,7 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("field mismatch")
     if a.cols != b.cols:
         raise ValueError(f"column mismatch: {a.cols} vs {b.cols}")
-    return Matrix(a.field, a.data + b.data)
+    return Matrix.derived(a.field, [list(row) for row in a.data + b.data])
 
 
 def submatrix(a: Matrix, row_idx, col_idx) -> Matrix:
@@ -130,7 +142,7 @@ def submatrix(a: Matrix, row_idx, col_idx) -> Matrix:
     for j in cols:
         if not 0 <= j < a.cols:
             raise ValueError(f"column index {j} out of range")
-    return Matrix(a.field, [[a.data[i][j] for j in cols] for i in rows])
+    return Matrix.derived(a.field, [[a.data[i][j] for j in cols] for i in rows])
 
 
 def cauchy(field: Field, row_points: list[int], col_points: list[int]) -> Matrix:
@@ -149,7 +161,7 @@ def cauchy(field: Field, row_points: list[int], col_points: list[int]) -> Matrix
         raise ValueError(f"row/column point overlap: {sorted(overlap)}")
     for p in row_points + col_points:
         field.check(p)
-    return Matrix(
+    return Matrix.derived(
         field,
         [[field.inv(a ^ b) for b in col_points] for a in row_points],
     )
@@ -320,7 +332,7 @@ def invert(a: Matrix) -> Matrix:
     pivots = _eliminate(f, aug, col_limit=n)
     if len(pivots) != n:
         raise SingularMatrixError(f"singular {n}x{n} matrix")
-    return Matrix(f, [row[n:] for row in aug])
+    return Matrix.derived(f, [row[n:] for row in aug])
 
 
 def solve(a: Matrix, b: list[int]) -> list[int]:

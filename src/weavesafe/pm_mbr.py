@@ -192,7 +192,7 @@ class InnerCode:
 
     def generator_matrix(self, node: int) -> Matrix:
         """d x B matrix sending a codeword to the symbols node stores."""
-        return Matrix(self.field, self.generator_rows(node))
+        return Matrix.derived(self.field, self.generator_rows(node))
 
     # -- reconstruction ---------------------------------------------------
 
@@ -236,7 +236,7 @@ class InnerCode:
         right = submatrix(received, range(p.k), range(p.k, p.d))
         wing = mat_mul(sel_inv, right)  # k x (d-k)
         mixed = mat_mul(mixer, transpose(wing))  # k x k
-        core_rhs = Matrix(
+        core_rhs = Matrix.derived(
             f,
             [[left.get(i, j) ^ mixed.get(i, j) for j in range(p.k)] for i in range(p.k)],
         )
@@ -290,11 +290,19 @@ class InnerCode:
 
 
 def encode_bulk(code: InnerCode, codeword_cols):
-    """Encode every chunk for every node: {node: d x N array}."""
-    return {
-        e: code.field.mat_mul_cols(code.generator_rows(e), codeword_cols)
-        for e in range(1, code.params.n + 1)
-    }
+    """Encode every chunk for every node: {node: d x N array}.
+
+    All n*d generator rows go through one kernel call, so each codeword
+    symbol is expanded once for every node it feeds; the per-node arrays
+    are views of that one result.
+    """
+    import numpy as np
+
+    d = code.params.d
+    nodes = range(1, code.params.n + 1)
+    rows = np.vstack([np.array(code.generator_rows(e), dtype=code.field.dtype) for e in nodes])
+    out = code.field.mat_mul_cols(rows, codeword_cols)
+    return {e: out[(e - 1) * d : e * d] for e in nodes}
 
 
 def reconstruct_bulk(code: InnerCode, share_cols: dict):
@@ -308,21 +316,23 @@ def reconstruct_bulk(code: InnerCode, share_cols: dict):
     n_chunks = share_cols[nodes[0]].shape[1]
     f = code.field
     node_rows = [n - 1 for n in nodes]
-    selector = submatrix(code.encoding_matrix, node_rows, range(p.k))
-    sel_inv = invert(selector)
+    sel_inv = invert(submatrix(code.encoding_matrix, node_rows, range(p.k)))
 
-    received = np.stack([share_cols[n] for n in nodes])  # (k, d, N)
-    left = received[:, : p.k, :]
+    # Row i of left (right) is node i's first k (last d-k) share rows, chunk
+    # after chunk, so that each block is one kernel input.
+    left = np.stack([share_cols[n][: p.k].reshape(-1) for n in nodes])
     if p.d > p.k:  # d == k leaves no off-diagonal wing at all
+        right = np.stack([share_cols[n][p.k :].reshape(-1) for n in nodes])
+        wing = f.mat_mul_cols(sel_inv.data, right).reshape(p.k, p.d - p.k, n_chunks)
+        del right  # each block is freed once used, to keep the peak memory down
         mixer = submatrix(code.encoding_matrix, node_rows, range(p.k, p.d))
-        right = received[:, p.k :, :]
-        wing = f.mat_mul_cols(sel_inv.data, right.reshape(p.k, -1)).reshape(p.k, p.d - p.k, n_chunks)
-        wing_t = wing.transpose(1, 0, 2)
-        mixed = f.mat_mul_cols(mixer.data, wing_t.reshape(p.d - p.k, -1)).reshape(p.k, p.k, n_chunks)
-        left = left ^ mixed
-    core = f.mat_mul_cols(sel_inv.data, left.reshape(p.k, -1)).reshape(p.k, p.k, n_chunks)
+        wing_t = wing.transpose(1, 0, 2).reshape(p.d - p.k, -1)
+        left ^= f.mat_mul_cols(mixer.data, wing_t)
+        del wing_t
+    core = f.mat_mul_cols(sel_inv.data, left).reshape(p.k, p.k, n_chunks)
+    del left
 
-    out = np.zeros((p.total_symbols, n_chunks), dtype=received.dtype)
+    out = np.zeros((p.total_symbols, n_chunks), dtype=f.dtype)
     for b, (i, j) in enumerate(message_cells(p.k, p.d)):
         out[b] = core[i, j] if j < p.k else wing[i, j - p.k]
     return out
@@ -342,15 +352,13 @@ def repair_bulk(code: InnerCode, failed: int, helper_share_cols: dict):
     helpers = sorted(helper_share_cols)
     f = code.field
     target_row = code.encoding_matrix.row(failed - 1)
-    uploads = []
-    for h in helpers:
-        share = helper_share_cols[h]
-        acc = np.zeros(share.shape[1], dtype=share.dtype)
-        for c in range(p.d):
-            if target_row[c]:
-                acc ^= f.mul_vec(target_row[c], share[c])
-        uploads.append(acc)
+    # Row h of uploads is helper h's symbol per chunk: its share dotted
+    # with the failed node's encoding row, one kernel call per coefficient
+    # on row c of every helper's share.
+    uploads = np.zeros((len(helpers), helper_share_cols[helpers[0]].shape[1]), dtype=f.dtype)
+    for c, coeff in enumerate(target_row):
+        if coeff:
+            uploads ^= f.mul_vec(coeff, np.stack([helper_share_cols[h][c] for h in helpers]))
     stack = submatrix(code.encoding_matrix, [h - 1 for h in helpers], range(p.d))
-    repaired = f.mat_mul_cols(invert(stack).data, np.stack(uploads))
-    downloaded = len(helpers) * uploads[0].shape[0]
-    return repaired, downloaded
+    repaired = f.mat_mul_cols(invert(stack).data, uploads)
+    return repaired, uploads.size  # one symbol per helper per chunk

@@ -30,6 +30,7 @@ on: the seed flag exists for tests and reproducibility checks only.
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -55,6 +56,13 @@ _HEADER = struct.Struct("<4sBBBBBBHI")
 # -- plaintext <-> symbols ---------------------------------------------------
 
 
+def _bit_groups(m: int) -> tuple[int, int]:
+    """(symbols, bytes) of the shortest run of m-bit symbols that ends on
+    a byte boundary: 8/g symbols fill m/g bytes, g = gcd(m, 8)."""
+    g = math.gcd(m, 8)
+    return 8 // g, m // g
+
+
 def plaintext_to_symbols(data: bytes, m: int) -> np.ndarray:
     """Big-endian bit packing at m bits per symbol, zero-padded tail."""
     dtype = native_dtype(m)
@@ -62,14 +70,23 @@ def plaintext_to_symbols(data: bytes, m: int) -> np.ndarray:
         width = m // 8
         padded = data + bytes(-len(data) % width)
         return np.frombuffer(padded, dtype=f">u{width}").astype(dtype)
-    if not data:
-        return np.zeros(0, dtype=dtype)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    pad = (-len(bits)) % m
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    weights = (1 << np.arange(m - 1, -1, -1)).astype(dtype)
-    return bits.reshape(-1, m).astype(dtype) @ weights
+    per_group, group_bytes = _bit_groups(m)
+    count = -(-len(data) * 8 // m)
+    groups = -(-count // per_group)
+    raw = np.zeros(groups * group_bytes, dtype=np.uint8)
+    raw[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    raw = raw.reshape(groups, group_bytes)
+    out = np.empty((groups, per_group), dtype=dtype)
+    for j in range(per_group):
+        # symbol j holds bits j*m .. j*m+m-1 of its group, within bytes first..last
+        first, last = j * m // 8, (j * m + m - 1) // 8
+        value = raw[:, first].astype(np.uint32)
+        for b in range(first + 1, last + 1):
+            value <<= 8
+            value |= raw[:, b]
+        value >>= 8 * (last + 1) - (j + 1) * m
+        out[:, j] = value & ((1 << m) - 1)
+    return out.reshape(-1)[:count]
 
 
 def symbols_to_plaintext(symbols: np.ndarray, m: int, byte_length: int) -> bytes:
@@ -79,11 +96,25 @@ def symbols_to_plaintext(symbols: np.ndarray, m: int, byte_length: int) -> bytes
     if symbols.size * m < byte_length * 8:
         raise ValueError(f"{symbols.size} symbols cannot hold {byte_length} bytes")
     if m % 8 == 0:
-        raw = symbols.astype(f">u{m // 8}").tobytes()
-    else:
-        shifts = np.arange(m - 1, -1, -1, dtype=symbols.dtype)
-        raw = np.packbits(((symbols.reshape(-1, 1) >> shifts) & 1).astype(np.uint8)).tobytes()
-    return raw[:byte_length]
+        width = m // 8
+        raw = symbols[: -(-byte_length // width)].astype(f">u{width}", copy=False).tobytes()
+        return raw[:byte_length]
+    per_group, group_bytes = _bit_groups(m)
+    count = -(-byte_length * 8 // m)
+    groups = -(-count // per_group)
+    grid = np.zeros(groups * per_group, dtype=native_dtype(m))
+    grid[:count] = symbols[:count]
+    grid = grid.reshape(groups, per_group)
+    raw = np.empty((groups, group_bytes), dtype=np.uint8)
+    for b in range(group_bytes):
+        # byte b holds bits 8b .. 8b+7 of its group, from symbols 8b//m .. (8b+7)//m
+        value = np.zeros(groups, dtype=np.uint32)
+        for j in range(8 * b // m, (8 * b + 7) // m + 1):
+            shift = 8 * (b + 1) - (j + 1) * m
+            part = grid[:, j].astype(np.uint32)
+            value |= part << shift if shift >= 0 else part >> -shift
+        raw[:, b] = value & 0xFF
+    return raw.reshape(-1)[:byte_length].tobytes()
 
 
 def chunk_plaintext(data: bytes, params: CodeParams) -> np.ndarray:
@@ -292,13 +323,16 @@ class Cluster:
     def share_path(self, node: int) -> Path:
         return self.root / f"node_{node}" / "share.wsrc"
 
-    def live_nodes(self) -> list[int]:
-        n = self.manifest().params.n
+    def live_nodes(self, manifest: Manifest | None = None) -> list[int]:
+        """Nodes whose share file exists; pass the manifest an operation
+        already parsed to skip parsing it again."""
+        n = (manifest or self.manifest()).params.n
         return [e for e in range(1, n + 1) if self.share_path(e).exists()]
 
-    def read_share_columns(self, node: int) -> np.ndarray:
-        """Share symbols as a (d, chunk_count) array, header cross-checked."""
-        manifest = self.manifest()
+    def read_share_columns(self, node: int, manifest: Manifest | None = None) -> np.ndarray:
+        """Share symbols as a (d, chunk_count) array, header cross-checked
+        against the manifest (parsed here unless given)."""
+        manifest = manifest or self.manifest()
         p = manifest.params
         header, symbols = read_share(self.share_path(node))
         if (header.m, header.n, header.k, header.d) != (p.m, p.n, p.k, p.d):
@@ -320,6 +354,7 @@ def cluster_store(data: bytes, params: CodeParams, root, seed=None) -> Manifest:
     n_chunks = chunks.shape[0]
     randomness = SymbolSource(params.m, seed).symbols(2 * n_chunks).reshape(n_chunks, 2)
     codewords = codec.outer.coset_encode_bulk(chunks.T, randomness.T)
+    del chunks  # the plaintext symbols are not needed past the coset layer
     node_shares = encode_bulk(codec.inner, codewords)
 
     manifest = Manifest(
@@ -343,13 +378,15 @@ def cluster_reconstruct(root) -> bytes:
     cluster = Cluster(root)
     manifest = cluster.manifest()
     p = manifest.params
-    live = cluster.live_nodes()
+    live = cluster.live_nodes(manifest)
     if len(live) < p.k:
         raise InsufficientNodesError(f"only {len(live)} live nodes, need k={p.k}")
     codec = make_codec(p)
-    share_cols = {e: cluster.read_share_columns(e) for e in live[: p.k]}
-    codewords = reconstruct_bulk(codec.inner, share_cols)
+    codewords = reconstruct_bulk(
+        codec.inner, {e: cluster.read_share_columns(e, manifest) for e in live[: p.k]}
+    )
     chunks = codec.outer.coset_decode_bulk(codewords)
+    del codewords  # freed before the plaintext bytes are assembled
     data = unchunk_plaintext(chunks.T, manifest.original_length, p)
     digest = hashlib.sha256(data).hexdigest()
     if digest != manifest.digest_sha256:
@@ -381,12 +418,12 @@ def cluster_repair(root, node: int) -> RepairStats:
         raise ValueError(f"node index {node} out of range 1..{p.n}")
     if cluster.share_path(node).exists():
         raise ValueError(f"node {node} is live; nothing to repair")
-    live = cluster.live_nodes()
+    live = cluster.live_nodes(manifest)
     if len(live) < p.d:
         raise InsufficientNodesError(f"repair needs d={p.d} helpers, only {len(live)} live")
     helpers = live[: p.d]
     codec = make_codec(p)
-    helper_cols = {e: cluster.read_share_columns(e) for e in helpers}
+    helper_cols = {e: cluster.read_share_columns(e, manifest) for e in helpers}
     repaired, downloaded = repair_bulk(codec.inner, node, helper_cols)
     with _ClusterLock(cluster.root):
         path = cluster.share_path(node)
@@ -398,9 +435,10 @@ def cluster_repair(root, node: int) -> RepairStats:
 def cluster_eavesdrop(root, node: int) -> np.ndarray:
     """Everything node stores, one length-d observation vector per chunk."""
     cluster = Cluster(root)
-    p = cluster.manifest().params
+    manifest = cluster.manifest()
+    p = manifest.params
     if not 1 <= node <= p.n:
         raise ValueError(f"node index {node} out of range 1..{p.n}")
     if not cluster.share_path(node).exists():
         raise InsufficientNodesError(f"node {node} is failed; nothing to observe")
-    return cluster.read_share_columns(node).T.copy()
+    return cluster.read_share_columns(node, manifest).T.copy()

@@ -141,7 +141,7 @@ class OuterCode:
                     make_type_row(field, params.k, params.d, type_i, coeff_matrix.row(p - 1))
                 )
                 ledger.append((type_i, p))
-        self.parity_check = Matrix(field, rows)
+        self.parity_check = Matrix.derived(field, rows)
         self.row_types = tuple(ledger)
 
         secure = params.secure_symbols
@@ -159,7 +159,7 @@ class OuterCode:
         """Append a type-k row (last coefficient row) and a type-1 row
         (first coefficient row); the result is square and invertible."""
         p = self.params
-        extra = Matrix(
+        extra = Matrix.derived(
             self.field,
             [
                 make_type_row(self.field, p.k, p.d, p.k, self.coeff_matrix.row(p.d - 1)),

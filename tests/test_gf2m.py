@@ -187,3 +187,129 @@ def test_mat_mul_cols_matches_scalar(gf16):
             for c in range(4):
                 acc ^= gf16.mul(rows[r][c], int(cols[c][t]))
             assert out[r][t] == acc
+
+
+# -- bulk kernel: table path and bit-sliced path -----------------------------
+
+
+def _product_oracle(m, rows, cols):
+    """rows times cols, entry by entry through the brute-force multiply."""
+    return [
+        [
+            _xor_all(gf_mul_bruteforce(a, int(cols[c][t]), m) for c, a in enumerate(row))
+            for t in range(cols.shape[1])
+        ]
+        for row in rows
+    ]
+
+
+def _xor_all(values):
+    acc = 0
+    for v in values:
+        acc ^= v
+    return acc
+
+
+def _spy_sliced(monkeypatch):
+    """Record every bit-sliced call mat_mul_cols makes."""
+    from weavesafe.gf2m import Field
+
+    calls = []
+    real = Field._mat_mul_sliced
+
+    def spy(self, *args):
+        calls.append(self.m)
+        return real(self, *args)
+
+    monkeypatch.setattr(Field, "_mat_mul_sliced", spy)
+    return calls
+
+
+def _dense_rows(f, rng, fanout, width):
+    return [[rng.randrange(1, f.order) for _ in range(width)] for _ in range(fanout)]
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_mat_mul_cols_both_paths_match_bruteforce(m, monkeypatch):
+    """A dense map at the threshold fan-out takes the bit-sliced path, one
+    row fewer the table path; both equal the brute-force product and the
+    scalar Field.mul, on every input width, with field-width output."""
+    import numpy as np
+
+    from weavesafe.gf2m import _SLICED_FANOUT
+
+    f = field_new(m)
+    rng = random.Random(100 + m)
+    lanes = 8 // f.dtype.itemsize
+    calls = _spy_sliced(monkeypatch)
+    threshold = _SLICED_FANOUT[m]
+    for n in (0, 1, lanes - 1, lanes + 1, 3 * lanes + 5):
+        cols = np.array([[rng.randrange(f.order) for _ in range(n)] for _ in range(3)]).reshape(3, n)
+        for fanout, sliced in ((threshold, True), (threshold - 1, False)):
+            rows = _dense_rows(f, rng, fanout, 3)
+            expected = _product_oracle(m, rows, cols)
+            for t in range(min(n, 2)):
+                for r, row in enumerate(rows):
+                    assert expected[r][t] == _xor_all(f.mul(a, int(cols[c][t])) for c, a in enumerate(row))
+            for dtype in (np.uint8, np.uint16, np.int32) if m <= 8 else (np.uint16, np.int32):
+                del calls[:]
+                out = f.mat_mul_cols(rows, cols.astype(dtype))
+                assert out.dtype == f.dtype and out.shape == (fanout, n)
+                assert out.tolist() == expected, (m, n, fanout, dtype)
+                assert bool(calls) == sliced, (m, n, fanout)
+
+
+@pytest.mark.parametrize("m", [3, 5, 8, 11, 16])
+def test_mat_mul_cols_zero_rows_and_columns(m, monkeypatch):
+    import numpy as np
+
+    from weavesafe.gf2m import _SLICED_FANOUT
+
+    f = field_new(m)
+    rng = random.Random(200 + m)
+    calls = _spy_sliced(monkeypatch)
+    cols = np.array([[rng.randrange(f.order) for _ in range(21)] for _ in range(4)])
+    for fanout in (_SLICED_FANOUT[m] + 1, 1):
+        # column 1 is never used and row 0 is all zero
+        rows = [[0, 0, 0, 0]] + [
+            [rng.randrange(1, f.order), 0, rng.randrange(1, f.order), rng.randrange(1, f.order)]
+            for _ in range(fanout)
+        ]
+        del calls[:]
+        out = f.mat_mul_cols(rows, cols)
+        assert bool(calls) == (fanout > 1)
+        assert out.tolist() == _product_oracle(m, rows, cols)
+    assert f.mat_mul_cols([[0] * 4] * 3, cols).tolist() == [[0] * 21] * 3
+    assert f.mat_mul_cols([], cols).shape == (0, 21)
+    assert f.mat_mul_cols([[], []], cols[:0]).tolist() == [[0] * 21] * 2
+
+
+@pytest.mark.parametrize("m", [4, 8, 9, 16])
+def test_mat_mul_cols_window_edges(m, monkeypatch):
+    """Column counts one below, at and one above the bit-sliced window,
+    under the shipped plane budget and under one that forces many windows;
+    every column is checked against the table path and the boundary
+    columns against the brute-force product."""
+    import numpy as np
+
+    from weavesafe import gf2m
+
+    f = field_new(m)
+    rng = np.random.default_rng(m)
+    py_rng = random.Random(m)
+    lanes = 8 // f.dtype.itemsize
+    calls = _spy_sliced(monkeypatch)
+    rows = _dense_rows(f, py_rng, gf2m._SLICED_FANOUT[m] + 2, 3)
+    for budget in (gf2m._PLANE_BYTES, 8 * 3 * m * 5):
+        monkeypatch.setattr(gf2m, "_PLANE_BYTES", budget)
+        window = budget // (8 * 3 * m) * lanes
+        for n in (window - 1, window, window + 1, 2 * window + 3):
+            cols = rng.integers(0, f.order, (3, n)).astype(f.dtype)
+            del calls[:]
+            out = f.mat_mul_cols(rows, cols)
+            assert calls, (m, budget, n)
+            table = np.vstack([f.mat_mul_cols(rows[i : i + 2], cols) for i in range(0, len(rows), 2)])
+            assert len(calls) == 1  # pairs of rows stay below the threshold
+            assert (out == table).all(), (m, budget, n)
+            edges = sorted({0, 1, window - 1, window, n - 1} & set(range(n)))
+            assert out[:, edges].tolist() == _product_oracle(m, rows, cols[:, edges])

@@ -177,6 +177,42 @@ def test_matrix_validation(gf8):
         Matrix(gf8, [[9]])
 
 
+def test_derived_matrices_are_fresh_and_skip_validation(gf8, monkeypatch):
+    """vstack, submatrix, transpose, mat_mul and invert build their results
+    without checking entries again, on rows no input shares; the public
+    constructor still checks every entry."""
+    from weavesafe.gf2m import Field
+
+    a = Matrix(gf8, [[1, 2], [3, 4]])
+    b = Matrix(gf8, [[5, 6]])
+    checks = []
+    real = Field.check
+    monkeypatch.setattr(Field, "check", lambda self, v: checks.append(v) or real(self, v))
+    results = [vstack(a, b), submatrix(a, [1, 0], [1]), transpose(a), mat_mul(a, a), invert(a)]
+    assert checks == []
+    for out in results:
+        for row in out.data:
+            row[0] ^= 1
+    assert a.data == [[1, 2], [3, 4]] and b.data == [[5, 6]]
+    Matrix(gf8, [[1, 2]])
+    assert checks == [1, 2]
+
+
+def test_codec_build_checks_only_the_cauchy_points(monkeypatch):
+    """A codec build validates the Cauchy points it is given; every matrix
+    derived from the stack is built without checking its entries again."""
+    from weavesafe.gf2m import Field
+    from weavesafe.pm_mbr import params_new
+    from weavesafe.weaksec import make_codec
+
+    p = params_new(20, 10, 16, 8)
+    checks = []
+    real = Field.check
+    monkeypatch.setattr(Field, "check", lambda self, v: checks.append(v) or real(self, v))
+    make_codec(p)
+    assert sorted(checks) == list(range(p.n + 2 * p.d))
+
+
 # -- quotient reduction and the prefix walk ------------------------------------
 
 

@@ -302,6 +302,45 @@ def test_bulk_repair_matches_scalar(code534):
     assert downloaded == 4 * 13
 
 
+def test_bulk_kernel_calls_keep_their_symbol_counts(monkeypatch):
+    """encode_bulk applies all n*d generator rows in one kernel call, and
+    repair_bulk multiplies one stacked helpers x N block per nonzero
+    coefficient of the failed node's row: the same symbol multiplications
+    as per-node and per-helper calls, in fewer calls."""
+    from weavesafe.gf2m import Field
+
+    code = inner(7, 4, 6, 5)
+    p = code.params
+    rng = np.random.default_rng(12)
+    cols = rng.integers(0, 32, (p.total_symbols, 19)).astype(np.uint8)
+    calls = []
+    for name in ("mat_mul_cols", "mul_vec"):
+        real = getattr(Field, name)
+
+        def spy(self, a, b, name=name, real=real):
+            calls.append((name, a, b.shape))
+            return real(self, a, b)
+
+        monkeypatch.setattr(Field, name, spy)
+    shares = encode_bulk(code, cols)
+    kernel_calls = [c for c in calls if c[0] == "mat_mul_cols"]
+    assert [c[2] for c in kernel_calls] == [(p.total_symbols, 19)]
+    assert sum(1 for row in kernel_calls[0][1] for a in row if a) == sum(
+        1 for e in range(1, p.n + 1) for row in code.generator_rows(e) for a in row if a
+    )
+    for e in range(1, p.n + 1):
+        assert shares[e].tolist() == code.field.mat_mul_cols(code.generator_rows(e), cols).tolist()
+
+    del calls[:]
+    helpers = {e: shares[e] for e in range(2, p.d + 2)}
+    repaired, downloaded = repair_bulk(code, 1, helpers)
+    uploads = [c for c in calls if c[0] == "mul_vec"]
+    nonzero = [a for a in code.encoding_matrix.row(0) if a]
+    assert [c[1] for c in uploads] == nonzero
+    assert all(c[2] == (p.d, 19) for c in uploads)
+    assert repaired.tolist() == shares[1].tolist() and downloaded == p.d * 19
+
+
 def test_codec_uses_top_rows_of_stack():
     codec = make_codec(params_new(5, 3, 4, 4))
     stack = codec.cauchy_stack

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 
@@ -61,6 +62,44 @@ def test_symbol_packing_roundtrip(m):
         assert symbols.dtype == native_dtype(m)
         assert symbols.size == -(-length * 8 // m) if length else symbols.size == 0
         assert symbols_to_plaintext(symbols, m, length) == data
+
+
+def reference_plaintext_to_symbols(data: bytes, m: int) -> np.ndarray:
+    """Bit-by-bit packing: every bit expanded into a byte, then m at a time."""
+    dtype = native_dtype(m)
+    if not data:
+        return np.zeros(0, dtype=dtype)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    pad = (-len(bits)) % m
+    if pad:
+        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+    weights = (1 << np.arange(m - 1, -1, -1)).astype(dtype)
+    return bits.reshape(-1, m).astype(dtype) @ weights
+
+
+def reference_symbols_to_plaintext(symbols: np.ndarray, m: int, byte_length: int) -> bytes:
+    shifts = np.arange(m - 1, -1, -1, dtype=symbols.dtype)
+    bits = ((symbols.reshape(-1, 1) >> shifts) & 1).astype(np.uint8)
+    return np.packbits(bits).tobytes()[:byte_length]
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_group_packing_matches_bitwise_reference(m):
+    """Group-wise shifts give the same symbols and bytes as packing bit by
+    bit, for every length up to a few groups of 8/gcd(m, 8) symbols."""
+    rng = random.Random(300 + m)
+    group_bytes = m // math.gcd(m, 8)
+    for length in range(4 * group_bytes + 2):
+        data = bytes(rng.randrange(256) for _ in range(length))
+        symbols = plaintext_to_symbols(data, m)
+        expected = reference_plaintext_to_symbols(data, m)
+        assert symbols.dtype == expected.dtype and symbols.tolist() == expected.tolist(), (m, length)
+        assert symbols_to_plaintext(symbols, m, length) == data
+        if length:
+            assert reference_symbols_to_plaintext(expected, m, length) == data
+            # extra symbols past the plaintext's bits are ignored
+            padded = np.concatenate([symbols, np.full(3, (1 << m) - 1, dtype=symbols.dtype)])
+            assert symbols_to_plaintext(padded, m, length) == data
 
 
 def test_chunking_exact_fit():
@@ -233,6 +272,27 @@ def test_fail_repair_cycle_bit_identical(tmp_path):
     assert stats.symbols_downloaded == P534.d * stats.chunk_count
     assert stats.symbols_per_chunk == P534.d
     assert cluster_reconstruct(tmp_path / "c") == data
+
+
+def test_each_operation_parses_the_manifest_once(tmp_path, monkeypatch):
+    parses = []
+    real = Manifest.from_json.__func__
+
+    def counting(cls, text):
+        parses.append(1)
+        return real(cls, text)
+
+    cluster_store(b"parse once" * 50, P534_BYTE, tmp_path / "c", seed=4)
+    monkeypatch.setattr(Manifest, "from_json", classmethod(counting))
+    for op in (
+        lambda: cluster_reconstruct(tmp_path / "c"),
+        lambda: cluster_fail(tmp_path / "c", 2),
+        lambda: cluster_repair(tmp_path / "c", 2),
+        lambda: cluster_eavesdrop(tmp_path / "c", 1),
+    ):
+        del parses[:]
+        op()
+        assert len(parses) == 1
 
 
 def test_reconstruct_after_failures_uses_any_k(tmp_path):
