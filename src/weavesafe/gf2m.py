@@ -35,12 +35,12 @@ paths, both from Plank, Greenan and Miller ("Screaming Fast Galois Field
 Arithmetic Using Intel SIMD Instructions", FAST 2013):
 
 * Table path: one gather from a product table per nonzero coefficient,
-  xor-accumulated per row.  For m <= 8 each Field holds the full
-  2^m x 2^m uint8 product table; above that, each coefficient gets a
-  low-byte and a high-byte uint16 table, built on first use, whose two
-  lookups are xored.  Multiplication by a fixed coefficient is linear
-  over GF(2), so every table is the xor span of the coefficient times
-  x^i.  ``mul_vec`` is always this path.
+  xor-accumulated per row.  For m <= 8 that is the full 2^m x 2^m uint8
+  product table; above that, each coefficient gets a low-byte and a
+  high-byte uint16 table, built on first use, whose two lookups are
+  xored.  Multiplication by a fixed coefficient is linear over GF(2), so
+  every table is the xor span of the coefficient times x^i.  ``mul_vec``
+  is always this path.
 * Bit-sliced path (their "BYTWO" region multiply on 64-bit words): a
   window of each used column is viewed as uint64 words of 8 (m <= 8) or
   4 (m > 8) symbol lanes and expanded once into its m planes x^i * column
@@ -52,7 +52,7 @@ Arithmetic Using Intel SIMD Instructions", FAST 2013):
   by ``_PLANE_BYTES`` (1 MiB) and the batch gather by half of that, so
   neither grows with the input.
 
-``mat_mul_cols`` picks the path per call from the nonzeros per used
+``mat_mul_cols`` picks the path per map from the nonzeros per used
 column (the fan-out f: how many coefficients each expanded column feeds)
 and m.  The expansion costs m-1 xtimes per column and each coefficient
 about m/2 plane xors, against one gather (two above m = 8) per
@@ -68,11 +68,27 @@ which on the bit-sliced path was not slower, rounded up where the two
 paths were within noise; at f = 16 it is about 2 times as fast for
 m = 8 and 1.2 to 1.6 times for m = 16.  At (20,10,16,8) and (7,4,6,5)
 inner encode (f = 38 and 12), coset decode, the solve steps of types 2
-to k with their couplings, and the reconstruct and repair inverses take
-the bit-sliced path, and the one-row solve steps (f = 1) stay on tables;
-at (5,3,4,8) and at (12,6,10,16) only inner encode (f = 8 and 22) is
-bit-sliced.
+to k with their couplings, the repair inverse, and the reconstruct
+inverse on the wing and on the core columns past the first few (column
+j of the core has fan-out j + 1) take the bit-sliced path, and the
+one-row solve steps (f = 1) stay on tables; at (5,3,4,8) and at
+(12,6,10,16) only inner encode (f = 8 and 22) is bit-sliced.
+
+What depends on the degree or on a map alone is derived once per
+process and shared by every Field of the degree.  The exp/log tables and
+the m <= 8 product table are kept for each degree (at most 14).  The
+m > 8 coefficient tables are kept for the last ``_SPLIT_MEMO`` (4096)
+(degree, coefficient) pairs.  A map's plan (the nonzero entries for the
+table path; the used columns and the row batches with their plane
+indices for the bit-sliced path) is keyed on (m, shape, coefficient
+bytes) and kept for the last ``_PLAN_MEMO`` (256) distinct maps.  A plan
+does not depend on the column count, so one map applied to files of any
+size shares one plan.  The bounds are fixed, and no memo holds any
+symbol of the data the maps are applied to.
 """
+
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,6 +115,10 @@ CANONICAL_POLYS = {
 # Least nonzeros per used column at which mat_mul_cols takes the
 # bit-sliced path (see the module docstring for the calibration).
 _SLICED_FANOUT = {m: max(m // 2 + 1, m - 4) for m in range(3, 17)}
+
+# Most kernel plans and m > 8 coefficient tables a process keeps.
+_PLAN_MEMO = 256
+_SPLIT_MEMO = 4096
 
 
 def clmul_reduce(a: int, b: int, poly: int, m: int) -> int:
@@ -145,57 +165,74 @@ def _xor_span(basis: np.ndarray) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)  # one entry per degree, at most 14
+def _tables(m: int) -> tuple:
+    """(generator, product table, exp table, log table) of GF(2^m).
+
+    The product table is the full 2^m x 2^m table for m <= 8 and None
+    above.  The exp table lists the powers of the smallest multiplicative
+    generator; the log table inverts it, with -1 at zero.
+    """
+    poly = CANONICAL_POLYS[m]
+    if not is_irreducible(poly, m):  # guards table corruption, never fires for the shipped set
+        raise ParameterError(f"reduction polynomial {poly:#x} for m={m} is not irreducible")
+    order = 1 << m
+    generator = _find_generator(m, poly)
+    dtype = native_dtype(m)
+    product = None
+    if m <= 8:
+        basis = np.stack(_times_x_powers(np.arange(order), m), axis=-1)
+        product = _xor_span(basis.astype(dtype))
+
+    # Powers of the generator by doubling: the block g^L .. g^(2L-1) is
+    # the block before it times g^L.
+    powers = np.ones(1, dtype=dtype)
+    step = generator
+    while powers.size < order - 1:
+        powers = np.concatenate([powers, _times(m, product, step, powers)])
+        step = clmul_reduce(step, step, poly, m)
+    powers = powers[: order - 1]
+    log = np.full(order, -1, dtype=np.int64)
+    log[powers] = np.arange(order - 1)
+    return generator, product, powers.tolist(), log.tolist()
+
+
+def _times(m: int, product, a: int, vec):
+    """a times every entry of vec: one gather from the product table for
+    m <= 8, two from the coefficient's split tables above."""
+    if product is not None:
+        return product[a].take(vec)
+    low, high = _split_tables(m, a)
+    return low.take(vec & 0xFF) ^ high.take(vec >> 8)
+
+
+def _find_generator(m: int, poly: int) -> int:
+    group_order = (1 << m) - 1
+    prime_factors = _prime_factors(group_order)
+    for g in range(2, 1 << m):
+        if all(_pow_raw(g, group_order // f, poly, m) != 1 for f in prime_factors):
+            return g
+    raise AssertionError("no generator found; field tables are broken")
+
+
 class Field:
     """GF(2^m) with precomputed discrete-log and product tables.
 
-    All operations are pure, so one Field instance can be shared freely
-    across threads; the only state added after construction is the
-    per-coefficient table cache for m > 8, whose entries never change.
+    The tables depend on m alone, so every Field of one degree shares
+    them (see ``_tables``).  All operations are pure, so one Field
+    instance can be shared freely across threads; nothing is added to it
+    after construction.
     """
 
     def __init__(self, m: int):
         if not isinstance(m, int) or not 3 <= m <= 16:
             raise ParameterError(f"unsupported field degree m={m}; need 3 <= m <= 16")
-        poly = CANONICAL_POLYS[m]
-        if not is_irreducible(poly, m):  # guards table corruption, never fires for the shipped set
-            raise ParameterError(f"reduction polynomial {poly:#x} for m={m} is not irreducible")
         self.m = m
-        self.reduction_poly = poly
+        self.reduction_poly = CANONICAL_POLYS[m]
         self.order = 1 << m
         self.symbol_bytes = (m + 7) // 8
-
-        generator = self._find_generator()
-        self.generator = generator
         self.dtype = native_dtype(m)
-        if m <= 8:
-            basis = np.stack(self._times_x_powers(np.arange(self.order)), axis=-1)
-            self._product = _xor_span(basis.astype(self.dtype))
-        else:
-            self._split = {}  # coefficient -> (low-byte table, high-byte table)
-
-        # Powers of the generator by doubling: the block g^L .. g^(2L-1) is
-        # the block before it times g^L.
-        powers = np.ones(1, dtype=self.dtype)
-        step = generator
-        while powers.size < self.order - 1:
-            powers = np.concatenate([powers, self._times(step, powers)])
-            step = clmul_reduce(step, step, poly, m)
-        powers = powers[: self.order - 1]
-        log = np.full(self.order, -1, dtype=np.int64)
-        log[powers] = np.arange(self.order - 1)
-        self.exp_table = powers.tolist()
-        self.log_table = log.tolist()
-
-    def _find_generator(self) -> int:
-        group_order = self.order - 1
-        prime_factors = _prime_factors(group_order)
-        for g in range(2, self.order):
-            if all(
-                _pow_raw(g, group_order // f, self.reduction_poly, self.m) != 1
-                for f in prime_factors
-            ):
-                return g
-        raise AssertionError("no generator found; field tables are broken")
+        self.generator, self._product, self.exp_table, self.log_table = _tables(m)
 
     # -- scalar operations ------------------------------------------------
 
@@ -274,56 +311,36 @@ class Field:
 
     # -- bulk multiplication on native-width numpy arrays -----------------
 
-    def _times_x_powers(self, a):
-        """[a, a*x, ..., a*x^(m-1)] for an element or an array of them."""
-        out = []
-        for _ in range(self.m):
-            out.append(a)
-            a = (a << 1) ^ ((a >> (self.m - 1)) & 1) * self.reduction_poly
-        return out
-
-    def _split_tables(self, a: int):
-        tables = self._split.get(a)
-        if tables is None:
-            basis = np.array(self._times_x_powers(a), dtype=self.dtype)
-            tables = self._split[a] = (_xor_span(basis[:8]), _xor_span(basis[8:]))
-        return tables
-
-    def _times(self, a: int, vec):
+    def mul_vec(self, a: int, vec):
         """Multiply every entry of a numpy vector of symbols by the scalar a."""
-        if self.m <= 8:
-            return np.take(self._product[a], vec)
-        low, high = self._split_tables(a)
-        return np.take(low, vec & 0xFF) ^ np.take(high, vec >> 8)
-
-    # Bulk coding calls the public name; the field's own set-up calls
-    # _times, so that profiles and counters of mul_vec see coding work only.
-    mul_vec = _times
+        return _times(self.m, self._product, a, vec)
 
     def mat_mul_cols(self, rows, cols):
-        """Apply a small matrix (list of coefficient rows) to a 2-D numpy
-        array whose axis 0 indexes matrix columns.
+        """Apply a small matrix (coefficient rows: an array, or lists) to a
+        2-D numpy array whose axis 0 indexes matrix columns.
 
         Returns a field-width array with one row per coefficient row.  Maps
         whose columns feed enough coefficients take the bit-sliced path,
         the rest xor-accumulate one table gather per nonzero coefficient
-        (see the module docstring for the rule).
+        (see the module docstring for the rule).  The map's plan is
+        memoized; callers that apply one map often pass it as an array of
+        the field's dtype, which is not converted again.
         """
-        out = np.zeros((len(rows), cols.shape[1]), dtype=self.dtype)
         if not len(rows):
-            return out
-        coeffs = np.array(rows, dtype=self.dtype).reshape(len(rows), -1)
-        row_of, col_of = np.nonzero(coeffs)
-        used = np.flatnonzero(np.bincount(col_of, minlength=coeffs.shape[1]))
-        if row_of.size and row_of.size >= _SLICED_FANOUT[self.m] * used.size:
-            self._mat_mul_sliced(coeffs[:, used], cols, used, out)
+            return np.zeros((0, cols.shape[1]), dtype=self.dtype)
+        coeffs = np.asarray(rows, dtype=self.dtype).reshape(len(rows), -1)
+        out = np.zeros((coeffs.shape[0], cols.shape[1]), dtype=self.dtype)
+        plan = _plan(self.m, coeffs.shape, coeffs.tobytes())
+        if isinstance(plan, _SlicedPlan):
+            self._mat_mul_sliced(plan, cols, out)
         else:
-            for r, c in zip(row_of.tolist(), col_of.tolist()):
-                out[r] ^= self.mul_vec(int(coeffs[r, c]), cols[c])
+            for r, c, a in plan:
+                out[r] ^= self.mul_vec(a, cols[c])
         return out
 
-    def _mat_mul_sliced(self, coeffs, cols, used, out):
-        """out = coeffs * cols[used], window by window on 64-bit lane planes.
+    def _mat_mul_sliced(self, plan, cols, out):
+        """out = coefficients * cols[plan.used], window by window on 64-bit
+        lane planes.
 
         Each window of a used column is viewed as uint64 words of symbol
         lanes and expanded once into its m planes x^i * column by a
@@ -336,25 +353,24 @@ class Field:
         ones = _lanes(1, lane_bits)
         keep = _lanes((1 << m) - 2, lane_bits)  # drops the bit shifted out of each lane
         poly = np.uint64(self.reduction_poly & ((1 << m) - 1))
-        n_used = coeffs.shape[1]
+        n_used = len(plan.used)
         n = cols.shape[1]
         words = max(min(_PLANE_BYTES // (8 * n_used * m), -(-n // lanes)), 1)
-        batches = _row_batches(coeffs, m, max(_PLANE_BYTES // (16 * words), 1))
 
         # All scratch is allocated once per call: the planes (the last one
         # stays zero), the xtime carry, and a batch's gather and reduce.
         flat = np.zeros((n_used * m + 1, words), dtype=np.uint64)
         planes = flat[:-1].reshape(n_used, m, words)
         carry = np.empty((n_used, words), dtype=np.uint64)
-        gather = np.empty(max(index.size for _, index in batches) * words, dtype=np.uint64)
+        gather = np.empty(plan.most_picks * words, dtype=np.uint64)
         acc = np.empty((_GROUP, words), dtype=np.uint64)
         low = planes[:, 0].view(self.dtype)
-        every_row = n_used == cols.shape[0] and used[-1] == n_used - 1
+        every_row = plan.every_column and n_used == cols.shape[0]
         for start in range(0, n, words * lanes):
             stop = min(n, start + words * lanes)
             width = stop - start
             k = -(-width // lanes)
-            low[:, :width] = cols[:, start:stop] if every_row else cols[used, start:stop]
+            low[:, :width] = cols[:, start:stop] if every_row else cols[plan.used, start:stop]
             low[:, width : k * lanes] = 0
             for i in range(1, m):
                 prev, cur, c = planes[:, i - 1, :k], planes[:, i, :k], carry[:, :k]
@@ -365,21 +381,49 @@ class Field:
                 cur &= keep
                 cur ^= c
             view = flat[:, :k]
-            for rows, index in batches:
+            for rows, index in plan.batches:
                 picked = gather[: index.size * k].reshape(index.shape + (k,))
-                np.take(view, index, axis=0, out=picked, mode="clip")
+                view.take(index, axis=0, out=picked, mode="clip")
                 np.bitwise_xor.reduce(picked, axis=1, out=acc[: len(rows), :k])
                 out[rows, start:stop] = acc[: len(rows), :k].view(self.dtype)[:, :width]
 
 
-def _row_batches(coeffs, m: int, max_picks: int) -> list:
+@dataclass(frozen=True)
+class _SlicedPlan:
+    """What the bit-sliced path needs of one map, whatever the column count."""
+
+    used: np.ndarray  # the map's columns with a nonzero coefficient
+    every_column: bool  # used is every column of the map, in order
+    batches: tuple  # (rows, plane index) pairs, see _row_batches
+    most_picks: int  # size of the largest plane index
+
+
+@lru_cache(maxsize=_PLAN_MEMO)
+def _plan(m: int, shape: tuple, data: bytes):
+    """The memoized analysis of one map of shape ``shape`` over GF(2^m),
+    whose coefficients are ``data`` (C order, field dtype): a _SlicedPlan,
+    or for the table path its nonzero entries as (row, column, coefficient)."""
+    coeffs = np.frombuffer(data, dtype=native_dtype(m)).reshape(shape)
+    row_of, col_of = np.nonzero(coeffs)
+    used = np.flatnonzero(np.bincount(col_of, minlength=shape[1]))
+    if row_of.size and row_of.size >= _SLICED_FANOUT[m] * used.size:
+        batches = _row_batches(coeffs[:, used], m)
+        return _SlicedPlan(
+            used, used.size == shape[1], batches, max(index.size for _, index in batches)
+        )
+    return tuple(zip(row_of.tolist(), col_of.tolist(), coeffs[row_of, col_of].tolist()))
+
+
+def _row_batches(coeffs, m: int) -> tuple:
     """The bit-sliced path's rows as (rows, index) batches.
 
     Plane u*m + i is x^i times used column u, and the plane after the last
     one is zero.  Row r xors the planes of its coefficients' set bits.
-    Rows in order of their number of picks go in batches of up to _GROUP,
-    at most max_picks planes in all, that share one gather and one reduce:
-    index[j] lists the planes of rows[j], padded with the zero plane.
+    Rows in order of their number of picks go in batches of up to _GROUP
+    that share one gather and one reduce: index[j] lists the planes of
+    rows[j], padded with the zero plane.  A batch picks at most half as
+    many planes as there are (unless one row alone picks more), so its
+    gather stays within half of the plane scratch at every window size.
     All-zero rows are left out.
     """
     row_of, col_of = np.nonzero(coeffs)
@@ -388,15 +432,16 @@ def _row_batches(coeffs, m: int, max_picks: int) -> list:
     counts = np.bincount(row_of[entry], minlength=coeffs.shape[0])
     picks = np.split(col_of[entry] * m + bit, np.cumsum(counts)[:-1])
     live = sorted((r for r in range(len(counts)) if counts[r]), key=counts.__getitem__)
-    group = max(min(_GROUP, max_picks // int(counts.max())), 1)
+    zero_plane = coeffs.shape[1] * m
+    group = max(min(_GROUP, zero_plane // 2 // int(counts.max())), 1)
     batches = []
     for first in range(0, len(live), group):
         rows = live[first : first + group]
-        index = np.full((len(rows), counts[rows[-1]]), coeffs.shape[1] * m)
+        index = np.full((len(rows), counts[rows[-1]]), zero_plane, np.min_scalar_type(zero_plane))
         for j, r in enumerate(rows):
             index[j, : counts[r]] = picks[r]
-        batches.append((rows, index))
-    return batches
+        batches.append((np.array(rows), index))
+    return tuple(batches)
 
 
 # Plane scratch of one bit-sliced call, in bytes: a window holds as many
@@ -408,6 +453,23 @@ _GROUP = 8  # most rows in one batch
 def _lanes(value: int, lane_bits: int) -> np.uint64:
     """value repeated in every lane_bits-wide lane of a 64-bit word."""
     return np.uint64(sum(value << s for s in range(0, 64, lane_bits)))
+
+
+def _times_x_powers(a, m: int):
+    """[a, a*x, ..., a*x^(m-1)] in GF(2^m), for an element or an array of them."""
+    poly = CANONICAL_POLYS[m]
+    out = []
+    for _ in range(m):
+        out.append(a)
+        a = (a << 1) ^ ((a >> (m - 1)) & 1) * poly
+    return out
+
+
+@lru_cache(maxsize=_SPLIT_MEMO)
+def _split_tables(m: int, a: int):
+    """Low-byte and high-byte product tables of the coefficient a, m > 8."""
+    basis = np.array(_times_x_powers(a, m), dtype=native_dtype(m))
+    return _xor_span(basis[:8]), _xor_span(basis[8:])
 
 
 def field_new(m: int) -> Field:

@@ -17,6 +17,8 @@ count them.
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InsufficientNodesError, ParameterError
 from .gf2m import Field
 from .linalg import Matrix, invert, mat_vec, submatrix
@@ -127,15 +129,31 @@ def type_positions(k: int, d: int, t: int) -> tuple:
     return tuple(out)
 
 
+def build_generator_stack(params: CodeParams, encoding_rows: list, dtype) -> np.ndarray:
+    """All n*d generator rows as one (n*d) x B array, node after node.
+
+    Row (e-1)*d + t holds node e's encoding row on the symbols of
+    message-matrix row t, so node e's d stored symbols are rows
+    (e-1)*d .. e*d-1 applied to the codeword.
+    """
+    k, d = params.k, params.d
+    t, b, j = zip(*((t, b, j) for t in range(d) for b, j in type_positions(k, d, t)))
+    stack = np.zeros((params.n, d, params.total_symbols), dtype=dtype)
+    stack[:, t, b] = np.array(encoding_rows, dtype=dtype)[:, j]
+    return stack.reshape(params.n * d, -1)
+
+
 class InnerCode:
     """A product-matrix MBR code bound to one encoding matrix.
 
     The encoding matrix must have every square submatrix nonsingular
-    (a Cauchy matrix does); the secure codec supplies the canonical one.
-    Immutable after construction.
+    (a Cauchy matrix does); the secure codec supplies the canonical one,
+    with its generator stack derived once.  Immutable after construction.
     """
 
-    def __init__(self, params: CodeParams, field: Field, encoding_matrix: Matrix):
+    def __init__(
+        self, params: CodeParams, field: Field, encoding_matrix: Matrix, generator_stack=None
+    ):
         if field.m != params.m:
             raise ParameterError(f"field degree {field.m} does not match params m={params.m}")
         if (encoding_matrix.rows, encoding_matrix.cols) != (params.n, params.d):
@@ -146,6 +164,9 @@ class InnerCode:
         self.params = params
         self.field = field
         self.encoding_matrix = encoding_matrix
+        if generator_stack is None:
+            generator_stack = build_generator_stack(params, encoding_matrix.data, field.dtype)
+        self.generator_stack = generator_stack
 
     # -- codeword <-> message matrix ----------------------------------
 
@@ -180,15 +201,8 @@ class InnerCode:
         validated when it was built, so they are not checked again.
         """
         self._check_node(node)
-        p = self.params
-        enc_row = self.encoding_matrix.data[node - 1]
-        rows = []
-        for t in range(p.d):
-            row = [0] * p.total_symbols
-            for b, j in type_positions(p.k, p.d, t):
-                row[b] = enc_row[j]
-            rows.append(row)
-        return rows
+        d = self.params.d
+        return self.generator_stack[(node - 1) * d : node * d].tolist()
 
     def generator_matrix(self, node: int) -> Matrix:
         """d x B matrix sending a codeword to the symbols node stores."""
@@ -296,19 +310,18 @@ def encode_bulk(code: InnerCode, codeword_cols):
     symbol is expanded once for every node it feeds; the per-node arrays
     are views of that one result.
     """
-    import numpy as np
-
     d = code.params.d
-    nodes = range(1, code.params.n + 1)
-    rows = np.vstack([np.array(code.generator_rows(e), dtype=code.field.dtype) for e in nodes])
-    out = code.field.mat_mul_cols(rows, codeword_cols)
-    return {e: out[(e - 1) * d : e * d] for e in nodes}
+    out = code.field.mat_mul_cols(code.generator_stack, codeword_cols)
+    return {e: out[(e - 1) * d : e * d] for e in range(1, code.params.n + 1)}
 
 
 def reconstruct_bulk(code: InnerCode, share_cols: dict):
-    """Vectorized reconstruction; share_cols maps node -> d x N array."""
-    import numpy as np
+    """Vectorized reconstruction; share_cols maps node -> d x N array.
 
+    The core message block is symmetric, so only its upper triangle is
+    computed: column j of the core needs rows 0..j of the selector
+    inverse applied to column j of the right-hand side.
+    """
     p = code.params
     if len(share_cols) < p.k:
         raise InsufficientNodesError(f"need at least k={p.k} shares, got {len(share_cols)}")
@@ -316,32 +329,32 @@ def reconstruct_bulk(code: InnerCode, share_cols: dict):
     n_chunks = share_cols[nodes[0]].shape[1]
     f = code.field
     node_rows = [n - 1 for n in nodes]
-    sel_inv = invert(submatrix(code.encoding_matrix, node_rows, range(p.k)))
+    sel_inv = np.array(invert(submatrix(code.encoding_matrix, node_rows, range(p.k))).data, f.dtype)
 
     # Row i of left (right) is node i's first k (last d-k) share rows, chunk
     # after chunk, so that each block is one kernel input.
     left = np.stack([share_cols[n][: p.k].reshape(-1) for n in nodes])
     if p.d > p.k:  # d == k leaves no off-diagonal wing at all
         right = np.stack([share_cols[n][p.k :].reshape(-1) for n in nodes])
-        wing = f.mat_mul_cols(sel_inv.data, right).reshape(p.k, p.d - p.k, n_chunks)
+        wing = f.mat_mul_cols(sel_inv, right).reshape(p.k, p.d - p.k, n_chunks)
         del right  # each block is freed once used, to keep the peak memory down
         mixer = submatrix(code.encoding_matrix, node_rows, range(p.k, p.d))
         wing_t = wing.transpose(1, 0, 2).reshape(p.d - p.k, -1)
         left ^= f.mat_mul_cols(mixer.data, wing_t)
         del wing_t
-    core = f.mat_mul_cols(sel_inv.data, left).reshape(p.k, p.k, n_chunks)
-    del left
+    left = left.reshape(p.k, p.k, n_chunks)
 
-    out = np.zeros((p.total_symbols, n_chunks), dtype=f.dtype)
-    for b, (i, j) in enumerate(message_cells(p.k, p.d)):
-        out[b] = core[i, j] if j < p.k else wing[i, j - p.k]
+    out = np.empty((p.total_symbols, n_chunks), dtype=f.dtype)
+    idx = cell_index(p.k, p.d)
+    for j in range(p.k):
+        out[[idx[(i, j)] for i in range(j + 1)]] = f.mat_mul_cols(sel_inv[: j + 1], left[:, j])
+    for j in range(p.k, p.d):
+        out[[idx[(i, j)] for i in range(p.k)]] = wing[:, j - p.k]
     return out
 
 
 def repair_bulk(code: InnerCode, failed: int, helper_share_cols: dict):
     """Vectorized exact repair; returns (repaired d x N array, symbols downloaded)."""
-    import numpy as np
-
     p = code.params
     if failed in helper_share_cols:
         raise ValueError(f"failed node {failed} cannot appear among its helpers")
@@ -353,12 +366,16 @@ def repair_bulk(code: InnerCode, failed: int, helper_share_cols: dict):
     f = code.field
     target_row = code.encoding_matrix.row(failed - 1)
     # Row h of uploads is helper h's symbol per chunk: its share dotted
-    # with the failed node's encoding row, one kernel call per coefficient
-    # on row c of every helper's share.
+    # with the failed node's encoding row, one kernel call per nonzero
+    # coefficient on row c of every helper's share.  The rows are stacked
+    # into one helpers x N buffer, reused for every coefficient: a stack of
+    # all helpers' shares would be a d times larger allocation per repair.
     uploads = np.zeros((len(helpers), helper_share_cols[helpers[0]].shape[1]), dtype=f.dtype)
+    rows = np.empty_like(uploads)
     for c, coeff in enumerate(target_row):
         if coeff:
-            uploads ^= f.mul_vec(coeff, np.stack([helper_share_cols[h][c] for h in helpers]))
+            np.stack([helper_share_cols[h][c] for h in helpers], out=rows)
+            uploads ^= f.mul_vec(coeff, rows)
     stack = submatrix(code.encoding_matrix, [h - 1 for h in helpers], range(p.d))
     repaired = f.mat_mul_cols(invert(stack).data, uploads)
     return repaired, uploads.size  # one symbol per helper per chunk

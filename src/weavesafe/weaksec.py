@@ -19,6 +19,16 @@ steps are cancelled from its rows.  The nonsingular steps are the proof
 that the extension is invertible, and the same steps are the encoder;
 no B x B inverse is ever formed.  Decoding is a single syndrome
 computation.
+
+Everything but the data is fixed by (n, k, d, m), so ``codec_plan``
+derives it once per process for each parameter set: the Cauchy stack, the
+encoding and coefficient matrices, H and H_ext, the solve steps (each
+step's inverse and coupling as native-dtype arrays) and the n*d generator
+rows.  The memo is keyed on ``CodeParams``, keeps the last
+``_CODEC_MEMO`` (8) parameter sets, and holds plain ints and arrays bound
+to no Field.  Each ``SecureCodec`` still builds its own Field and wraps
+the shared entries without validating them again.  Nothing derived from a
+message, from randomness or from a share is kept.
 """
 
 from dataclasses import dataclass
@@ -28,8 +38,11 @@ import numpy as np
 
 from .errors import ParameterError, SingularMatrixError
 from .gf2m import Field, field_new
-from .linalg import Matrix, cauchy, invert, mat_vec, submatrix, vstack
-from .pm_mbr import CodeParams, InnerCode, type_positions
+from .linalg import Matrix, cauchy, invert, mat_vec, submatrix
+from .pm_mbr import CodeParams, InnerCode, build_generator_stack, type_positions
+
+# Most parameter sets whose derived matrices a process keeps.
+_CODEC_MEMO = 8
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +120,89 @@ class SolveStep:
     rows: tuple  # 0-based rows of the extended parity check
     variables: tuple  # 1-based codeword indices solved here
     known: tuple  # 0-based codeword indices, solved earlier, that the rows touch
-    inverse: list  # coefficient rows of the inverse of the rows x variables block
-    coupling: list  # coefficient rows of the rows x known block
+    inverse: np.ndarray  # the inverse of the rows x variables block, field dtype
+    coupling: np.ndarray  # the rows x known block, field dtype
+
+
+@dataclass(frozen=True)
+class OuterPlan:
+    """What a coefficient matrix fixes of the outer code; see OuterCode."""
+
+    parity_check: list  # rows of H
+    parity_array: np.ndarray  # H in the field's dtype, the coset decoder's map
+    row_types: tuple
+    parity_check_ext: list  # rows of H_ext
+    ext_row_types: tuple
+    solve_steps: tuple
+
+
+def outer_plan(params: CodeParams, field: Field, coeff_rows: list) -> OuterPlan:
+    """H and its extension from d coefficient rows, with the solve steps.
+
+    Nonsingular steps prove H_ext invertible, hence H of full row rank; a
+    non-square or singular step raises ParameterError.
+    """
+    k, d = params.k, params.d
+    counts = type_cardinalities(k, d)
+    rows = []
+    ledger = []
+    for type_i in range(2, d + 1):
+        for p in range(1, counts[type_i - 1] + 1):
+            rows.append(make_type_row(field, k, d, type_i, coeff_rows[p - 1]))
+            ledger.append((type_i, p))
+    if len(rows) != params.secure_symbols:
+        raise ParameterError(
+            f"type cardinalities sum to {len(rows)}, expected B-2 = {params.secure_symbols}"
+        )
+    # The extension appends a type-k row (last coefficient row) and a
+    # type-1 row (first coefficient row); the result is square.
+    ext = rows + [
+        make_type_row(field, k, d, k, coeff_rows[d - 1]),
+        make_type_row(field, k, d, 1, coeff_rows[0]),
+    ]
+    ext_types = tuple(ledger) + ((k, d), (1, 1))
+    return OuterPlan(
+        rows,
+        np.array(rows, dtype=field.dtype),
+        tuple(ledger),
+        ext,
+        ext_types,
+        _solve_steps(params, Matrix.derived(field, ext), ext_types),
+    )
+
+
+def _solve_steps(params: CodeParams, ext: Matrix, ext_types: tuple) -> tuple:
+    """The successive decode of H_ext, one square solve per type.
+
+    Type k goes first (it owns a full complement of rows), then down
+    through type 2, then the single-row types above k, then type 1.
+    A type-t row is supported exactly on type t's index set, so after
+    the earlier steps it touches only the symbols solved here.
+    """
+    k, d = params.k, params.d
+    sets = index_sets(k, d)
+    dtype = ext.field.dtype
+    solved: set = set()
+    steps = []
+    for t in list(range(k, 1, -1)) + list(range(k + 1, d + 1)) + [1]:
+        rows = tuple(r for r, (rt, _) in enumerate(ext_types) if rt == t)
+        variables = tuple(b for b in sets[t - 1] if b - 1 not in solved)
+        known = tuple(b - 1 for b in sets[t - 1] if b - 1 in solved)
+        if len(rows) != len(variables):
+            raise ParameterError(
+                f"parity-check matrix is rank-deficient: type {t} has {len(rows)} rows "
+                f"for {len(variables)} unsolved symbols"
+            )
+        try:
+            inverse = invert(submatrix(ext, rows, [b - 1 for b in variables]))
+        except SingularMatrixError:
+            raise ParameterError(f"extended parity-check matrix is singular: type {t} step") from None
+        coupling = np.array(submatrix(ext, rows, known).data, dtype=dtype)
+        steps.append(
+            SolveStep(t, rows, variables, known, np.array(inverse.data, dtype=dtype), coupling)
+        )
+        solved.update(b - 1 for b in variables)
+    return tuple(steps)
 
 
 class OuterCode:
@@ -117,11 +211,13 @@ class OuterCode:
     Holds the (B-2) x B parity-check matrix, its per-row (type,
     coefficient-row) ledger, and the invertible B x B extension used for
     uniform coset encoding, together with the type-ordered solve steps
-    that invert it.  Immutable after construction; encoding consumes
-    caller-supplied randomness and is otherwise deterministic.
+    that invert it.  Derived from the coefficient matrix unless a plan
+    derived from it earlier is given.  Immutable after construction;
+    encoding consumes caller-supplied randomness and is otherwise
+    deterministic.
     """
 
-    def __init__(self, params: CodeParams, field: Field, coeff_matrix: Matrix):
+    def __init__(self, params: CodeParams, field: Field, coeff_matrix: Matrix, plan=None):
         if (coeff_matrix.rows, coeff_matrix.cols) != (params.d, params.d):
             raise ParameterError(
                 f"coefficient matrix must be {params.d}x{params.d}, "
@@ -132,73 +228,14 @@ class OuterCode:
         self.coeff_matrix = coeff_matrix
         self.type_counts = type_cardinalities(params.k, params.d)
         self.index_sets = index_sets(params.k, params.d)
-
-        rows = []
-        ledger = []
-        for type_i in range(2, params.d + 1):
-            for p in range(1, self.type_counts[type_i - 1] + 1):
-                rows.append(
-                    make_type_row(field, params.k, params.d, type_i, coeff_matrix.row(p - 1))
-                )
-                ledger.append((type_i, p))
-        self.parity_check = Matrix.derived(field, rows)
-        self.row_types = tuple(ledger)
-
-        secure = params.secure_symbols
-        if len(rows) != secure:
-            raise ParameterError(
-                f"type cardinalities sum to {len(rows)}, expected B-2 = {secure}"
-            )
-
-        self.parity_check_ext = self._extend()
-        self.ext_row_types = self.row_types + ((params.k, params.d), (1, 1))
-        # Nonsingular steps prove H_ext invertible, hence H of full row rank.
-        self.solve_steps = self._solve_steps()
-
-    def _extend(self) -> Matrix:
-        """Append a type-k row (last coefficient row) and a type-1 row
-        (first coefficient row); the result is square and invertible."""
-        p = self.params
-        extra = Matrix.derived(
-            self.field,
-            [
-                make_type_row(self.field, p.k, p.d, p.k, self.coeff_matrix.row(p.d - 1)),
-                make_type_row(self.field, p.k, p.d, 1, self.coeff_matrix.row(0)),
-            ],
-        )
-        return vstack(self.parity_check, extra)
-
-    def _solve_steps(self) -> tuple:
-        """The successive decode of H_ext, one square solve per type.
-
-        Type k goes first (it owns a full complement of rows), then down
-        through type 2, then the single-row types above k, then type 1.
-        A type-t row is supported exactly on type t's index set, so after
-        the earlier steps it touches only the symbols solved here.
-        """
-        k, d = self.params.k, self.params.d
-        ext = self.parity_check_ext
-        solved: set = set()
-        steps = []
-        for t in list(range(k, 1, -1)) + list(range(k + 1, d + 1)) + [1]:
-            rows = tuple(r for r, (rt, _) in enumerate(self.ext_row_types) if rt == t)
-            variables = tuple(b for b in self.index_sets[t - 1] if b - 1 not in solved)
-            known = tuple(b - 1 for b in self.index_sets[t - 1] if b - 1 in solved)
-            if len(rows) != len(variables):
-                raise ParameterError(
-                    f"parity-check matrix is rank-deficient: type {t} has {len(rows)} rows "
-                    f"for {len(variables)} unsolved symbols"
-                )
-            try:
-                inverse = invert(submatrix(ext, rows, [b - 1 for b in variables]))
-            except SingularMatrixError:
-                raise ParameterError(
-                    f"extended parity-check matrix is singular: type {t} step"
-                ) from None
-            coupling = submatrix(ext, rows, known).data
-            steps.append(SolveStep(t, rows, variables, known, inverse.data, coupling))
-            solved.update(b - 1 for b in variables)
-        return tuple(steps)
+        if plan is None:
+            plan = outer_plan(params, field, coeff_matrix.data)
+        self.parity_check = Matrix.derived(field, plan.parity_check)
+        self.parity_array = plan.parity_array
+        self.row_types = plan.row_types
+        self.parity_check_ext = Matrix.derived(field, plan.parity_check_ext)
+        self.ext_row_types = plan.ext_row_types
+        self.solve_steps = plan.solve_steps
 
     # -- coset encode / decode ------------------------------------------
 
@@ -238,20 +275,58 @@ class OuterCode:
         return out
 
     def coset_decode_bulk(self, codeword_cols):
-        return self.field.mat_mul_cols(self.parity_check.data, codeword_cols)
+        return self.field.mat_mul_cols(self.parity_array, codeword_cols)
+
+
+@dataclass(frozen=True)
+class CodecPlan:
+    """Everything one parameter set fixes, as entries bound to no Field.
+
+    Shared by every codec of the parameter set, so never mutated.
+    """
+
+    cauchy_stack: list  # rows of the (n+d) x d stack: n encoding rows, d coefficient rows
+    generator_stack: np.ndarray  # n*d x B, see pm_mbr.build_generator_stack
+    outer: OuterPlan
+
+
+@lru_cache(maxsize=_CODEC_MEMO)
+def codec_plan(params: CodeParams) -> CodecPlan:
+    """The derived matrices of one parameter set, memoized per process.
+
+    Its arrays are made read-only, since every codec of the parameter set
+    shares them.
+    """
+    field = field_new(params.m)
+    stack = build_cauchy_stack(params, field).data
+    plan = CodecPlan(
+        stack,
+        build_generator_stack(params, stack[: params.n], field.dtype),
+        outer_plan(params, field, stack[params.n :]),
+    )
+    shared = [plan.generator_stack, plan.outer.parity_array]
+    shared += [a for s in plan.outer.solve_steps for a in (s.inverse, s.coupling)]
+    for array in shared:
+        array.flags.writeable = False
+    return plan
 
 
 class SecureCodec:
-    """Inner MBR code and outer coset code bound over one Cauchy stack."""
+    """Inner MBR code and outer coset code bound over one Cauchy stack.
+
+    Every codec has its own Field; the matrices come from ``codec_plan``
+    and are shared by the codecs of one parameter set.
+    """
 
     def __init__(self, params: CodeParams):
         self.params = params
-        self.field = field_new(params.m)
-        self.cauchy_stack = build_cauchy_stack(params, self.field)
-        encoding = submatrix(self.cauchy_stack, range(params.n), range(params.d))
-        coeffs = submatrix(self.cauchy_stack, range(params.n, params.n + params.d), range(params.d))
-        self.inner = InnerCode(params, self.field, encoding)
-        self.outer = OuterCode(params, self.field, coeffs)
+        self.field = f = field_new(params.m)
+        plan = codec_plan(params)
+        stack = plan.cauchy_stack
+        self.cauchy_stack = Matrix.derived(f, stack)
+        encoding, coeffs = Matrix.derived(f, stack[: params.n]), Matrix.derived(f, stack[params.n :])
+        self.inner = InnerCode(params, f, encoding, plan.generator_stack)
+        self.outer = OuterCode(params, f, coeffs, plan.outer)
 
     def __repr__(self) -> str:
         p = self.params

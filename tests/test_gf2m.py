@@ -313,3 +313,88 @@ def test_mat_mul_cols_window_edges(m, monkeypatch):
             assert (out == table).all(), (m, budget, n)
             edges = sorted({0, 1, window - 1, window, n - 1} & set(range(n)))
             assert out[:, edges].tolist() == _product_oracle(m, rows, cols[:, edges])
+
+
+# -- per-process memos of the kernel -------------------------------------------
+
+
+@pytest.mark.parametrize("m", [5, 8, 12, 16])
+def test_one_plan_per_map_whatever_the_column_count(m, monkeypatch):
+    """A map builds one plan on either path, whatever the column count and
+    the input dtype, and every result equals the brute-force product."""
+    import numpy as np
+
+    from weavesafe import gf2m
+
+    f = field_new(m)
+    rng = random.Random(300 + m)
+    np_rng = np.random.default_rng(300 + m)
+    lanes = 8 // f.dtype.itemsize
+    calls = _spy_sliced(monkeypatch)
+    threshold = gf2m._SLICED_FANOUT[m]
+    for fanout, sliced in ((threshold + 1, True), (threshold - 1, False)):
+        rows = np.array(_dense_rows(f, rng, fanout, 3), dtype=f.dtype)
+        window = gf2m._PLANE_BYTES // (8 * 3 * m) * lanes
+        gf2m._plan.cache_clear()
+        for n in (0, 1, lanes - 1, lanes + 1, window - 1, window + 1, 2 * window + 3):
+            cols = np_rng.integers(0, f.order, (3, n)).astype(f.dtype)
+            del calls[:]
+            out = f.mat_mul_cols(rows, cols)
+            assert bool(calls) == sliced, (m, n, fanout)
+            edges = sorted({0, 1, lanes, window - 1, window, n - 1} & set(range(n)))
+            assert out[:, edges].tolist() == _product_oracle(m, rows.tolist(), cols[:, edges])
+            if n <= 2 * lanes:
+                assert out.tolist() == _product_oracle(m, rows.tolist(), cols)
+            assert (f.mat_mul_cols(rows.tolist(), cols.astype(np.int32)) == out).all()
+        info = gf2m._plan.cache_info()
+        assert (info.misses, info.currsize) == (1, 1), (m, fanout, info)
+
+
+def test_plan_memo_stays_at_its_bound():
+    """More distinct maps than the bound keep the memo at the bound, and an
+    evicted map planned again gives the same product."""
+    import numpy as np
+
+    from weavesafe import gf2m
+
+    f = field_new(8)
+    cols = np.arange(3 * 40, dtype=np.uint8).reshape(3, 40)
+    gf2m._plan.cache_clear()
+    first = f.mat_mul_cols([[1, 2, 3]] * 6, cols)
+    for a in range(gf2m._PLAN_MEMO + 5):
+        f.mat_mul_cols([[1 + a % 255, 1 + a // 255, 7]] * 6, cols)
+        assert gf2m._plan.cache_info().currsize <= gf2m._PLAN_MEMO
+    assert gf2m._plan.cache_info().currsize == gf2m._PLAN_MEMO
+    assert (f.mat_mul_cols([[1, 2, 3]] * 6, cols) == first).all()
+    assert gf2m._plan.cache_info().misses == gf2m._PLAN_MEMO + 7
+
+
+def test_field_tables_are_shared_and_bounded():
+    """Fields of one degree share their tables, and above m = 8 their
+    coefficient tables; more coefficients than the bound keep that memo
+    at the bound."""
+    import numpy as np
+
+    from weavesafe import gf2m
+
+    for m in (5, 8, 16):
+        a, b = field_new(m), field_new(m)
+        assert a is not b
+        assert a.exp_table is b.exp_table and a.log_table is b.log_table
+        assert a._product is b._product
+    gf2m._split_tables.cache_clear()
+    a, b = field_new(16), field_new(16)
+    xs = np.array([0, 1, 0xFF, 0x100, 0xFFFF], dtype=np.uint16)
+    before = gf2m._split_tables.cache_info()
+    assert a.mul_vec(0x1234, xs).tolist() == b.mul_vec(0x1234, xs).tolist()
+    after = gf2m._split_tables.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    fields = (field_new(12), a)
+    for c in range(1, gf2m._SPLIT_MEMO + 10):
+        field = fields[c % 2]
+        expected = [gf_mul_bruteforce(c % field.order, int(x) % field.order, field.m) for x in xs[:3]]
+        if c % 509 == 0:
+            assert field.mul_vec(c % field.order, xs[:3]).tolist() == expected
+        else:
+            field.mul_vec(c % field.order, xs[:3])
+    assert gf2m._split_tables.cache_info().currsize == gf2m._SPLIT_MEMO

@@ -203,14 +203,18 @@ def test_codec_build_checks_only_the_cauchy_points(monkeypatch):
     derived from the stack is built without checking its entries again."""
     from weavesafe.gf2m import Field
     from weavesafe.pm_mbr import params_new
-    from weavesafe.weaksec import make_codec
+    from weavesafe.weaksec import codec_plan, make_codec
 
     p = params_new(20, 10, 16, 8)
+    codec_plan.cache_clear()  # a derived plan would be reused unchecked
     checks = []
     real = Field.check
     monkeypatch.setattr(Field, "check", lambda self, v: checks.append(v) or real(self, v))
     make_codec(p)
     assert sorted(checks) == list(range(p.n + 2 * p.d))
+    del checks[:]
+    make_codec(p)
+    assert checks == []
 
 
 # -- quotient reduction and the prefix walk ------------------------------------

@@ -346,3 +346,60 @@ def test_codec_uses_top_rows_of_stack():
     stack = codec.cauchy_stack
     assert codec.inner.encoding_matrix.data == [stack.row(i) for i in range(5)]
     assert codec.outer.coeff_matrix.data == [stack.row(i) for i in range(5, 9)]
+
+
+def full_product_reconstruct(code, share_cols):
+    """Reconstruction with the whole k x k core product, as first written."""
+    from weavesafe.linalg import invert
+
+    p = code.params
+    f = code.field
+    nodes = sorted(share_cols)[: p.k]
+    n_chunks = share_cols[nodes[0]].shape[1]
+    node_rows = [e - 1 for e in nodes]
+    sel_inv = invert(submatrix(code.encoding_matrix, node_rows, range(p.k)))
+    left = np.stack([share_cols[e][: p.k].reshape(-1) for e in nodes])
+    wing = None
+    if p.d > p.k:
+        right = np.stack([share_cols[e][p.k :].reshape(-1) for e in nodes])
+        wing = f.mat_mul_cols(sel_inv.data, right).reshape(p.k, p.d - p.k, n_chunks)
+        mixer = submatrix(code.encoding_matrix, node_rows, range(p.k, p.d))
+        left ^= f.mat_mul_cols(mixer.data, wing.transpose(1, 0, 2).reshape(p.d - p.k, -1))
+    core = f.mat_mul_cols(sel_inv.data, left).reshape(p.k, p.k, n_chunks)
+    out = np.zeros((p.total_symbols, n_chunks), dtype=f.dtype)
+    for b, (i, j) in enumerate(message_cells(p.k, p.d)):
+        out[b] = core[i, j] if j < p.k else wing[i, j - p.k]
+    return out
+
+
+def test_reconstruct_upper_triangle_matches_full_product(monkeypatch):
+    """Only the upper triangle of the symmetric core is computed: the result
+    equals the full product over the grid, d == k included, on fewer
+    multiplies by exactly k^2 (k-1) / 2 per chunk."""
+    from weavesafe.gf2m import Field
+
+    mults = []
+    real = Field.mat_mul_cols
+
+    def spy(self, rows, cols):
+        mults.append(int(np.count_nonzero(np.asarray(rows))) * cols.shape[1])
+        return real(self, rows, cols)
+
+    monkeypatch.setattr(Field, "mat_mul_cols", spy)
+    rng = random.Random(21)
+    np_rng = np.random.default_rng(21)
+    for k in range(2, 6):
+        for d in range(k, k + 3):
+            code = make_codec(grid_params(k, d)).inner
+            p = code.params
+            cols = np_rng.integers(0, code.field.order, (p.total_symbols, 23)).astype(code.field.dtype)
+            shares = encode_bulk(code, cols)
+            for _ in range(3):
+                subset = rng.sample(range(1, p.n + 1), k)
+                chosen = {e: shares[e] for e in subset}
+                del mults[:]
+                got = reconstruct_bulk(code, chosen)
+                fewer = sum(mults)
+                del mults[:]
+                assert got.tolist() == full_product_reconstruct(code, chosen).tolist() == cols.tolist()
+                assert sum(mults) - fewer == k * k * (k - 1) // 2 * 23, (k, d, subset)

@@ -8,9 +8,11 @@ from conftest import grid_params
 from weavesafe.errors import ParameterError
 from weavesafe.gf2m import field_new
 from weavesafe.linalg import invert, mat_vec, null_space, rank, submatrix
-from weavesafe.pm_mbr import params_new
+from weavesafe import weaksec
+from weavesafe.pm_mbr import InnerCode, params_new
 from weavesafe.weaksec import (
     OuterCode,
+    SecureCodec,
     build_cauchy_stack,
     index_sets,
     make_codec,
@@ -289,3 +291,64 @@ def test_outer_code_rejects_wrong_coeff_shape(codec534):
     bad = submatrix(codec534.outer.coeff_matrix, range(3), range(4))
     with pytest.raises(ParameterError):
         OuterCode(params, codec534.field, bad)
+
+
+# -- per-process memo of derived matrices --------------------------------------
+
+
+def _assert_same_matrices(a, b):
+    """Two codecs of one parameter set carry equal derived matrices."""
+    assert a.cauchy_stack == b.cauchy_stack
+    assert a.inner.encoding_matrix == b.inner.encoding_matrix
+    assert (a.inner.generator_stack == b.inner.generator_stack).all()
+    for name in ("coeff_matrix", "parity_check", "parity_check_ext"):
+        assert getattr(a.outer, name) == getattr(b.outer, name), name
+    assert (a.outer.parity_array == b.outer.parity_array).all()
+    assert a.outer.ext_row_types == b.outer.ext_row_types
+    for s, t in zip(a.outer.solve_steps, b.outer.solve_steps, strict=True):
+        assert (s.type_index, s.rows, s.variables, s.known) == (t.type_index, t.rows, t.variables, t.known)
+        assert (s.inverse == t.inverse).all() and (s.coupling == t.coupling).all()
+
+
+def test_codecs_share_derived_data_over_their_own_fields():
+    """Two builds of one parameter set are distinct codecs, each over its
+    own Field, that share one plan; the plan equals a derivation that
+    bypasses the memo."""
+    p = params_new(7, 4, 6, 5)
+    a, b = make_codec(p), make_codec(p)
+    assert a is not b and a.field is not b.field and a.field == b.field
+    for codec in (a, b):
+        assert codec.inner.field is codec.field and codec.outer.field is codec.field
+        for matrix in (codec.cauchy_stack, codec.inner.encoding_matrix, codec.outer.parity_check):
+            assert matrix.field is codec.field
+    assert a.inner.generator_stack is b.inner.generator_stack
+    assert a.outer.solve_steps is b.outer.solve_steps
+    assert a.outer.parity_check.data is b.outer.parity_check.data
+    for step in a.outer.solve_steps:
+        assert step.inverse.dtype == step.coupling.dtype == a.field.dtype
+    with pytest.raises(ValueError):
+        a.inner.generator_stack[0, 0] ^= 1  # shared, so read-only
+
+    field = field_new(p.m)
+    stack = build_cauchy_stack(p, field)
+    fresh = SecureCodec.__new__(SecureCodec)
+    fresh.cauchy_stack = stack
+    fresh.inner = InnerCode(p, field, submatrix(stack, range(p.n), range(p.d)))
+    fresh.outer = OuterCode(p, field, submatrix(stack, range(p.n, p.n + p.d), range(p.d)))
+    _assert_same_matrices(a, fresh)
+
+
+def test_codec_memo_stays_at_its_bound():
+    """More parameter sets than the bound keep the memo at the bound; an
+    evicted set is derived again, to equal matrices."""
+    grid = [grid_params(k, d) for k in range(2, 6) for d in range(k, k + 3)]
+    assert len(grid) > weaksec._CODEC_MEMO
+    weaksec.codec_plan.cache_clear()
+    first = make_codec(grid[0])
+    for p in grid:
+        make_codec(p)
+        assert weaksec.codec_plan.cache_info().currsize <= weaksec._CODEC_MEMO
+    assert weaksec.codec_plan.cache_info().currsize == weaksec._CODEC_MEMO
+    again = make_codec(grid[0])
+    assert again.inner.generator_stack is not first.inner.generator_stack
+    _assert_same_matrices(first, again)
