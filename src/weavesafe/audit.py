@@ -21,13 +21,20 @@ full row rank, rank(H_S) = |S| and the identity becomes
 The parity-check matrix H has full row rank because the coset encoder's
 nonsingular solve steps invert its square extension; the identity
 matrix of the baseline (no outer code) has it trivially.  The verifier
-therefore reduces the check matrix once per node against an echelon
-basis of G_e, then walks each size level's subsets as prefixes, keeping
-every node's remaining rows reduced modulo the prefix: a check is one
-test for zero.  Sizes go up one at a time, so each prefix is already
-known independent and a leaking subset leaks exactly one symbol; the
-walk asserts this rather than assuming it, and ``leakage`` re-derives
-the verdict's witness as an oracle.
+therefore reduces the check matrix modulo every node's G_e at once (one
+(nodes x rows x width) array, ``linalg.quotient_stack``), then walks
+each size level's subsets as prefixes, keeping every node's remaining
+rows reduced modulo the prefix: a check is one test for zero.  The walk
+(``linalg.first_dependent_subset``) handles blocks of prefixes as whole
+arrays, a bounded number of symbols at a time, and reports checks and
+the first hit in the order above.  Sizes go up one at a time, so each
+prefix is already known independent and a leaking subset leaks exactly
+one symbol; the walk asserts this rather than assuming it.
+
+``leakage`` re-derives the verdict's witness as an oracle.  It stays on
+the scalar elimination behind ``linalg.rank``, which the engine's
+batched row update does not share, so the two computations can only
+agree by both being right.
 """
 
 import math
@@ -43,8 +50,8 @@ from .linalg import (
     first_dependent_subset,
     invert,
     mat_vec,
+    quotient_stack,
     rank,
-    reduce_modulo,
     submatrix,
     vstack,
 )
@@ -121,10 +128,9 @@ def verify_weak_secrecy(
         raise CapExceededError(f"{total} rank checks exceed cap {max_checks}")
 
     nodes = range(1, p.n + 1)
-    quotients = [
-        reduce_modulo(codec.field, check_matrix.data, codec.inner.generator_rows(e))
-        for e in nodes
-    ]
+    quotients = quotient_stack(
+        codec.field, check_matrix.data, [codec.inner.generator_rows(e) for e in nodes]
+    )
     checks = 0
     for size in range(1, guesses + 2):
         visited, subset, group = first_dependent_subset(codec.field, quotients, size)

@@ -4,14 +4,34 @@ Everything is elimination-based: rank decides nonsingularity, there is
 no determinant code path.  Pivoting always takes the first nonzero
 entry in column order, so results are deterministic.  Matrices are
 value-semantic; operations return fresh objects and never mutate their
-inputs.  Exhaustive searches over index subsets walk them as prefixes,
-so that each prefix's elimination is shared by all of its extensions
-(``first_dependent_subset``).
+inputs.
+
+The module has two eliminations that share no code.  ``rank``,
+``invert``, ``solve`` and ``null_space`` run the scalar ``_eliminate``
+on Python lists; the audit's rank-formula oracle (``audit.leakage``) and
+its certificates are built on these.  The audit engine runs on numpy
+instead: ``quotient_stack`` reduces the check rows modulo every node's
+row space as one array, and ``first_dependent_subset`` walks index
+subsets as prefixes, so that each prefix's elimination is shared by all
+of its extensions.  Both apply one row update, ``_clear``, to whole
+arrays: a pivot's first nonzero column is cleared from many vectors
+with one gather from ``_sum_tables``, an exp table doubled and followed
+by a zero tail, indexed by sums of logs, with a sentinel log for zero.
+Keeping the oracle on the separate scalar path means that a fault in the
+batched update cannot hide itself: the engine's verdicts are re-derived
+by code it does not use.
+
+The walk keeps the states of a block of prefixes, in lexicographic
+order, as one (prefixes x groups x vectors x width) array, and makes at
+most ``_BLOCK_SYMBOLS`` (2^16) symbols of child states at a time, so its
+scratch stays near 1 MiB whatever the number of subsets.
 """
 
 from array import array
 from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from .errors import CapExceededError, SingularMatrixError
 from .gf2m import Field
@@ -220,104 +240,215 @@ def rank(a: Matrix) -> int:
     return len(_eliminate(a.field, data))
 
 
-def _clear_column(tables, pivot: list[int], col: int, vectors: list) -> list:
-    """vectors with entry col cleared by adding multiples of pivot.
+@lru_cache(maxsize=None)  # one entry per degree, at most 14
+def _sum_tables(m: int):
+    """(log, exp) for the batched row update over GF(2^m), as numpy arrays.
 
-    pivot[col] must be nonzero.  Vectors already zero at col are passed
-    through as the same objects; the others are fresh lists.
+    With N = 2^m - 1, log maps a nonzero symbol to its discrete log in
+    [0, N) and zero to the sentinel 2N.  exp, of native dtype, holds the
+    powers twice (indices 0 .. 2N-1) and then a zero tail (2N .. 4N).  A
+    sum of two logs then indexes the product directly: two nonzero
+    factors land in the doubled powers, and any sum with the sentinel in
+    the tail, so one ``take`` multiplies with no test for zero and no
+    modulo, at every degree m = 3..16.
+    """
+    f = Field(m)
+    n = f.order - 1
+    log = np.array(f.log_table, dtype=np.intp)
+    log[0] = 2 * n
+    powers = np.array(f.exp_table, dtype=f.dtype)
+    exp = np.concatenate([powers, powers, np.zeros(2 * n + 1, dtype=f.dtype)])
+    return log, exp
+
+
+# Most symbols one ``_clear`` updates: a block of walk states, or of the
+# moduli in ``quotient_stack``.  Its scratch is about 8 + 3 bytes per
+# symbol (the summed logs and the gathered products) on top of the block
+# itself, so near 1 MiB.
+_BLOCK_SYMBOLS = 1 << 16
+
+
+def _clear(tables, vectors, pivots) -> None:
+    """Clear, in place, the entry of each vector at its pivot's first
+    nonzero column by adding that multiple of the pivot.
+
+    vectors is a C-contiguous array of shape (..., V, W), and pivots has
+    shape (..., W): one pivot for each V vectors.  A zero pivot leaves its
+    vectors unchanged: its inverse log is the sentinel, so each of its
+    products lands in the zero tail.
     """
     log, exp = tables
-    order = len(exp) // 2
-    shift = order - log[pivot[col]]  # scales pivot to 1 at col
-    plog = [(log[x] + shift) % order if x else -1 for x in pivot]
-    out = []
-    for v in vectors:
-        a = v[col]
-        if a:
-            la = log[a]
-            v = [x ^ exp[la + lp] if lp >= 0 else x for x, lp in zip(v, plog)]
-        out.append(v)
+    n = (len(exp) - 1) // 4
+    width = vectors.shape[-1]
+    col = (pivots != 0).argmax(axis=-1)
+    lead = np.take_along_axis(pivots, col[..., None], axis=-1)  # (..., 1)
+    inv = np.where(lead != 0, n - log.take(lead), 2 * n)
+    # The pivot scaled to 1 at its column, as logs (sentinel at zeros).
+    lq = log.take(exp.take(log.take(pivots) + inv))
+    rows = np.arange(0, vectors.size, width).reshape(vectors.shape[:-1])
+    entries = vectors.reshape(-1).take(rows + col[..., None])  # (..., V)
+    vectors ^= exp.take(log.take(entries)[..., None] + lq[..., None, :])
+
+
+def _zero_rows(a) -> np.ndarray:
+    """Which rows (last axis) of a C-contiguous array are all zero.
+
+    The row bytes are read as 8, 4, 2 and 1-byte words and or-ed
+    together: a few strided passes instead of a reduction over a short
+    axis."""
+    raw = a.view(np.uint8)
+    acc = np.zeros(raw.shape[:-1], dtype=np.uint64)
+    pos = 0
+    for word in (8, 4, 2, 1):
+        while raw.shape[-1] - pos >= word:
+            acc |= raw[..., pos : pos + word].view(f"u{word}")[..., 0]
+            pos += word
+    return acc == 0
+
+
+def quotient_stack(field: Field, rows, moduli) -> np.ndarray:
+    """rows reduced modulo the row space of each modulus, stacked.
+
+    Returns an array of native dtype, shape (moduli x rows x width): entry
+    e holds each row reduced modulo rowspace(moduli[e]), on the columns
+    where that modulus has no pivot, zero-padded to the widest quotient.
+    Rows are congruent modulo a row space exactly when their reductions
+    are equal, so a set of rows is independent modulo it exactly when the
+    reductions are linearly independent.
+
+    Each modulus row in turn becomes a pivot, and ``_clear`` removes its
+    first nonzero column from every later modulus row and from all of
+    rows, for as many moduli at once as ``_BLOCK_SYMBOLS`` allows.  A
+    modulus row that reduces to zero is dependent on the earlier ones and
+    pivots nothing.
+    """
+    count = len(rows)
+    if not count:
+        return np.zeros((len(moduli), 0, 0), dtype=field.dtype)
+    tables = _sum_tables(field.m)
+    depth = max((len(mod) for mod in moduli), default=0)
+    width = len(rows[0])
+    state = np.zeros((len(moduli), depth + count, width), dtype=field.dtype)
+    for e, mod in enumerate(moduli):
+        if len(mod):
+            state[e, : len(mod)] = mod
+    state[:, depth:] = rows
+    pivot = np.zeros((len(moduli), width), dtype=bool)
+    step = max(1, _BLOCK_SYMBOLS // max(1, state[0].size))
+    for r in range(depth if width else 0):
+        lead = state[:, r]
+        live = lead.any(axis=-1)
+        pivot[np.flatnonzero(live), (lead != 0).argmax(axis=-1)[live]] = True
+        for lo in range(0, len(moduli), step):
+            block = state[lo : lo + step]
+            _clear(tables, block, block[:, r].copy())  # rows up to r are done
+    kept = width - pivot.sum(axis=1)
+    out = np.zeros((len(moduli), count, int(kept.max(initial=0))), dtype=field.dtype)
+    for e in range(len(moduli)):
+        out[e, :, : kept[e]] = state[e, depth:][:, ~pivot[e]]
     return out
 
 
 def reduce_modulo(field: Field, rows, modulus) -> list[array]:
     """Each row reduced modulo the row space of modulus, as a vector on the
-    columns where modulus has no pivot.
+    columns where modulus has no pivot (see ``quotient_stack``).
 
-    Rows are congruent modulo that space exactly when their reductions are
-    equal, so a set of rows is independent modulo it exactly when the
-    reductions are linearly independent.  The vectors are compact arrays of
-    symbols, since an audit holds one set per node.
+    The vectors are compact arrays of symbols, one per row.
     """
-    basis = [list(r) for r in modulus]
-    pivots = _eliminate(field, basis)
-    out = [list(r) for r in rows]
-    tables = _log_tables(field)
-    # basis is in reduced echelon form: clearing one pivot column leaves
-    # the others untouched.
-    for r, c in pivots:
-        out = _clear_column(tables, basis[r], c, out)
-    pivot_cols = {c for _, c in pivots}
-    keep = [c for c in range(len(out[0]) if out else 0) if c not in pivot_cols]
     typecode = "B" if field.m <= 8 else "H"
-    return [array(typecode, [v[c] for c in keep]) for v in out]
+    return [array(typecode, v) for v in quotient_stack(field, rows, [modulus])[0].tolist()]
 
 
 def first_dependent_subset(field: Field, groups, size: int):
     """The first index subset whose vectors are linearly dependent.
 
-    groups holds one list of vectors per group, each indexed the same way.
+    groups holds one list of vectors per group, each indexed the same way
+    and all of one width, or one (groups x vectors x width) array.
     Subsets of ``size`` indices (0-based) are taken in lexicographic order
     and, for each, the groups in order.  Returns (visited, subset, group),
     where visited counts the (subset, group) pairs examined up to and
     including the hit, or (visited, None, None) if there is no hit.
 
-    The walk is a depth-first search over prefixes.  Each group keeps the
-    vectors after the prefix reduced modulo the prefix's span, so a pair
-    costs one zero test and each extension of a prefix clears one column.
+    The walk goes over prefixes level by level, a block at a time.  A
+    prefix's state is every group's vectors reduced modulo the span of
+    the prefix's vectors, so a pair costs one zero test.  A block holds
+    the states of prefixes of one length, in lexicographic order, as one
+    (prefixes x groups x vectors x width) array over the vectors from the
+    block's first possible next index on; entries at or before a
+    prefix's own last index are dead and masked.  A push makes each
+    child prefix's state from its parent's with one ``_clear`` (one
+    gather per symbol).  A leaf block's zero test is read in (prefix,
+    next index, group) order, which is the order of the checks.  Children
+    are made at most ``_BLOCK_SYMBOLS`` symbols at a time and walked
+    depth first, so scratch stays bounded and a hit ends the walk within
+    one block.
+
     The test is exact only when every proper prefix is independent, which
     holds when every (size-1)-subset is independent in every group; walk
     sizes in ascending order to establish it.  A dependent prefix raises
-    AssertionError instead of being assumed away.
+    AssertionError instead of being assumed away, exactly when a
+    depth-first walk would reach it before the first hit.
     """
     if size < 1:
         raise ValueError(f"subset size {size} must be at least 1")
-    count = len(groups[0]) if groups else 0
-    tables = _log_tables(field)
+    vectors = np.ascontiguousarray(groups, dtype=field.dtype)
+    if vectors.ndim != 3 or 0 in vectors.shape[:2]:  # no groups, or no vectors
+        return 0, None, None
+    ngroups, count, width = vectors.shape
+    tables = _sum_tables(field.m)
     visited = 0
 
-    def walk(prefix, states):
+    def leaf(prefixes, last, start, states):
         nonlocal visited
-        start = prefix[-1] + 1 if prefix else 0
-        if len(prefix) == size - 1:
-            hits = []
-            for g, state in enumerate(states):
-                zero = next((o for o, v in enumerate(state) if not any(v)), None)
-                if zero is not None:
-                    hits.append((zero, g))
-            if not hits:
-                visited += (count - start) * len(states)
-                return None
-            offset, g = min(hits)
-            visited += offset * len(states) + g + 1
-            return prefix + (start + offset,), g
-        for offset in range(count - start - (size - 1 - len(prefix))):
-            children = []
-            for g, state in enumerate(states):
-                pivot = state[offset]
-                col = next((c for c, x in enumerate(pivot) if x), None)
-                if col is None:
-                    raise AssertionError(
-                        f"subset {prefix + (start + offset,)} is dependent in group {g}; "
-                        f"smaller subsets must be walked before size {size}"
-                    )
-                children.append(_clear_column(tables, pivot, col, state[offset + 1 :]))
-            found = walk(prefix + (start + offset,), children)
-            if found:
-                return found
+        nexts = np.arange(start, count)
+        zero = _zero_rows(states)  # (prefixes, groups, next)
+        zero &= (nexts > last[:, None])[:, None, :]
+        per_prefix = (count - 1 - last) * ngroups
+        if not zero.any():
+            visited += int(per_prefix.sum())
+            return None
+        order = zero.transpose(0, 2, 1)  # (prefix, next index, group): the check order
+        k, j, g = np.unravel_index(order.argmax(), order.shape)
+        visited += int(per_prefix[:k].sum()) + (int(nexts[j] - last[k]) - 1) * ngroups + int(g) + 1
+        return tuple(map(int, prefixes[k])) + (int(nexts[j]),), int(g)
+
+    def walk(prefixes, last, start, states):
+        """prefixes (K x length) in lexicographic order, their last indices,
+        and their states over the vectors start .. count-1."""
+        length = prefixes.shape[1]
+        if length == size - 1:
+            return leaf(prefixes, last, start, states)
+        # Child i of a prefix needs size-1-length more indices after it.
+        stop = count - (size - 1 - length)
+        branches = np.maximum(stop - 1 - last, 0)
+        parent = np.repeat(np.arange(len(last)), branches)
+        nexts = np.arange(len(parent)) - np.repeat(np.cumsum(branches) - branches, branches)
+        nexts += last[parent] + 1
+        step = max(1, _BLOCK_SYMBOLS // max(1, ngroups * (count - start) * width))
+        for lo in range(0, len(parent), step):
+            par, idx = parent[lo : lo + step], nexts[lo : lo + step]
+            pivots = states[par, :, idx - start]  # (children, groups, width)
+            dead = _zero_rows(pivots)
+            any_dead = dead.any()
+            if any_dead:  # walk the children before the first dependent one
+                c, g = np.unravel_index(dead.argmax(), dead.shape)
+                par, idx, pivots = par[:c], idx[:c], pivots[:c]
+            if len(par):
+                head = int(idx.min()) + 1
+                children = states[par, :, head - start :]
+                _clear(tables, children, pivots)
+                found = walk(np.column_stack([prefixes[par], idx]), idx, head, children)
+                if found:
+                    return found
+            if any_dead:
+                subset = tuple(map(int, prefixes[parent[lo + c]])) + (int(nexts[lo + c]),)
+                raise AssertionError(
+                    f"subset {subset} is dependent in group {int(g)}; "
+                    f"smaller subsets must be walked before size {size}"
+                )
         return None
 
-    found = walk((), list(groups))
+    found = walk(np.zeros((1, 0), dtype=np.intp), np.array([-1]), 0, vectors[None])
     if found is None:
         return visited, None, None
     return visited, found[0], found[1]
@@ -418,9 +549,10 @@ def all_square_submatrices_nonsingular(a: Matrix, max_order: int, minor_cap: int
     total = count_square_submatrices(a.rows, a.cols, max_order)
     if total > minor_cap:
         raise CapExceededError(f"{total} minors exceed cap {minor_cap}")
+    data = np.array(a.data, dtype=a.field.dtype).reshape(a.rows, a.cols)
     for s in range(1, max_order + 1):
         csets = list(combinations(range(a.cols), s))
-        groups = [[[row[c] for c in cset] for row in a.data] for cset in csets]
+        groups = data[:, csets].transpose(1, 0, 2)  # (column sets, rows, s)
         _, rset, g = first_dependent_subset(a.field, groups, s)
         if rset is not None:
             return (rset, csets[g])

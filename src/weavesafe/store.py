@@ -257,8 +257,18 @@ def write_share(path, params: CodeParams, node: int, symbols: np.ndarray) -> Non
 
 
 def read_share(path) -> tuple[ShareHeader, np.ndarray]:
+    """A share's header and its (chunks x d) symbols, as a fresh writable
+    array of native dtype.
+
+    The file is read into a bytearray, which the array then views: at
+    m <= 8 the file's bytes are the symbols and nothing is copied.  Two-byte
+    symbols are big-endian in the file and converted once.  Every symbol is
+    range-checked, except at m = 8 and m = 16, where each stored value is a
+    field element.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw) :]
     if len(raw) < _HEADER.size:
         raise ShareFormatError(f"{path}: truncated header")
     magic, version, m, n, k, d, node, reserved, chunk_count = _HEADER.unpack_from(raw)
@@ -270,11 +280,11 @@ def read_share(path) -> tuple[ShareHeader, np.ndarray]:
         raise ShareFormatError(f"{path}: nonzero reserved field")
     width = 2 if m > 8 else 1
     expected = chunk_count * d * width
-    payload = raw[_HEADER.size :]
+    payload = memoryview(raw)[_HEADER.size :]
     if len(payload) != expected:
         raise ShareFormatError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    symbols = np.frombuffer(payload, dtype=_symbol_dtype(m)).astype(native_dtype(m))
-    if m < 16 and symbols.size and int(symbols.max()) >= (1 << m):
+    symbols = np.frombuffer(payload, dtype=_symbol_dtype(m)).astype(native_dtype(m), copy=False)
+    if m not in (8, 16) and symbols.size and int(symbols.max()) >= (1 << m):
         raise ShareFormatError(f"{path}: symbol out of range for m={m}")
     return ShareHeader(version, m, n, k, d, node, chunk_count), symbols.reshape(chunk_count, d)
 

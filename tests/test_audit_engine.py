@@ -8,20 +8,23 @@ scratch on every call.  The engine and the memoized planner must return
 equal results, counts and counterexamples included.
 """
 
+import json
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
 from conftest import grid_params
-from weavesafe import audit
+from weavesafe import audit, linalg
 from weavesafe.audit import (
     CompletionPlan,
     LeakageReport,
     PlanStep,
     VerifyResult,
     _message_matrix,
+    audit_report,
     leakage,
     plan_completion,
     verify_weak_secrecy,
@@ -191,6 +194,36 @@ def test_weak_secrecy_at_full_strength_7465():
     result = verify_weak_secrecy(make_codec(params_new(7, 4, 6, 5)), 6)
     assert result.passed and result.counterexample is None
     assert result.checks == 184324  # 7 nodes x all 26332 subsets of size <= 7 of 16
+
+
+def test_verdicts_hold_plain_ints_and_serialize(codec534):
+    """Counts, nodes and subsets are Python ints, never numpy scalars, so a
+    report with counterexamples goes through json as it is."""
+    report = audit_report(codec534, guesses=5)  # weak secrecy holds to g = 4 here
+    verdicts = (report.weak_secrecy, report.baseline_fail, report.baseline_pass)
+    assert [v.passed for v in verdicts] == [False, False, True]
+    for v in verdicts:
+        assert type(v.checks) is int
+        if v.counterexample:
+            assert type(v.counterexample.node) is int
+            assert all(type(i) is int for i in v.counterexample.subset)
+    assert json.loads(json.dumps(report.to_dict()))["weak_secrecy"]["counterexample"]
+
+
+def test_verify_scratch_is_bounded_by_the_block_budget():
+    """The walk holds one block of at most _BLOCK_SYMBOLS symbols per
+    level and a push's scratch (8-byte summed logs, gathered products);
+    24 bytes per budget symbol bounds all of it at m <= 8."""
+    codec = make_codec(params_new(7, 4, 6, 5))
+    verify_weak_secrecy(codec, 1)  # field tables are built once per process
+    tracemalloc.start()
+    try:
+        result = verify_weak_secrecy(codec, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed and result.checks == 184324
+    assert peak < 24 * linalg._BLOCK_SYMBOLS
 
 
 def test_engine_cross_checks_every_verdict(codec534, monkeypatch):

@@ -1,9 +1,11 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import random_matrix, random_nonsingular
+from weavesafe import linalg
 from weavesafe.errors import CapExceededError, SingularMatrixError
 from weavesafe.gf2m import field_new
 from weavesafe.linalg import (
@@ -13,6 +15,7 @@ from weavesafe.linalg import (
     count_square_submatrices,
     first_dependent_subset,
     invert,
+    quotient_stack,
     mat_mul,
     mat_vec,
     null_space,
@@ -281,6 +284,209 @@ def test_first_dependent_subset_refuses_a_dependent_prefix(gf8):
     with pytest.raises(AssertionError, match=r"subset \(0,\) is dependent"):
         first_dependent_subset(gf8, [vectors], 2)
     assert first_dependent_subset(gf8, [vectors], 1) == (1, (0,), 0)
+
+
+# -- the level-batched walk against the depth-first walk it replaced ------------
+
+
+def reference_walk(field, groups, size):
+    """first_dependent_subset as a depth-first walk, one prefix at a time:
+    each group keeps the vectors after the prefix reduced modulo the
+    prefix's span, and a push clears the pivot's first nonzero column from
+    the later vectors with scalar field operations."""
+    count = len(groups[0]) if groups else 0
+    visited = 0
+
+    def clear(pivot, col, vectors):
+        scale = field.inv(pivot[col])
+        return [
+            [x ^ field.mul(field.mul(v[col], scale), p) for x, p in zip(v, pivot)]
+            for v in vectors
+        ]
+
+    def walk(prefix, states):
+        nonlocal visited
+        start = prefix[-1] + 1 if prefix else 0
+        if len(prefix) == size - 1:
+            hits = []
+            for g, state in enumerate(states):
+                zero = next((o for o, v in enumerate(state) if not any(v)), None)
+                if zero is not None:
+                    hits.append((zero, g))
+            if not hits:
+                visited += (count - start) * len(states)
+                return None
+            offset, g = min(hits)
+            visited += offset * len(states) + g + 1
+            return prefix + (start + offset,), g
+        for offset in range(count - start - (size - 1 - len(prefix))):
+            children = []
+            for g, state in enumerate(states):
+                pivot = state[offset]
+                col = next((c for c, x in enumerate(pivot) if x), None)
+                if col is None:
+                    raise AssertionError(
+                        f"subset {prefix + (start + offset,)} is dependent in group {g}; "
+                        f"smaller subsets must be walked before size {size}"
+                    )
+                children.append(clear(pivot, col, state[offset + 1 :]))
+            found = walk(prefix + (start + offset,), children)
+            if found:
+                return found
+        return None
+
+    found = walk((), [[list(v) for v in g] for g in groups])
+    return (visited, None, None) if found is None else (visited, found[0], found[1])
+
+
+def walk_outcome(walk, field, groups, size):
+    """walk's result, or the message of the AssertionError it raised."""
+    try:
+        return walk(field, groups, size)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_walk_matches_depth_first_walk_at_every_block_size(gf16, monkeypatch):
+    """Random sparse groups, sizes walked out of order too, so dependent
+    prefixes and hits come in both orders; every block budget from one
+    child per block up gives the depth-first walk's result or message."""
+    rng = random.Random(21)
+    cases = []
+    for _ in range(40):
+        count, width = rng.randrange(1, 8), rng.randrange(1, 5)
+        groups = [
+            [[rng.choice((0, 0, 0, 1, rng.randrange(16))) for _ in range(width)] for _ in range(count)]
+            for _ in range(rng.randrange(1, 4))
+        ]
+        for size in range(1, 5):
+            cases.append((groups, size, walk_outcome(reference_walk, gf16, groups, size)))
+    raised = sum(isinstance(expected, str) for _, _, expected in cases)
+    hits = sum(isinstance(expected, tuple) and expected[1] is not None for _, _, expected in cases)
+    assert raised > 20 and hits > 20
+    for budget in (1, 40, 300, linalg._BLOCK_SYMBOLS):
+        monkeypatch.setattr(linalg, "_BLOCK_SYMBOLS", budget)
+        for groups, size, expected in cases:
+            assert walk_outcome(first_dependent_subset, gf16, groups, size) == expected
+
+
+def independent_vectors(field, count, width, rng):
+    """count random vectors in which every width of them are independent
+    (checked by rank), so the only dependencies are the ones planted."""
+    while True:
+        vectors = [[rng.randrange(1, field.order) for _ in range(width)] for _ in range(count)]
+        if all(
+            rank(Matrix(field, [vectors[i] for i in cand])) == width
+            for cand in combinations(range(count), width)
+        ):
+            return vectors
+
+
+@pytest.mark.parametrize(
+    "where, planted",
+    [("first", (0, 4, 8)), ("middle", (0, 5, 8)), ("last", (0, 6, 8)), ("last block", (6, 7, 8))],
+)
+def test_walk_hit_at_block_positions(monkeypatch, where, planted):
+    """A planted dependent triple whose prefix is first, in the middle or
+    last in its block of prefixes, or alone in the walk's last block.
+
+    Nine vectors, two groups, width 3, size 3, and a budget of
+    3 x 2 x 8 x 3 symbols.  A block of prefixes holds budget // (groups x
+    vectors x width) of them, the vectors counted from the block's first
+    possible next index: the root's children (i,) go two to a block
+    (vectors from 0), and the children of [(0,), (1,)] three to a block
+    (vectors from 1): [(0, 1), (0, 2), (0, 3)], [(0, 4), (0, 5), (0, 6)],
+    [(0, 7), (1, 2), (1, 3)], ...  The root's last child (6,) has the one
+    child (6, 7), the walk's last block."""
+    f = field_new(8)
+    rng = random.Random(22)
+    count, width, ngroups = 9, 3, 2
+    a, b, c = planted
+    while True:
+        groups = [independent_vectors(f, count, width, rng) for _ in range(ngroups)]
+        # in group 1 only, vector c joins the span of vectors a and b
+        x, y = rng.randrange(1, f.order), rng.randrange(1, f.order)
+        groups[1][c] = [f.mul(x, u) ^ f.mul(y, v) for u, v in zip(groups[1][a], groups[1][b])]
+        expected = reference_walk(f, groups, 3)
+        if expected[1:] == (planted, 1):  # no other triple fell dependent with it
+            break
+    monkeypatch.setattr(linalg, "_BLOCK_SYMBOLS", 3 * ngroups * (count - 1) * width)
+    assert first_dependent_subset(f, groups, 3) == expected
+
+
+def test_walk_tie_goes_to_the_lowest_group(gf8):
+    """A subset dependent in groups 1 and 2 is reported in group 1, after
+    groups 0 and 1 of it were examined."""
+    rng = random.Random(23)
+    groups = [independent_vectors(gf8, 5, 2, rng) for _ in range(3)]
+    for g in (1, 2):
+        groups[g][3] = [gf8.mul(g + 1, x) for x in groups[g][1]]
+    pairs_before = list(combinations(range(5), 2)).index((1, 3))
+    assert first_dependent_subset(gf8, groups, 2) == (pairs_before * 3 + 2, (1, 3), 1)
+    assert reference_walk(gf8, groups, 2) == (pairs_before * 3 + 2, (1, 3), 1)
+
+
+def test_walk_over_gf65536_with_zero_entries():
+    """m = 16: the widest tables, the sentinel on zero entries, and the
+    largest symbols, against one rank per (subset, group) pair."""
+    f = field_new(16)
+    rng = random.Random(24)
+    for _ in range(12):
+        groups = [
+            [[rng.choice((0, 0, 1, f.order - 1, rng.randrange(f.order))) for _ in range(3)] for _ in range(6)]
+            for _ in range(rng.randrange(1, 4))
+        ]
+        for size in range(1, 5):
+            expected = (0, None, None)
+            for cand in combinations(range(6), size):
+                for g, vectors in enumerate(groups):
+                    expected = (expected[0] + 1, None, None)
+                    if rank(Matrix(f, [vectors[i] for i in cand])) < size:
+                        expected = (expected[0], cand, g)
+                        break
+                if expected[1] is not None:
+                    break
+            assert first_dependent_subset(f, groups, size) == expected
+            if expected[1] is not None:
+                break
+
+
+def test_walk_dependent_prefix_against_a_hit_in_both_orders(gf8):
+    """The walk raises for a dependent prefix only when a depth-first walk
+    reaches it before the first hit."""
+    rng = random.Random(25)
+    vectors = independent_vectors(gf8, 6, 3, rng)
+    late_prefix = [list(v) for v in vectors]
+    late_prefix[2] = [gf8.mul(5, x) for x in vectors[1]]  # prefix (1, 2) dependent
+    # the hit (0, 1, 2) comes before the push of (1, 2)
+    assert reference_walk(gf8, [late_prefix], 3) == (1, (0, 1, 2), 0)
+    assert first_dependent_subset(gf8, [late_prefix], 3) == (1, (0, 1, 2), 0)
+    early_prefix = [list(v) for v in vectors]
+    early_prefix[1] = [gf8.mul(5, x) for x in vectors[0]]  # prefix (0, 1) dependent
+    message = r"subset \(0, 1\) is dependent in group 0"
+    for walk in (reference_walk, first_dependent_subset):
+        with pytest.raises(AssertionError, match=message):
+            walk(gf8, [early_prefix], 3)
+
+
+@pytest.mark.parametrize("budget", [1, 170, None])  # 56 symbols per modulus
+def test_quotient_stack_matches_reduce_modulo_per_modulus(gf16, monkeypatch, budget):
+    """One stacked reduction per modulus, zero-padded to the widest, made
+    one modulus, three moduli or all moduli per block."""
+    rng = random.Random(26)
+    rows = random_matrix(gf16, 5, 7, rng).data
+    moduli = [random_matrix(gf16, rng.randrange(0, 4), 7, rng).data for _ in range(4)]
+    moduli.append([[0] * 7, [1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]])  # dependent rows
+    if budget:
+        monkeypatch.setattr(linalg, "_BLOCK_SYMBOLS", budget)
+    stacked = quotient_stack(gf16, rows, moduli)
+    monkeypatch.undo()
+    assert stacked.shape == (5, 5, max(7 - rank(Matrix(gf16, m)) if m else 7 for m in moduli))
+    for e, modulus in enumerate(moduli):
+        single = np.array([list(v) for v in reduce_modulo(gf16, rows, modulus)])
+        assert single.shape[1] == 7 - (rank(Matrix(gf16, modulus)) if modulus else 0)
+        assert (stacked[e, :, : single.shape[1]] == single).all()
+        assert not stacked[e, :, single.shape[1] :].any()
 
 
 def test_all_minors_matches_reference_first_offender(gf16):

@@ -208,6 +208,33 @@ def test_share_rejects_out_of_range_symbol(tmp_path):
         read_share(path)
 
 
+def test_share_rejects_out_of_range_one_byte_symbol(tmp_path):
+    path = tmp_path / "s.wsrc"
+    write_share(path, params_new(5, 3, 4, 5), 1, np.zeros((1, 4), dtype=np.int32))
+    raw = bytearray(path.read_bytes())
+    raw[17] = 0x20  # 32 >= 2^5
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ShareFormatError, match="out of range"):
+        read_share(path)
+    raw[17] = 0x1F
+    path.write_bytes(bytes(raw))
+    assert read_share(path)[1].tolist() == [[0, 31, 0, 0]]
+
+
+def test_read_share_returns_fresh_writable_symbols(tmp_path):
+    """At m = 8 the symbols view the bytes read from the file, with no
+    copy and no range scan; at m = 12 they are converted from big-endian.
+    Either way the array is the caller's to modify."""
+    for m in (8, 12):
+        path = tmp_path / f"s{m}.wsrc"
+        symbols = np.array([[255, 1, 2, 3], [4, 5, 6, 7]], dtype=np.int32)
+        write_share(path, params_new(5, 3, 4, m), 1, symbols)
+        _, back = read_share(path)
+        assert back.flags.writeable and back.dtype == native_dtype(m)
+        back[0, 0] = 9
+        assert read_share(path)[1].tolist() == symbols.tolist()
+
+
 def test_manifest_roundtrip():
     manifest = Manifest(P534, 100, 15, {1: "node_1/share.wsrc"}, "ab" * 32)
     back = Manifest.from_json(manifest.to_json())

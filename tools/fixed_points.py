@@ -1,4 +1,7 @@
-"""Store, reconstruct and repair MB/s and peak RSS at ROADMAP's store points.
+"""Throughput and peak RSS at ROADMAP's fixed points, parent against change.
+
+Store mode (default) measures store, reconstruct and repair MB/s at the
+store points:
 
     python3 tools/fixed_points.py --out BENCH_kernel.json \
         --tree parent=/path/to/parent/checkout --tree change=.
@@ -8,12 +11,23 @@ weavesafe from the tree's src/, runs one small warm-up cycle, then
 ``--cycles`` cycles of store, reconstruct, fail and repair on a random
 file of ``--size`` bytes (unseeded store, as in production), checking the
 bytes and the repaired share.  Its result is the median seconds per op and
-the process's peak RSS (getrusage).  Repetitions alternate between the
-trees, so that each tree samples the same phases of a shared machine.
+the process's peak RSS (getrusage).
 
-The output file holds the machine, the settings, and per point and tree
-the median MB/s and peak RSS over the repetitions, their ranges, and the
-ratio of each tree to the first one.
+Audit mode measures ``verify_weak_secrecy`` at the audit points:
+
+    python3 tools/fixed_points.py --audit --out BENCH_audit.json \
+        --tree parent=/path/to/parent/checkout --tree change=.
+
+Each child builds the codec, runs one untimed g = 0 verification (field
+tables and the like), then times one verification at the point's g and
+checks that it passes with the expected number of checks.  Its result is
+checks per second of that call and the process's peak RSS.
+
+In both modes repetitions alternate between the trees, so that each tree
+samples the same phases of a shared machine.  The output file holds the
+machine, the settings, and per point and tree the median of each metric
+over the repetitions, its range, and the ratio of each tree to the first
+one.
 """
 
 import argparse
@@ -31,16 +45,42 @@ from pathlib import Path
 
 POINTS = ((5, 3, 4, 8), (12, 6, 10, 8), (20, 10, 16, 8), (12, 6, 10, 16))
 OPS = ("store", "reconstruct", "repair")
+# (n, k, d, m) -> (guesses, the checks of a pass)
+AUDIT_POINTS = {(6, 3, 5, 4): (4, 3822), (7, 4, 6, 5): (6, 184324), (8, 4, 7, 5): (7, 2111592)}
 
 
-def child(src: str, point: tuple, size: int, cycles: int, seed: int) -> dict:
-    """One child's measurement; runs inside the child process."""
+def _import(src: str):
     sys.path.insert(0, src)
-    import numpy as np
     import weavesafe as ws
 
     if Path(ws.__file__).resolve().parent != (Path(src) / "weavesafe").resolve():
         raise SystemExit(f"weavesafe was imported from {ws.__file__}, not from {src}")
+    return ws
+
+
+def _peak_rss_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def audit_child(src: str, point: tuple) -> dict:
+    """One child's audit measurement; runs inside the child process."""
+    ws = _import(src)
+    guesses, checks = AUDIT_POINTS[point]
+    codec = ws.make_codec(ws.params_new(*point))
+    ws.verify_weak_secrecy(codec, 0)
+    t0 = time.perf_counter()
+    result = ws.verify_weak_secrecy(codec, guesses)
+    seconds = time.perf_counter() - t0
+    if not result.passed or result.checks != checks:
+        raise SystemExit(f"{point} g={guesses}: {result}, expected a pass after {checks} checks")
+    return {"checks_per_s": checks / seconds, "verify_s": seconds, "peak_rss_mib": _peak_rss_mib()}
+
+
+def child(src: str, point: tuple, size: int, cycles: int, seed: int) -> dict:
+    """One child's measurement; runs inside the child process."""
+    import numpy as np
+
+    ws = _import(src)
     params = ws.params_new(*point)
     rng = np.random.default_rng(seed)
     seconds = {op: [] for op in OPS}
@@ -72,7 +112,7 @@ def child(src: str, point: tuple, size: int, cycles: int, seed: int) -> dict:
     finally:
         shutil.rmtree(work, ignore_errors=True)
     out = {f"{op}_mbps": size / statistics.median(s) / 1e6 for op, s in seconds.items()}
-    out["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    out["peak_rss_mib"] = _peak_rss_mib()
     return out
 
 
@@ -80,7 +120,7 @@ def run_child(tree: Path, point: tuple, args, seed: int) -> dict:
     cmd = [
         sys.executable, __file__, "--child", str(tree / "src"), ",".join(map(str, point)),
         "--size", str(args.size), "--cycles", str(args.cycles), "--seed", str(seed),
-    ]
+    ] + ["--audit"] * args.audit
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True, timeout=600)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -118,6 +158,7 @@ def summarize(runs: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--audit", action="store_true", help="measure verify_weak_secrecy at the audit points")
     parser.add_argument(
         "--tree", action="append", default=[],
         help="LABEL=DIR of a checkout to measure (repeatable; default: this checkout)",
@@ -130,17 +171,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.child:
-        point = tuple(int(x) for x in args.child[1].split(","))
-        print(json.dumps(child(args.child[0], point, args.size, args.cycles, args.seed)))
+        src, point = args.child[0], tuple(int(x) for x in args.child[1].split(","))
+        if args.audit:
+            print(json.dumps(audit_child(src, point)))
+        else:
+            print(json.dumps(child(src, point, args.size, args.cycles, args.seed)))
         return 0
     if not args.out:
         parser.error("--out is required")
 
     trees = dict(t.split("=", 1) for t in args.tree) or {"this": str(Path(__file__).resolve().parents[1])}
     trees = {label: Path(d).resolve() for label, d in trees.items()}
-    runs = {(point, label): [] for point in POINTS for label in trees}
+    points = tuple(AUDIT_POINTS) if args.audit else POINTS
+    runs = {(point, label): [] for point in points for label in trees}
     for rep in range(args.reps):
-        for point in POINTS:
+        for point in points:
             labels = list(trees) if rep % 2 == 0 else list(reversed(trees))
             for label in labels:
                 result = run_child(trees[label], point, args, args.seed + rep)
@@ -149,8 +194,8 @@ def main(argv=None) -> int:
                       flush=True)
 
     first = next(iter(trees))
-    points = {}
-    for point in POINTS:
+    results = {}
+    for point in points:
         entry = {label: summarize(runs[(point, label)]) for label in trees}
         for label in trees:
             if label != first:
@@ -158,17 +203,23 @@ def main(argv=None) -> int:
                     name: entry[label][name]["median"] / entry[first][name]["median"]
                     for name in entry[label]
                 }
-        points["(%d,%d,%d,%d)" % point] = entry
-    doc = {
-        "machine": machine(),
-        "settings": {
-            "size_bytes": args.size, "cycles_per_child": args.cycles, "reps": args.reps,
-            "seed": args.seed, "trees": {label: _revision(path) for label, path in trees.items()},
+        name = "(%d,%d,%d,%d)" % point
+        if args.audit:
+            name += " g=%d" % AUDIT_POINTS[point][0]
+        results[name] = entry
+    settings = {
+        "reps": args.reps, "trees": {label: _revision(path) for label, path in trees.items()},
+    }
+    if args.audit:
+        settings["timing"] = ("one timed verify_weak_secrecy call per child after an untimed g=0 call, "
+                              "median over children; peak RSS of each child process from getrusage")
+    else:
+        settings.update({
+            "size_bytes": args.size, "cycles_per_child": args.cycles, "seed": args.seed,
             "timing": "median seconds per op within a child, median over children; "
                       "peak RSS of each child process from getrusage",
-        },
-        "points": points,
-    }
+        })
+    doc = {"machine": machine(), "settings": settings, "points": results}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
