@@ -28,7 +28,7 @@ from .errors import (
     SingularMatrixError,
     WeavesafeError,
 )
-from .gf2m import Field, field_new
+from .gf2m import Field
 from .linalg import Matrix, all_square_submatrices_nonsingular, cauchy, rank
 from .pm_mbr import CodeParams, InnerCode, params_new
 from .store import (
@@ -85,7 +85,6 @@ __all__ = [
     "cluster_repair",
     "cluster_store",
     "exhaustive_mi_oracle",
-    "field_new",
     "index_sets",
     "leakage",
     "make_codec",

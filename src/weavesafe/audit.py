@@ -78,10 +78,6 @@ class LeakageReport:
     subset: tuple
     leaked_symbols: int
 
-    @property
-    def secure(self) -> bool:
-        return self.leaked_symbols == 0
-
 
 @dataclass(frozen=True)
 class VerifyResult:
@@ -90,6 +86,36 @@ class VerifyResult:
     passed: bool
     checks: int
     counterexample: LeakageReport | None
+
+    def to_dict(self) -> dict:
+        out = {
+            "guesses": self.guesses,
+            "baseline": self.baseline,
+            "passed": self.passed,
+            "checks": self.checks,
+        }
+        if self.counterexample:
+            ce = self.counterexample
+            out["counterexample"] = {
+                "node": ce.node,
+                "subset": list(ce.subset),
+                "leaked_symbols": ce.leaked_symbols,
+            }
+        return out
+
+    def to_lines(self, label: str) -> list[str]:
+        """The verdict as text: one line, and one more for a counterexample."""
+        lines = [
+            f"{label} at g={self.guesses}: {'PASS' if self.passed else 'FAIL'} "
+            f"({self.checks} rank checks)"
+        ]
+        if self.counterexample:
+            ce = self.counterexample
+            lines.append(
+                f"  counterexample: node {ce.node}, subset {list(ce.subset)}, "
+                f"leaks {ce.leaked_symbols} symbol(s)"
+            )
+        return lines
 
 
 def _message_matrix(codec: SecureCodec, baseline: bool) -> Matrix:
@@ -498,21 +524,6 @@ class AuditReport:
     extras: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def verdict(v: VerifyResult) -> dict:
-            out = {
-                "guesses": v.guesses,
-                "baseline": v.baseline,
-                "passed": v.passed,
-                "checks": v.checks,
-            }
-            if v.counterexample:
-                out["counterexample"] = {
-                    "node": v.counterexample.node,
-                    "subset": list(v.counterexample.subset),
-                    "leaked_symbols": v.counterexample.leaked_symbols,
-                }
-            return out
-
         n, k, d, m = self.params
         out = {
             "params": {"n": n, "k": k, "d": d, "m": m},
@@ -525,9 +536,9 @@ class AuditReport:
             },
             "baseline_guesses": self.baseline_guesses,
             "improvement_over_baseline": self.improvement,
-            "weak_secrecy": verdict(self.weak_secrecy),
-            "baseline_fail_probe": verdict(self.baseline_fail),
-            "baseline_pass_probe": verdict(self.baseline_pass),
+            "weak_secrecy": self.weak_secrecy.to_dict(),
+            "baseline_fail_probe": self.baseline_fail.to_dict(),
+            "baseline_pass_probe": self.baseline_pass.to_dict(),
             "full_rank_certificate": {
                 "steps": self.certificate_steps,
                 "success": self.certificate_success,
@@ -550,29 +561,10 @@ class AuditReport:
             f"bare inner code tolerates: {self.baseline_guesses}",
             f"improvement: +{self.improvement} guesses",
             "",
-            f"weak secrecy at g={self.weak_secrecy.guesses}: "
-            f"{'PASS' if self.weak_secrecy.passed else 'FAIL'} "
-            f"({self.weak_secrecy.checks} rank checks)",
         ]
-        if self.weak_secrecy.counterexample:
-            ce = self.weak_secrecy.counterexample
-            lines.append(
-                f"  counterexample: node {ce.node}, subset {list(ce.subset)}, "
-                f"leaks {ce.leaked_symbols} symbol(s)"
-            )
-        for label, v in (
-            ("baseline (no outer code)", self.baseline_fail),
-            ("baseline (no outer code)", self.baseline_pass),
-        ):
-            lines.append(
-                f"{label} at g={v.guesses}: {'PASS' if v.passed else 'FAIL'} ({v.checks} rank checks)"
-            )
-            if v.counterexample:
-                ce = v.counterexample
-                lines.append(
-                    f"  counterexample: node {ce.node}, subset {list(ce.subset)}, "
-                    f"leaks {ce.leaked_symbols} symbol(s)"
-                )
+        lines += self.weak_secrecy.to_lines("weak secrecy")
+        for v in (self.baseline_fail, self.baseline_pass):
+            lines += v.to_lines("baseline (no outer code)")
         lines.append(
             f"full-rank certificate: {'PASS' if self.certificate_success else 'FAIL'} "
             f"({self.certificate_steps} solve steps)"

@@ -172,23 +172,9 @@ def cmd_audit(args) -> int:
     if args.baseline:
         result = verify_weak_secrecy(codec, g, baseline=True, max_checks=cap)
         if args.format == "json":
-            doc = {"baseline": True, "guesses": g, "passed": result.passed, "checks": result.checks}
-            if result.counterexample:
-                ce = result.counterexample
-                doc["counterexample"] = {
-                    "node": ce.node,
-                    "subset": list(ce.subset),
-                    "leaked_symbols": ce.leaked_symbols,
-                }
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
         else:
-            print(f"baseline (no outer code) at g={g}: {'PASS' if result.passed else 'FAIL'}")
-            if result.counterexample:
-                ce = result.counterexample
-                print(
-                    f"  counterexample: node {ce.node}, subset {list(ce.subset)}, "
-                    f"leaks {ce.leaked_symbols} symbol(s)"
-                )
+            print("\n".join(result.to_lines("baseline (no outer code)")))
         return EXIT_OK if result.passed else EXIT_SECRECY
 
     report = audit_report(codec, guesses=g, max_checks=cap, cluster_root=args.root)

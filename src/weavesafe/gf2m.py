@@ -230,7 +230,6 @@ class Field:
         self.m = m
         self.reduction_poly = CANONICAL_POLYS[m]
         self.order = 1 << m
-        self.symbol_bytes = (m + 7) // 8
         self.dtype = native_dtype(m)
         self.generator, self._product, self.exp_table, self.log_table = _tables(m)
 
@@ -242,12 +241,6 @@ class Field:
             raise ValueError(f"{a!r} is not an element of GF(2^{self.m})")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def sub(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -258,26 +251,6 @@ class Field:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.exp_table[(self.order - 1 - self.log_table[a]) % (self.order - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        if a == 0:
-            return 0
-        return self.exp_table[(self.log_table[a] - self.log_table[b]) % (self.order - 1)]
-
-    def pow(self, a: int, e: int) -> int:
-        """a raised to a nonnegative integer exponent (a^0 = 1)."""
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        return self.exp_table[(self.log_table[a] * e) % (self.order - 1)]
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and other.m == self.m
 
@@ -286,28 +259,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(m={self.m})"
-
-    # -- symbol serialization ---------------------------------------------
-
-    def symbols_to_bytes(self, symbols) -> bytes:
-        """Big-endian, symbol_bytes per symbol, high bits zero-padded."""
-        width = self.symbol_bytes
-        out = bytearray(len(symbols) * width)
-        for i, s in enumerate(symbols):
-            out[i * width : (i + 1) * width] = int(s).to_bytes(width, "big")
-        return bytes(out)
-
-    def bytes_to_symbols(self, data: bytes) -> list[int]:
-        width = self.symbol_bytes
-        if len(data) % width:
-            raise ValueError(f"byte length {len(data)} is not a multiple of {width}")
-        out = []
-        for i in range(0, len(data), width):
-            s = int.from_bytes(data[i : i + width], "big")
-            if s >= self.order:
-                raise ValueError(f"symbol {s:#x} out of range for GF(2^{self.m})")
-            out.append(s)
-        return out
 
     # -- bulk multiplication on native-width numpy arrays -----------------
 
@@ -470,11 +421,6 @@ def _split_tables(m: int, a: int):
     """Low-byte and high-byte product tables of the coefficient a, m > 8."""
     basis = np.array(_times_x_powers(a, m), dtype=native_dtype(m))
     return _xor_span(basis[:8]), _xor_span(basis[8:])
-
-
-def field_new(m: int) -> Field:
-    """Build the canonical GF(2^m) field context."""
-    return Field(m)
 
 
 def _prime_factors(x: int) -> list[int]:

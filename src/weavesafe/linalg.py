@@ -6,10 +6,10 @@ entry in column order, so results are deterministic.  Matrices are
 value-semantic; operations return fresh objects and never mutate their
 inputs.
 
-The module has two eliminations that share no code.  ``rank``,
-``invert``, ``solve`` and ``null_space`` run the scalar ``_eliminate``
-on Python lists; the audit's rank-formula oracle (``audit.leakage``) and
-its certificates are built on these.  The audit engine runs on numpy
+The module has two eliminations that share no code.  ``rank`` and
+``invert`` run the scalar ``_eliminate`` on Python lists; the codec build,
+the audit's rank-formula oracle (``audit.leakage``) and its certificates
+are built on these.  The audit engine runs on numpy
 instead: ``quotient_stack`` reduces the check rows modulo every node's
 row space as one array, and ``first_dependent_subset`` walks index
 subsets as prefixes, so that each prefix's elimination is shared by all
@@ -27,7 +27,6 @@ most ``_BLOCK_SYMBOLS`` (2^16) symbols of child states at a time, so its
 scratch stays near 1 MiB whatever the number of subsets.
 """
 
-from array import array
 from functools import lru_cache
 from itertools import combinations
 
@@ -66,30 +65,11 @@ class Matrix:
         return out
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls.derived(field, [[0] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls.derived(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def column(cls, field: Field, entries: list[int]) -> "Matrix":
-        return cls(field, [[v] for v in entries])
-
-    def get(self, i: int, j: int) -> int:
-        return self.data[i][j]
-
     def row(self, i: int) -> list[int]:
         return list(self.data[i])
-
-    def col(self, j: int) -> list[int]:
-        return [row[j] for row in self.data]
-
-    def column_vector(self) -> list[int]:
-        if self.cols != 1:
-            raise ValueError("not a column vector")
-        return [row[0] for row in self.data]
 
     def __eq__(self, other) -> bool:
         return (
@@ -105,27 +85,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over GF(2^{self.field.m}))"
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} vs {b.rows}")
-    f = a.field
-    out = [[0] * b.cols for _ in range(a.rows)]
-    for i in range(a.rows):
-        arow = a.data[i]
-        orow = out[i]
-        for k in range(a.cols):
-            aik = arow[k]
-            if aik == 0:
-                continue
-            brow = b.data[k]
-            for j in range(b.cols):
-                if brow[j]:
-                    orow[j] ^= f.mul(aik, brow[j])
-    return Matrix.derived(f, out)
-
-
 def mat_vec(a: Matrix, v: list[int]) -> list[int]:
     """a times a column vector given as a plain list."""
     if a.cols != len(v):
@@ -139,10 +98,6 @@ def mat_vec(a: Matrix, v: list[int]) -> list[int]:
                 acc ^= f.mul(aik, v[k])
         out[i] = acc
     return out
-
-
-def transpose(a: Matrix) -> Matrix:
-    return Matrix.derived(a.field, [[a.data[i][j] for i in range(a.rows)] for j in range(a.cols)])
 
 
 def vstack(a: Matrix, b: Matrix) -> Matrix:
@@ -349,16 +304,6 @@ def quotient_stack(field: Field, rows, moduli) -> np.ndarray:
     return out
 
 
-def reduce_modulo(field: Field, rows, modulus) -> list[array]:
-    """Each row reduced modulo the row space of modulus, as a vector on the
-    columns where modulus has no pivot (see ``quotient_stack``).
-
-    The vectors are compact arrays of symbols, one per row.
-    """
-    typecode = "B" if field.m <= 8 else "H"
-    return [array(typecode, v) for v in quotient_stack(field, rows, [modulus])[0].tolist()]
-
-
 def first_dependent_subset(field: Field, groups, size: int):
     """The first index subset whose vectors are linearly dependent.
 
@@ -464,64 +409,6 @@ def invert(a: Matrix) -> Matrix:
     if len(pivots) != n:
         raise SingularMatrixError(f"singular {n}x{n} matrix")
     return Matrix.derived(f, [row[n:] for row in aug])
-
-
-def solve(a: Matrix, b: list[int]) -> list[int]:
-    """One solution x of a*x = b (free variables set to zero)."""
-    if len(b) != a.rows:
-        raise ValueError(f"dimension mismatch: {a.rows} vs {len(b)}")
-    f = a.field
-    aug = [a.data[i] + [b[i]] for i in range(a.rows)]
-    r = 0
-    pivots = []
-    for c in range(a.cols):
-        piv = None
-        for i in range(r, a.rows):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv_p = f.inv(aug[r][c])
-        if inv_p != 1:
-            aug[r] = [f.mul(inv_p, v) for v in aug[r]]
-        prow = aug[r]
-        for i in range(a.rows):
-            if i != r and aug[i][c]:
-                fac = aug[i][c]
-                irow = aug[i]
-                for j in range(c, a.cols + 1):
-                    if prow[j]:
-                        irow[j] ^= f.mul(fac, prow[j])
-        pivots.append((r, c))
-        r += 1
-        if r == a.rows:
-            break
-    for i in range(r, a.rows):
-        if aug[i][a.cols]:
-            raise ValueError("inconsistent system")
-    x = [0] * a.cols
-    for row_i, col_i in pivots:
-        x[col_i] = aug[row_i][a.cols]
-    return x
-
-
-def null_space(a: Matrix) -> list[list[int]]:
-    """Basis of the right null space, one vector per free column."""
-    f = a.field
-    data = [list(row) for row in a.data]
-    pivots = _eliminate(f, data)
-    pivot_cols = {c: r for r, c in pivots}
-    free_cols = [c for c in range(a.cols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [0] * a.cols
-        v[fc] = 1
-        for r, c in pivots:
-            v[c] = data[r][fc]  # xor-negation is identity in char 2
-        basis.append(v)
-    return basis
 
 
 def count_square_submatrices(rows: int, cols: int, max_order: int) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InsufficientNodesError, ParameterError
 from .gf2m import Field
-from .linalg import Matrix, invert, mat_vec, submatrix
+from .linalg import Matrix, invert, submatrix
 
 
 @dataclass(frozen=True)
@@ -32,16 +32,6 @@ class CodeParams:
     k: int
     d: int
     m: int
-
-    @property
-    def node_symbols(self) -> int:
-        """Symbols stored per node (the MBR point pins this to d)."""
-        return self.d
-
-    @property
-    def helper_symbols(self) -> int:
-        """Symbols each helper uploads during a repair."""
-        return 1
 
     @property
     def total_symbols(self) -> int:
@@ -57,10 +47,6 @@ class CodeParams:
     def max_guesses(self) -> int:
         """Side-information symbols an eavesdropper may hold: d + k - 4."""
         return self.d + self.k - 4
-
-    @property
-    def min_field_order(self) -> int:
-        return self.n + 2 * self.d
 
 
 def params_new(n: int, k: int, d: int, m: int) -> CodeParams:
@@ -148,12 +134,11 @@ class InnerCode:
 
     The encoding matrix must have every square submatrix nonsingular
     (a Cauchy matrix does); the secure codec supplies the canonical one,
-    with its generator stack derived once.  Immutable after construction.
+    with its generator stack (``build_generator_stack``) derived once.
+    Immutable after construction.
     """
 
-    def __init__(
-        self, params: CodeParams, field: Field, encoding_matrix: Matrix, generator_stack=None
-    ):
+    def __init__(self, params: CodeParams, field: Field, encoding_matrix: Matrix, generator_stack):
         if field.m != params.m:
             raise ParameterError(f"field degree {field.m} does not match params m={params.m}")
         if (encoding_matrix.rows, encoding_matrix.cols) != (params.n, params.d):
@@ -164,34 +149,9 @@ class InnerCode:
         self.params = params
         self.field = field
         self.encoding_matrix = encoding_matrix
-        if generator_stack is None:
-            generator_stack = build_generator_stack(params, encoding_matrix.data, field.dtype)
         self.generator_stack = generator_stack
 
-    # -- codeword <-> message matrix ----------------------------------
-
-    def fill_message_matrix(self, codeword: list[int]) -> Matrix:
-        p = self.params
-        if len(codeword) != p.total_symbols:
-            raise ValueError(f"codeword must have {p.total_symbols} symbols, got {len(codeword)}")
-        m = [[0] * p.d for _ in range(p.d)]
-        for b, (i, j) in enumerate(message_cells(p.k, p.d)):
-            m[i][j] = codeword[b]
-            m[j][i] = codeword[b]
-        return Matrix(self.field, m)
-
-    def extract_codeword(self, message_matrix: Matrix) -> list[int]:
-        p = self.params
-        return [message_matrix.get(i, j) for (i, j) in message_cells(p.k, p.d)]
-
-    # -- encoding -------------------------------------------------------
-
-    def encode_node(self, codeword: list[int], node: int) -> list[int]:
-        """The d symbols node stores: its encoding row times the message matrix."""
-        self._check_node(node)
-        msg = self.fill_message_matrix(codeword)
-        # msg is symmetric, so msg * row^T equals row * msg transposed.
-        return mat_vec(msg, self.encoding_matrix.row(node - 1))
+    # -- generator matrices ----------------------------------------------
 
     def generator_rows(self, node: int) -> list[list[int]]:
         """Coefficient rows of node's generator matrix, as fresh plain lists.
@@ -208,99 +168,23 @@ class InnerCode:
         """d x B matrix sending a codeword to the symbols node stores."""
         return Matrix.derived(self.field, self.generator_rows(node))
 
-    # -- reconstruction ---------------------------------------------------
-
-    def reconstruct(self, shares: dict[int, list[int]]) -> list[int]:
-        """Recover the codeword from any k node shares.
-
-        Two-phase solve: the first k columns of the received block give
-        the off-diagonal part after one inversion of the k x k selector,
-        and a second pass with the same inverse yields the symmetric core.
-        """
-        p = self.params
-        if len(shares) < p.k:
-            raise InsufficientNodesError(f"need at least k={p.k} shares, got {len(shares)}")
-        for node, share in shares.items():
-            self._check_node(node)
-            if len(share) != p.d:
-                raise ValueError(f"share for node {node} has {len(share)} symbols, expected {p.d}")
-        nodes = sorted(shares)[: p.k]
-        received = Matrix(self.field, [shares[node] for node in nodes])
-        core, wing = self._solve_message_blocks(nodes, received)
-        idx = cell_index(p.k, p.d)
-        out = [0] * p.total_symbols
-        for (i, j), b in idx.items():
-            if i <= j:
-                out[b] = core.get(i, j) if j < p.k else wing.get(i, j - p.k)
-        return out
-
-    def _solve_message_blocks(self, nodes: list[int], received: Matrix):
-        """Split the k x d received block into the two message blocks."""
-        from .linalg import mat_mul, transpose
-
-        p = self.params
-        f = self.field
-        node_rows = [n - 1 for n in nodes]
-        selector = submatrix(self.encoding_matrix, node_rows, range(p.k))
-        sel_inv = invert(selector)
-        left = submatrix(received, range(p.k), range(p.k))
-        if p.d == p.k:  # no off-diagonal wing at all
-            return mat_mul(sel_inv, left), None
-        mixer = submatrix(self.encoding_matrix, node_rows, range(p.k, p.d))
-        right = submatrix(received, range(p.k), range(p.k, p.d))
-        wing = mat_mul(sel_inv, right)  # k x (d-k)
-        mixed = mat_mul(mixer, transpose(wing))  # k x k
-        core_rhs = Matrix.derived(
-            f,
-            [[left.get(i, j) ^ mixed.get(i, j) for j in range(p.k)] for i in range(p.k)],
-        )
-        core = mat_mul(sel_inv, core_rhs)  # k x k, symmetric for valid input
-        return core, wing
-
-    # -- repair -----------------------------------------------------------
-
-    def helper_symbol(self, helper: int, failed: int, helper_share: list[int]) -> int:
-        """The single symbol a helper uploads: its share dotted with the
-        failed node's encoding row."""
-        self._check_node(helper)
-        self._check_node(failed)
-        if helper == failed:
-            raise ValueError("a node cannot help repair itself")
-        p = self.params
-        if len(helper_share) != p.d:
-            raise ValueError(f"helper share has {len(helper_share)} symbols, expected {p.d}")
-        f = self.field
-        target_row = self.encoding_matrix.row(failed - 1)
-        acc = 0
-        for c in range(p.d):
-            if helper_share[c] and target_row[c]:
-                acc ^= f.mul(helper_share[c], target_row[c])
-        return acc
-
-    def repair(self, failed: int, helper_symbols: dict[int, int]) -> list[int]:
-        """Rebuild the failed node's share, bit-identical, from d helper symbols."""
-        p = self.params
-        self._check_node(failed)
-        if failed in helper_symbols:
-            raise ValueError(f"failed node {failed} cannot appear among its helpers")
-        if len(helper_symbols) != p.d:
-            raise InsufficientNodesError(
-                f"repair needs exactly d={p.d} helpers, got {len(helper_symbols)}"
-            )
-        helpers = sorted(helper_symbols)
-        for h in helpers:
-            self._check_node(h)
-        stack = submatrix(self.encoding_matrix, [h - 1 for h in helpers], range(p.d))
-        return mat_vec(invert(stack), [helper_symbols[h] for h in helpers])
-
     def _check_node(self, node: int):
         if not isinstance(node, int) or not 1 <= node <= self.params.n:
             raise ValueError(f"node index {node} out of range 1..{self.params.n}")
 
+    def _check_shares(self, share_cols: dict):
+        """Every node index in range and every share d rows tall."""
+        for node, cols in share_cols.items():
+            self._check_node(node)
+            if len(cols) != self.params.d:
+                raise ValueError(
+                    f"share for node {node} has {len(cols)} rows, expected {self.params.d}"
+                )
 
-# -- bulk (vectorized) variants ----------------------------------------------
-# Same algebra as the scalar methods, applied to numpy arrays holding one
-# column per chunk; the store module streams whole files through these.
+
+# -- encode, reconstruct and repair -------------------------------------------
+# Each map works on numpy arrays holding one column per chunk; a single
+# chunk is one column.  The store module streams whole files through them.
 
 
 def encode_bulk(code: InnerCode, codeword_cols):
@@ -325,6 +209,7 @@ def reconstruct_bulk(code: InnerCode, share_cols: dict):
     p = code.params
     if len(share_cols) < p.k:
         raise InsufficientNodesError(f"need at least k={p.k} shares, got {len(share_cols)}")
+    code._check_shares(share_cols)
     nodes = sorted(share_cols)[: p.k]
     n_chunks = share_cols[nodes[0]].shape[1]
     f = code.field
@@ -356,12 +241,14 @@ def reconstruct_bulk(code: InnerCode, share_cols: dict):
 def repair_bulk(code: InnerCode, failed: int, helper_share_cols: dict):
     """Vectorized exact repair; returns (repaired d x N array, symbols downloaded)."""
     p = code.params
+    code._check_node(failed)
     if failed in helper_share_cols:
         raise ValueError(f"failed node {failed} cannot appear among its helpers")
     if len(helper_share_cols) != p.d:
         raise InsufficientNodesError(
             f"repair needs exactly d={p.d} helpers, got {len(helper_share_cols)}"
         )
+    code._check_shares(helper_share_cols)
     helpers = sorted(helper_share_cols)
     f = code.field
     target_row = code.encoding_matrix.row(failed - 1)

@@ -37,8 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, SingularMatrixError
-from .gf2m import Field, field_new
-from .linalg import Matrix, cauchy, invert, mat_vec, submatrix
+from .gf2m import Field
+from .linalg import Matrix, cauchy, invert, submatrix
 from .pm_mbr import CodeParams, InnerCode, build_generator_stack, type_positions
 
 # Most parameter sets whose derived matrices a process keeps.
@@ -211,13 +211,12 @@ class OuterCode:
     Holds the (B-2) x B parity-check matrix, its per-row (type,
     coefficient-row) ledger, and the invertible B x B extension used for
     uniform coset encoding, together with the type-ordered solve steps
-    that invert it.  Derived from the coefficient matrix unless a plan
-    derived from it earlier is given.  Immutable after construction;
-    encoding consumes caller-supplied randomness and is otherwise
-    deterministic.
+    that invert it, all taken from the ``outer_plan`` of the coefficient
+    matrix.  Immutable after construction; encoding consumes
+    caller-supplied randomness and is otherwise deterministic.
     """
 
-    def __init__(self, params: CodeParams, field: Field, coeff_matrix: Matrix, plan=None):
+    def __init__(self, params: CodeParams, field: Field, coeff_matrix: Matrix, plan: OuterPlan):
         if (coeff_matrix.rows, coeff_matrix.cols) != (params.d, params.d):
             raise ParameterError(
                 f"coefficient matrix must be {params.d}x{params.d}, "
@@ -226,10 +225,6 @@ class OuterCode:
         self.params = params
         self.field = field
         self.coeff_matrix = coeff_matrix
-        self.type_counts = type_cardinalities(params.k, params.d)
-        self.index_sets = index_sets(params.k, params.d)
-        if plan is None:
-            plan = outer_plan(params, field, coeff_matrix.data)
         self.parity_check = Matrix.derived(field, plan.parity_check)
         self.parity_array = plan.parity_array
         self.row_types = plan.row_types
@@ -237,33 +232,15 @@ class OuterCode:
         self.ext_row_types = plan.ext_row_types
         self.solve_steps = plan.solve_steps
 
-    # -- coset encode / decode ------------------------------------------
-
-    def coset_encode(self, message: list[int], randomness: list[int]) -> list[int]:
-        p = self.params
-        if len(message) != p.secure_symbols:
-            raise ValueError(f"message must have {p.secure_symbols} symbols, got {len(message)}")
-        if len(randomness) != 2:
-            raise ValueError(f"exactly 2 randomness symbols required, got {len(randomness)}")
-        for v in message + randomness:
-            self.field.check(v)
-        dtype = self.field.dtype
-        column = self.coset_encode_bulk(
-            np.array(message, dtype=dtype).reshape(-1, 1),
-            np.array(randomness, dtype=dtype).reshape(-1, 1),
-        )
-        return column[:, 0].tolist()
-
-    def coset_decode(self, codeword: list[int]) -> list[int]:
-        p = self.params
-        if len(codeword) != p.total_symbols:
-            raise ValueError(f"codeword must have {p.total_symbols} symbols, got {len(codeword)}")
-        return mat_vec(self.parity_check, codeword)
-
-    # -- bulk variants ----------------------------------------------------
+    # -- coset encode / decode, one column per chunk ----------------------
 
     def coset_encode_bulk(self, message_cols, randomness_cols):
         """Solve H_ext * c = [message; randomness] for every column, step by step."""
+        p = self.params
+        if len(message_cols) != p.secure_symbols:
+            raise ValueError(f"message must have {p.secure_symbols} rows, got {len(message_cols)}")
+        if len(randomness_cols) != 2:
+            raise ValueError(f"exactly 2 randomness rows required, got {len(randomness_cols)}")
         f = self.field
         syndrome = np.vstack([message_cols, randomness_cols])
         out = np.empty_like(syndrome)
@@ -275,6 +252,10 @@ class OuterCode:
         return out
 
     def coset_decode_bulk(self, codeword_cols):
+        """The syndrome H * c of every column: the message it carries."""
+        p = self.params
+        if len(codeword_cols) != p.total_symbols:
+            raise ValueError(f"codeword must have {p.total_symbols} rows, got {len(codeword_cols)}")
         return self.field.mat_mul_cols(self.parity_array, codeword_cols)
 
 
@@ -297,7 +278,7 @@ def codec_plan(params: CodeParams) -> CodecPlan:
     Its arrays are made read-only, since every codec of the parameter set
     shares them.
     """
-    field = field_new(params.m)
+    field = Field(params.m)
     stack = build_cauchy_stack(params, field).data
     plan = CodecPlan(
         stack,
@@ -320,7 +301,7 @@ class SecureCodec:
 
     def __init__(self, params: CodeParams):
         self.params = params
-        self.field = f = field_new(params.m)
+        self.field = f = Field(params.m)
         plan = codec_plan(params)
         stack = plan.cauchy_stack
         self.cauchy_stack = Matrix.derived(f, stack)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weavesafe.gf2m import CANONICAL_POLYS, field_new
+from weavesafe.gf2m import CANONICAL_POLYS, Field
 from weavesafe.linalg import Matrix
 from weavesafe.pm_mbr import params_new
 from weavesafe.weaksec import make_codec
@@ -70,9 +70,9 @@ def codec322():
 
 @pytest.fixture(scope="session")
 def gf16():
-    return field_new(4)
+    return Field(4)
 
 
 @pytest.fixture(scope="session")
 def gf8():
-    return field_new(3)
+    return Field(3)

@@ -86,6 +86,23 @@ def test_audit_baseline_passes_at_lower_guesses():
     assert run("audit", "--baseline", "-n", 5, "-k", 3, "-d", 4, "-g", 1) == 0
 
 
+def test_audit_baseline_prints_the_report_probe_verdict(capsys):
+    """--baseline at g = k-1 prints, as JSON and as text, exactly the
+    verdict the full report gives for its failing baseline probe."""
+    argv = ("audit", "-n", 5, "-k", 3, "-d", 4, "-g", 2)
+    assert run(*argv, "--format", "json") == 0
+    probe = json.loads(capsys.readouterr().out)["baseline_fail_probe"]
+    assert run(*argv, "--baseline", "--format", "json") == 5
+    assert json.loads(capsys.readouterr().out) == probe
+    assert run(*argv) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert run(*argv, "--baseline") == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("baseline (no outer code) at g=2: FAIL (")
+    assert lines[1].startswith("  counterexample: node ")
+    assert report[report.index(lines[0]) + 1] == lines[1]
+
+
 def test_audit_json_roundtrips(capsys):
     assert run("audit", "-n", 5, "-k", 3, "-d", 4, "--format", "json") == 0
     doc = json.loads(capsys.readouterr().out)

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import gf_inv_bruteforce, gf_mul_bruteforce
 from weavesafe.errors import ParameterError
-from weavesafe.gf2m import CANONICAL_POLYS, field_new, is_irreducible
+from weavesafe.gf2m import CANONICAL_POLYS, Field, is_irreducible
 
 
 def test_canonical_polynomials_are_irreducible():
@@ -13,22 +13,27 @@ def test_canonical_polynomials_are_irreducible():
 
 
 def test_field_new_basics():
-    f3 = field_new(3)
+    f3 = Field(3)
     assert f3.order == 8
     assert f3.reduction_poly == 0b1011  # x^3 + x + 1
-    assert field_new(8).order == 256
+    assert Field(8).order == 256
 
 
 @pytest.mark.parametrize("m", [2, 17, 0, -1])
 def test_field_new_rejects_bad_degree(m):
     with pytest.raises(ParameterError):
-        field_new(m)
+        Field(m)
 
 
 def test_add_is_self_inverse(gf8):
-    assert gf8.add(3, 3) == 0
-    for a in gf8.elements():
-        assert gf8.add(a, a) == 0
+    """Field addition is xor, as every kernel accumulates it: the map
+    [1 1] sends (a, a) to zero and (a, b) to a ^ b."""
+    import numpy as np
+
+    a = np.arange(gf8.order, dtype=gf8.dtype)
+    assert gf8.mat_mul_cols([[1, 1]], np.stack([a, a])).tolist() == [[0] * gf8.order]
+    b = a[::-1].copy()
+    assert gf8.mat_mul_cols([[1, 1]], np.stack([a, b])).tolist() == [(a ^ b).tolist()]
 
 
 def test_known_products_gf8(gf8):
@@ -42,72 +47,66 @@ def test_known_products_gf8(gf8):
 
 @pytest.mark.parametrize("m", [3, 4, 8])
 def test_table_multiply_matches_bruteforce(m):
-    f = field_new(m)
-    for a in f.elements():
-        for b in f.elements():
+    f = Field(m)
+    for a in range(f.order):
+        for b in range(f.order):
             assert f.mul(a, b) == gf_mul_bruteforce(a, b, m), (a, b)
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_field_axioms_exhaustive(m):
-    f = field_new(m)
-    els = list(f.elements())
+    f = Field(m)
+    els = range(f.order)
     for a in els:
         for b in els:
-            assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
             for c in els:
                 assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+                assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
 
 
 @pytest.mark.parametrize("m", [8, 12, 16])
 def test_field_axioms_random(m):
-    f = field_new(m)
+    f = Field(m)
     rng = random.Random(m)
     for _ in range(200):
         a, b, c = (rng.randrange(f.order) for _ in range(3))
         assert f.mul(a, b) == f.mul(b, a)
         assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
         assert f.mul(a, b) == gf_mul_bruteforce(a, b, m)
 
 
 @pytest.mark.parametrize("m", [3, 4, 8, 16])
 def test_inverse_and_division(m):
-    f = field_new(m)
+    f = Field(m)
     rng = random.Random(m)
     sample = list(range(1, f.order)) if m <= 8 else [rng.randrange(1, f.order) for _ in range(300)]
     for a in sample:
         assert f.mul(a, f.inv(a)) == 1
-        assert f.div(a, a) == 1
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        f.div(3, 0)
-    assert f.div(0, 3) == 0
 
 
 def test_log_exp_tables_are_mutually_inverse():
     for m in (3, 4, 8):
-        f = field_new(m)
+        f = Field(m)
         for a in range(1, f.order):
             assert f.exp_table[f.log_table[a]] == a
         assert sorted(f.exp_table) == list(range(1, f.order))
 
 
 def test_pow(gf16):
+    """Powers through the tables: exp[e * log(a) mod (q-1)] is a multiplied
+    by itself e times, the identity the eliminations' log arithmetic uses."""
     rng = random.Random(4)
     for _ in range(100):
-        a = rng.randrange(16)
+        a = rng.randrange(1, 16)
         e = rng.randrange(10)
         expected = 1
         for _ in range(e):
             expected = gf16.mul(expected, a)
-        assert gf16.pow(a, e) == expected
-    assert gf16.pow(0, 0) == 1
-    with pytest.raises(ValueError):
-        gf16.pow(3, -1)
+        assert gf16.exp_table[gf16.log_table[a] * e % 15] == expected
 
 
 def test_check_rejects_out_of_range(gf8):
@@ -118,35 +117,9 @@ def test_check_rejects_out_of_range(gf8):
     assert gf8.check(7) == 7
 
 
-def test_symbol_serialization_is_big_endian():
-    f4 = field_new(4)
-    assert f4.symbol_bytes == 1
-    assert f4.symbols_to_bytes([0x0A, 0x01]) == b"\x0a\x01"
-    f12 = field_new(12)
-    assert f12.symbol_bytes == 2
-    assert f12.symbols_to_bytes([0xABC]) == b"\x0a\xbc"
-    assert f12.bytes_to_symbols(b"\x0a\xbc\x00\x01") == [0xABC, 1]
-
-
-def test_symbol_serialization_roundtrip():
-    rng = random.Random(9)
-    for m in (3, 8, 11, 16):
-        f = field_new(m)
-        symbols = [rng.randrange(f.order) for _ in range(50)]
-        assert f.bytes_to_symbols(f.symbols_to_bytes(symbols)) == symbols
-
-
-def test_symbol_deserialization_rejects_garbage():
-    f = field_new(12)
-    with pytest.raises(ValueError):
-        f.bytes_to_symbols(b"\xff\xff")  # 0xFFFF >= 2^12
-    with pytest.raises(ValueError):
-        f.bytes_to_symbols(b"\x00")  # not a multiple of the symbol width
-
-
 def test_fields_compare_by_degree():
-    assert field_new(5) == field_new(5)
-    assert field_new(5) != field_new(6)
+    assert Field(5) == Field(5)
+    assert Field(5) != Field(6)
 
 
 def test_mul_vec_matches_scalar():
@@ -155,7 +128,7 @@ def test_mul_vec_matches_scalar():
     output."""
     np = pytest.importorskip("numpy")
     for m in range(3, 17):
-        f = field_new(m)
+        f = Field(m)
         if m <= 8:
             coeffs = range(f.order)
             xs = np.arange(f.order)
@@ -212,7 +185,6 @@ def _xor_all(values):
 
 def _spy_sliced(monkeypatch):
     """Record every bit-sliced call mat_mul_cols makes."""
-    from weavesafe.gf2m import Field
 
     calls = []
     real = Field._mat_mul_sliced
@@ -238,7 +210,7 @@ def test_mat_mul_cols_both_paths_match_bruteforce(m, monkeypatch):
 
     from weavesafe.gf2m import _SLICED_FANOUT
 
-    f = field_new(m)
+    f = Field(m)
     rng = random.Random(100 + m)
     lanes = 8 // f.dtype.itemsize
     calls = _spy_sliced(monkeypatch)
@@ -265,7 +237,7 @@ def test_mat_mul_cols_zero_rows_and_columns(m, monkeypatch):
 
     from weavesafe.gf2m import _SLICED_FANOUT
 
-    f = field_new(m)
+    f = Field(m)
     rng = random.Random(200 + m)
     calls = _spy_sliced(monkeypatch)
     cols = np.array([[rng.randrange(f.order) for _ in range(21)] for _ in range(4)])
@@ -294,7 +266,7 @@ def test_mat_mul_cols_window_edges(m, monkeypatch):
 
     from weavesafe import gf2m
 
-    f = field_new(m)
+    f = Field(m)
     rng = np.random.default_rng(m)
     py_rng = random.Random(m)
     lanes = 8 // f.dtype.itemsize
@@ -326,7 +298,7 @@ def test_one_plan_per_map_whatever_the_column_count(m, monkeypatch):
 
     from weavesafe import gf2m
 
-    f = field_new(m)
+    f = Field(m)
     rng = random.Random(300 + m)
     np_rng = np.random.default_rng(300 + m)
     lanes = 8 // f.dtype.itemsize
@@ -357,7 +329,7 @@ def test_plan_memo_stays_at_its_bound():
 
     from weavesafe import gf2m
 
-    f = field_new(8)
+    f = Field(8)
     cols = np.arange(3 * 40, dtype=np.uint8).reshape(3, 40)
     gf2m._plan.cache_clear()
     first = f.mat_mul_cols([[1, 2, 3]] * 6, cols)
@@ -378,18 +350,18 @@ def test_field_tables_are_shared_and_bounded():
     from weavesafe import gf2m
 
     for m in (5, 8, 16):
-        a, b = field_new(m), field_new(m)
+        a, b = Field(m), Field(m)
         assert a is not b
         assert a.exp_table is b.exp_table and a.log_table is b.log_table
         assert a._product is b._product
     gf2m._split_tables.cache_clear()
-    a, b = field_new(16), field_new(16)
+    a, b = Field(16), Field(16)
     xs = np.array([0, 1, 0xFF, 0x100, 0xFFFF], dtype=np.uint16)
     before = gf2m._split_tables.cache_info()
     assert a.mul_vec(0x1234, xs).tolist() == b.mul_vec(0x1234, xs).tolist()
     after = gf2m._split_tables.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    fields = (field_new(12), a)
+    fields = (Field(12), a)
     for c in range(1, gf2m._SPLIT_MEMO + 10):
         field = fields[c % 2]
         expected = [gf_mul_bruteforce(c % field.order, int(x) % field.order, field.m) for x in xs[:3]]

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_matrix, random_nonsingular
 from weavesafe import linalg
 from weavesafe.errors import CapExceededError, SingularMatrixError
-from weavesafe.gf2m import field_new
+from weavesafe.gf2m import Field
 from weavesafe.linalg import (
     Matrix,
     all_square_submatrices_nonsingular,
@@ -16,16 +16,23 @@ from weavesafe.linalg import (
     first_dependent_subset,
     invert,
     quotient_stack,
-    mat_mul,
     mat_vec,
-    null_space,
     rank,
-    reduce_modulo,
-    solve,
     submatrix,
-    transpose,
     vstack,
 )
+
+
+def powers(field, point, count):
+    """[1, point, point^2, ...], count entries, by repeated multiplication."""
+    out = [1]
+    while len(out) < count:
+        out.append(field.mul(out[-1], point))
+    return out[:count]
+
+
+def zeros(field, rows, cols):
+    return Matrix(field, [[0] * cols for _ in range(rows)])
 
 
 def test_cauchy_one_by_one(gf8):
@@ -49,7 +56,7 @@ def test_cauchy_entries_nonzero(gf16):
 
 
 def test_rank_basics(gf16):
-    assert rank(Matrix.zeros(gf16, 3, 3)) == 0
+    assert rank(zeros(gf16, 3, 3)) == 0
     assert rank(Matrix.identity(gf16, 4)) == 4
     row = [1, 5, 9]
     scaled = [gf16.mul(7, v) for v in row]
@@ -60,7 +67,7 @@ def test_rank_equals_transpose_rank(gf16):
     rng = random.Random(0)
     for _ in range(25):
         a = random_matrix(gf16, rng.randrange(1, 6), rng.randrange(1, 6), rng)
-        assert rank(a) == rank(transpose(a))
+        assert rank(a) == rank(Matrix(gf16, [list(col) for col in zip(*a.data)]))
 
 
 def test_rank_subadditive_under_vstack(gf16):
@@ -82,43 +89,40 @@ def test_invert_random_nonsingular(gf16):
     rng = random.Random(2)
     for _ in range(10):
         a = random_nonsingular(gf16, 5, rng)
-        assert mat_mul(a, invert(a)) == Matrix.identity(gf16, 5)
+        inverse = np.array(invert(a).data, dtype=gf16.dtype)
+        assert gf16.mat_mul_cols(a.data, inverse).tolist() == Matrix.identity(gf16, 5).data
 
 
 def test_invert_rejects_singular(gf16):
     with pytest.raises(SingularMatrixError):
-        invert(Matrix.zeros(gf16, 3, 3))
+        invert(zeros(gf16, 3, 3))
     with pytest.raises(ValueError):
-        invert(Matrix.zeros(gf16, 2, 3))
+        invert(zeros(gf16, 2, 3))
 
 
 def test_solve_identity(gf16):
+    """Solving a square system means applying its inverse, as
+    reconstruct and repair do."""
     b = [3, 9, 14]
-    assert solve(Matrix.identity(gf16, 3), b) == b
+    assert mat_vec(invert(Matrix.identity(gf16, 3)), b) == b
 
 
 def test_solve_verified_by_remultiplication(gf16):
     rng = random.Random(3)
     for _ in range(20):
-        a = random_matrix(gf16, 4, rng.randrange(2, 6), rng)
+        a = random_nonsingular(gf16, rng.randrange(2, 6), rng)
         x_true = [rng.randrange(16) for _ in range(a.cols)]
         b = mat_vec(a, x_true)
-        x = solve(a, b)
-        assert mat_vec(a, x) == b
-
-
-def test_solve_detects_inconsistency(gf16):
-    a = Matrix(gf16, [[1, 2], [1, 2]])
-    with pytest.raises(ValueError, match="inconsistent"):
-        solve(a, [1, 2])
+        x = mat_vec(invert(a), b)
+        assert mat_vec(a, x) == b and x == x_true
 
 
 def test_mat_mul_shapes_and_errors(gf16):
     a = Matrix(gf16, [[1, 2, 3]])
-    b = Matrix(gf16, [[1], [0], [4]])
-    assert mat_mul(a, b).data == [[gf16.mul(3, 4) ^ 1]]
+    assert mat_vec(a, [1, 0, 4]) == [gf16.mul(3, 4) ^ 1]
+    assert gf16.mat_mul_cols(a.data, np.array([[1], [0], [4]])).tolist() == [[gf16.mul(3, 4) ^ 1]]
     with pytest.raises(ValueError):
-        mat_mul(a, a)
+        mat_vec(a, [1, 2])
 
 
 def test_vstack_and_submatrix(gf16):
@@ -131,16 +135,6 @@ def test_vstack_and_submatrix(gf16):
         submatrix(a, [2], [0])
     with pytest.raises(ValueError):
         vstack(a, Matrix(gf16, [[1, 2, 3]]))
-
-
-def test_null_space(gf16):
-    rng = random.Random(4)
-    for _ in range(20):
-        a = random_matrix(gf16, 3, 5, rng)
-        basis = null_space(a)
-        assert len(basis) == a.cols - rank(a)
-        for v in basis:
-            assert mat_vec(a, v) == [0, 0, 0]
 
 
 def test_all_minors_nonsingular_for_cauchy(gf16):
@@ -158,7 +152,7 @@ def test_vandermonde_can_contain_singular_minors(gf16):
     # enough for plain MBR encoding but not for the stacked requirement;
     # nonzero points so the failure is a genuine >= 2x2 minor
     points = list(range(1, 10))
-    vand = Matrix(gf16, [[gf16.pow(p, j) for j in range(4)] for p in points])
+    vand = Matrix(gf16, [powers(gf16, p, 4) for p in points])
     witness = all_square_submatrices_nonsingular(vand, 4)
     assert witness is not True
     rows, cols = witness
@@ -166,7 +160,7 @@ def test_vandermonde_can_contain_singular_minors(gf16):
 
 
 def test_minor_enumeration_cap():
-    f = field_new(4)
+    f = Field(4)
     mat = cauchy(f, list(range(8)), list(range(8, 16)))
     assert count_square_submatrices(8, 8, 8) == 12869
     with pytest.raises(CapExceededError):
@@ -181,17 +175,15 @@ def test_matrix_validation(gf8):
 
 
 def test_derived_matrices_are_fresh_and_skip_validation(gf8, monkeypatch):
-    """vstack, submatrix, transpose, mat_mul and invert build their results
-    without checking entries again, on rows no input shares; the public
-    constructor still checks every entry."""
-    from weavesafe.gf2m import Field
-
+    """vstack, submatrix and invert build their results without checking
+    entries again, on rows no input shares; the public constructor still
+    checks every entry."""
     a = Matrix(gf8, [[1, 2], [3, 4]])
     b = Matrix(gf8, [[5, 6]])
     checks = []
     real = Field.check
     monkeypatch.setattr(Field, "check", lambda self, v: checks.append(v) or real(self, v))
-    results = [vstack(a, b), submatrix(a, [1, 0], [1]), transpose(a), mat_mul(a, a), invert(a)]
+    results = [vstack(a, b), submatrix(a, [1, 0], [1]), invert(a)]
     assert checks == []
     for out in results:
         for row in out.data:
@@ -204,7 +196,6 @@ def test_derived_matrices_are_fresh_and_skip_validation(gf8, monkeypatch):
 def test_codec_build_checks_only_the_cauchy_points(monkeypatch):
     """A codec build validates the Cauchy points it is given; every matrix
     derived from the stack is built without checking its entries again."""
-    from weavesafe.gf2m import Field
     from weavesafe.pm_mbr import params_new
     from weavesafe.weaksec import codec_plan, make_codec
 
@@ -233,6 +224,11 @@ def reference_all_minors(a, max_order):
     return True
 
 
+def reduce_modulo(field, rows, modulus) -> list:
+    """rows reduced modulo one modulus' row space, as plain lists."""
+    return quotient_stack(field, rows, [modulus])[0].tolist()
+
+
 def test_reduce_modulo_keeps_rank_over_the_quotient(gf16):
     rng = random.Random(11)
     for _ in range(40):
@@ -247,8 +243,9 @@ def test_reduce_modulo_keeps_rank_over_the_quotient(gf16):
 def test_reduce_modulo_zero_exactly_on_the_row_space(gf16):
     rng = random.Random(12)
     modulus = random_matrix(gf16, 3, 6, rng)
-    inside = mat_mul(random_matrix(gf16, 4, 3, rng), modulus)
-    assert all(not any(v) for v in reduce_modulo(gf16, inside.data, modulus.data))
+    mix = random_matrix(gf16, 4, 3, rng)
+    inside = gf16.mat_mul_cols(mix.data, np.array(modulus.data, dtype=gf16.dtype)).tolist()
+    assert all(not any(v) for v in reduce_modulo(gf16, inside, modulus.data))
     outside = Matrix(gf16, [[0, 0, 0, 0, 0, 1]])
     if rank(vstack(modulus, outside)) > 3:
         assert any(reduce_modulo(gf16, outside.data, modulus.data)[0])
@@ -398,7 +395,7 @@ def test_walk_hit_at_block_positions(monkeypatch, where, planted):
     (vectors from 1): [(0, 1), (0, 2), (0, 3)], [(0, 4), (0, 5), (0, 6)],
     [(0, 7), (1, 2), (1, 3)], ...  The root's last child (6,) has the one
     child (6, 7), the walk's last block."""
-    f = field_new(8)
+    f = Field(8)
     rng = random.Random(22)
     count, width, ngroups = 9, 3, 2
     a, b, c = planted
@@ -429,7 +426,7 @@ def test_walk_tie_goes_to_the_lowest_group(gf8):
 def test_walk_over_gf65536_with_zero_entries():
     """m = 16: the widest tables, the sentinel on zero entries, and the
     largest symbols, against one rank per (subset, group) pair."""
-    f = field_new(16)
+    f = Field(16)
     rng = random.Random(24)
     for _ in range(12):
         groups = [
@@ -483,7 +480,7 @@ def test_quotient_stack_matches_reduce_modulo_per_modulus(gf16, monkeypatch, bud
     monkeypatch.undo()
     assert stacked.shape == (5, 5, max(7 - rank(Matrix(gf16, m)) if m else 7 for m in moduli))
     for e, modulus in enumerate(moduli):
-        single = np.array([list(v) for v in reduce_modulo(gf16, rows, modulus)])
+        single = quotient_stack(gf16, rows, [modulus])[0]
         assert single.shape[1] == 7 - (rank(Matrix(gf16, modulus)) if modulus else 0)
         assert (stacked[e, :, : single.shape[1]] == single).all()
         assert not stacked[e, :, single.shape[1] :].any()
@@ -500,6 +497,6 @@ def test_all_minors_matches_reference_first_offender(gf16):
         assert all_square_submatrices_nonsingular(mat, order) == expected
         offenders += expected is not True
     points = list(range(1, 10))
-    vand = Matrix(gf16, [[gf16.pow(p, j) for j in range(4)] for p in points])
+    vand = Matrix(gf16, [powers(gf16, p, 4) for p in points])
     assert all_square_submatrices_nonsingular(vand, 4) == reference_all_minors(vand, 4)
     assert offenders > 20

@@ -6,24 +6,21 @@ import pytest
 
 from conftest import grid_params
 from weavesafe.errors import InsufficientNodesError, ParameterError
-from weavesafe.gf2m import field_new
-from weavesafe.linalg import mat_vec, rank, submatrix
+from weavesafe.linalg import invert, mat_vec, rank, submatrix
 from weavesafe.pm_mbr import (
     InnerCode,
+    cell_index,
     encode_bulk,
     message_cells,
     params_new,
     reconstruct_bulk,
     repair_bulk,
 )
-from weavesafe.weaksec import build_cauchy_stack, make_codec
+from weavesafe.weaksec import make_codec
 
 
 def inner(n, k, d, m) -> InnerCode:
-    params = params_new(n, k, d, m)
-    field = field_new(m)
-    stack = build_cauchy_stack(params, field)
-    return InnerCode(params, field, submatrix(stack, range(n), range(d)))
+    return make_codec(params_new(n, k, d, m)).inner
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +32,43 @@ def random_codeword(code, rng):
     return [rng.randrange(code.field.order) for _ in range(code.params.total_symbols)]
 
 
+def message_matrix(code, codeword):
+    """The symmetric d x d message matrix of a codeword, from message_cells."""
+    p = code.params
+    m = [[0] * p.d for _ in range(p.d)]
+    for b, (i, j) in enumerate(message_cells(p.k, p.d)):
+        m[i][j] = m[j][i] = codeword[b]
+    return m
+
+
+def column(code, symbols):
+    """One chunk's symbols as a one-column array, the bulk maps' input."""
+    return np.array(symbols, dtype=code.field.dtype).reshape(-1, 1)
+
+
+def encode_one(code, codeword) -> dict:
+    """Every node's d symbols for one codeword, as plain lists."""
+    return {e: cols[:, 0].tolist() for e, cols in encode_bulk(code, column(code, codeword)).items()}
+
+
+def reconstruct_one(code, shares: dict) -> list:
+    cols = {e: column(code, share) for e, share in shares.items()}
+    return reconstruct_bulk(code, cols)[:, 0].tolist()
+
+
+def repair_one(code, failed, shares: dict) -> list:
+    cols = {e: column(code, share) for e, share in shares.items()}
+    repaired, downloaded = repair_bulk(code, failed, cols)
+    assert downloaded == len(shares)  # one symbol per helper
+    return repaired[:, 0].tolist()
+
+
 # -- parameters ---------------------------------------------------------------
 
 
 def test_params_running_example():
     p = params_new(5, 3, 4, 4)
     assert (p.total_symbols, p.secure_symbols, p.max_guesses) == (9, 7, 3)
-    assert p.node_symbols == 4 and p.helper_symbols == 1
 
 
 def test_params_tiny():
@@ -78,8 +105,7 @@ def test_params_rejections(bad, match):
 
 def test_fill_matches_reference_layout(code534):
     x = list(range(1, 10))
-    m = code534.fill_message_matrix(x)
-    assert m.data == [
+    assert message_matrix(code534, x) == [
         [1, 2, 3, 4],
         [2, 5, 6, 7],
         [3, 6, 8, 9],
@@ -88,14 +114,17 @@ def test_fill_matches_reference_layout(code534):
 
 
 def test_fill_zero_and_roundtrip(code534):
-    zero = code534.fill_message_matrix([0] * 9)
-    assert all(v == 0 for row in zero.data for v in row)
+    """cell_index inverts message_cells on both triangles and leaves the
+    structural zeros of the lower-right block unmapped."""
+    zero = message_matrix(code534, [0] * 9)
+    assert all(v == 0 for row in zero for v in row)
+    idx = cell_index(3, 4)
+    assert [(i, j) for i in range(4) for j in range(4) if (i, j) not in idx] == [(3, 3)]
     rng = random.Random(1)
     for _ in range(20):
         x = random_codeword(code534, rng)
-        assert code534.extract_codeword(code534.fill_message_matrix(x)) == x
-    with pytest.raises(ValueError):
-        code534.fill_message_matrix([0] * 8)
+        m = message_matrix(code534, x)
+        assert all(m[i][j] == x[b] for (i, j), b in idx.items())
 
 
 def test_message_cells_are_lexicographic():
@@ -109,36 +138,39 @@ def test_message_cells_are_lexicographic():
 
 
 def test_encode_zero(code534):
-    assert code534.encode_node([0] * 9, 1) == [0, 0, 0, 0]
+    assert encode_one(code534, [0] * 9)[1] == [0, 0, 0, 0]
 
 
 def test_encode_matches_row_times_matrix(code534):
+    """psi_e * M built here from the encoding row and message_cells: the
+    generator matrix and a one-column encode_bulk both give it."""
     rng = random.Random(2)
     for e in range(1, 6):
         x = random_codeword(code534, rng)
-        msg = code534.fill_message_matrix(x)
+        msg = message_matrix(code534, x)
         expected = [0] * 4
         psi_e = code534.encoding_matrix.row(e - 1)
         for j in range(4):
             acc = 0
             for c in range(4):
-                acc ^= code534.field.mul(psi_e[c], msg.get(c, j))
+                acc ^= code534.field.mul(psi_e[c], msg[c][j])
             expected[j] = acc
-        assert code534.encode_node(x, e) == expected
+        assert mat_vec(code534.generator_matrix(e), x) == expected
+        assert encode_one(code534, x)[e] == expected
 
 
 def test_encode_matches_generator(code534):
     rng = random.Random(3)
     for e in range(1, 6):
         x = random_codeword(code534, rng)
-        assert code534.encode_node(x, e) == mat_vec(code534.generator_matrix(e), x)
+        assert encode_one(code534, x)[e] == mat_vec(code534.generator_matrix(e), x)
 
 
 def test_encode_rejects_bad_node(code534):
     with pytest.raises(ValueError, match="out of range"):
-        code534.encode_node([0] * 9, 0)
+        code534.generator_matrix(0)
     with pytest.raises(ValueError, match="out of range"):
-        code534.encode_node([0] * 9, 6)
+        code534.generator_matrix(6)
 
 
 # -- generator matrices -------------------------------------------------------
@@ -189,30 +221,32 @@ def test_generator_values_come_from_encoding_row(code534):
 def test_reconstruct_every_k_subset(code534):
     rng = random.Random(4)
     x = random_codeword(code534, rng)
-    shares = {e: code534.encode_node(x, e) for e in range(1, 6)}
+    shares = encode_one(code534, x)
     for subset in combinations(range(1, 6), 3):
-        assert code534.reconstruct({e: shares[e] for e in subset}) == x
+        assert reconstruct_one(code534, {e: shares[e] for e in subset}) == x
 
 
 def test_reconstruct_ignores_extra_shares(code534):
     rng = random.Random(5)
     x = random_codeword(code534, rng)
-    shares = {e: code534.encode_node(x, e) for e in range(1, 6)}
-    assert code534.reconstruct(shares) == x
+    shares = encode_one(code534, x)
+    assert reconstruct_one(code534, shares) == x
 
 
 def test_reconstruct_zero(code534):
     shares = {e: [0, 0, 0, 0] for e in (1, 3, 5)}
-    assert code534.reconstruct(shares) == [0] * 9
+    assert reconstruct_one(code534, shares) == [0] * 9
 
 
 def test_reconstruct_errors(code534):
     with pytest.raises(InsufficientNodesError):
-        code534.reconstruct({1: [0] * 4, 2: [0] * 4})
+        reconstruct_one(code534, {1: [0] * 4, 2: [0] * 4})
     with pytest.raises(ValueError, match="expected 4"):
-        code534.reconstruct({1: [0] * 4, 2: [0] * 4, 3: [0] * 3})
+        reconstruct_one(code534, {1: [0] * 4, 2: [0] * 4, 3: [0] * 3})
     with pytest.raises(ValueError, match="out of range"):
-        code534.reconstruct({1: [0] * 4, 2: [0] * 4, 9: [0] * 4})
+        reconstruct_one(code534, {1: [0] * 4, 2: [0] * 4, 9: [0] * 4})
+    with pytest.raises(ValueError, match="out of range"):  # would read node 5's encoding row
+        reconstruct_one(code534, {0: [0] * 4, 1: [0] * 4, 2: [0] * 4})
 
 
 # -- repair --------------------------------------------------------------------
@@ -221,38 +255,55 @@ def test_reconstruct_errors(code534):
 def test_repair_exact_for_every_failure(code534):
     rng = random.Random(6)
     x = random_codeword(code534, rng)
-    shares = {e: code534.encode_node(x, e) for e in range(1, 6)}
+    shares = encode_one(code534, x)
     for failed in range(1, 6):
-        helpers = [e for e in range(1, 6) if e != failed]
-        uploads = {h: code534.helper_symbol(h, failed, shares[h]) for h in helpers}
-        assert code534.repair(failed, uploads) == shares[failed]
+        helpers = {e: shares[e] for e in range(1, 6) if e != failed}
+        assert repair_one(code534, failed, helpers) == shares[failed]
 
 
 def test_repair_download_is_one_symbol_per_helper(code534):
+    """Each helper uploads its share dotted with the failed node's encoding
+    row, and the repaired share is the helpers' encoding rows inverted on
+    those d symbols alone."""
     rng = random.Random(7)
     x = random_codeword(code534, rng)
-    share = code534.encode_node(x, 2)
-    symbol = code534.helper_symbol(2, 1, share)
-    assert isinstance(symbol, int)
+    shares = encode_one(code534, x)
     psi1 = code534.encoding_matrix.row(0)
-    acc = 0
-    for c in range(4):
-        acc ^= code534.field.mul(share[c], psi1[c])
-    assert symbol == acc
+    uploads = []
+    for h in (2, 3, 4, 5):
+        acc = 0
+        for c in range(4):
+            acc ^= code534.field.mul(shares[h][c], psi1[c])
+        uploads.append(acc)
+    helper_rows = submatrix(code534.encoding_matrix, [1, 2, 3, 4], range(4))
+    assert mat_vec(invert(helper_rows), uploads) == shares[1]
+    assert repair_one(code534, 1, {h: shares[h] for h in (2, 3, 4, 5)}) == shares[1]
 
 
 def test_repair_zero_codeword(code534):
-    uploads = {h: 0 for h in (2, 3, 4, 5)}
-    assert code534.repair(1, uploads) == [0, 0, 0, 0]
+    shares = {h: [0, 0, 0, 0] for h in (2, 3, 4, 5)}
+    assert repair_one(code534, 1, shares) == [0, 0, 0, 0]
 
 
 def test_repair_errors(code534):
     with pytest.raises(ValueError, match="cannot appear"):
-        code534.repair(1, {1: 0, 2: 0, 3: 0, 4: 0})
+        repair_one(code534, 1, {1: [0] * 4, 2: [0] * 4, 3: [0] * 4, 4: [0] * 4})
     with pytest.raises(InsufficientNodesError):
-        code534.repair(1, {2: 0, 3: 0, 4: 0})
-    with pytest.raises(ValueError, match="cannot help"):
-        code534.helper_symbol(1, 1, [0] * 4)
+        repair_one(code534, 1, {2: [0] * 4, 3: [0] * 4, 4: [0] * 4})
+    with pytest.raises(ValueError, match="expected 4"):
+        repair_one(code534, 1, {2: [0] * 4, 3: [0] * 4, 4: [0] * 4, 5: [0] * 3})
+    with pytest.raises(ValueError, match="out of range"):
+        repair_one(code534, 1, {2: [0] * 4, 3: [0] * 4, 4: [0] * 4, 6: [0] * 4})
+
+
+@pytest.mark.parametrize("failed", [0, 6])
+def test_repair_rejects_failed_node_out_of_range(code534, failed):
+    """Node 0 would wrap around to node n's encoding row and quietly rebuild
+    node n's share; node n+1 has no encoding row at all."""
+    shares = encode_one(code534, random_codeword(code534, random.Random(failed)))
+    helpers = {h: shares[h] for h in (1, 2, 3, 4)}
+    with pytest.raises(ValueError, match="out of range"):
+        repair_one(code534, failed, helpers)
 
 
 def test_repair_exact_on_other_parameters():
@@ -261,13 +312,12 @@ def test_repair_exact_on_other_parameters():
         params = grid_params(k, d, n)
         code = inner(n, k, d, params.m)
         x = [rng.randrange(code.field.order) for _ in range(params.total_symbols)]
-        shares = {e: code.encode_node(x, e) for e in range(1, n + 1)}
+        shares = encode_one(code, x)
         for failed in range(1, n + 1):
             for helpers in combinations([e for e in range(1, n + 1) if e != failed], d):
-                uploads = {h: code.helper_symbol(h, failed, shares[h]) for h in helpers}
-                assert code.repair(failed, uploads) == shares[failed]
+                assert repair_one(code, failed, {h: shares[h] for h in helpers}) == shares[failed]
         for subset in combinations(range(1, n + 1), k):
-            assert code.reconstruct({e: shares[e] for e in subset}) == x
+            assert reconstruct_one(code, {e: shares[e] for e in subset}) == x
 
 
 # -- bulk variants ----------------------------------------------------------
@@ -280,7 +330,7 @@ def test_bulk_encode_matches_scalar(code534):
     shares = encode_bulk(code534, cols)
     for e in range(1, 6):
         for t, x in enumerate(chunks):
-            assert shares[e][:, t].tolist() == code534.encode_node(x, e)
+            assert shares[e][:, t].tolist() == mat_vec(code534.generator_matrix(e), x)
 
 
 def test_bulk_reconstruct_matches_scalar(code534):
@@ -350,8 +400,6 @@ def test_codec_uses_top_rows_of_stack():
 
 def full_product_reconstruct(code, share_cols):
     """Reconstruction with the whole k x k core product, as first written."""
-    from weavesafe.linalg import invert
-
     p = code.params
     f = code.field
     nodes = sorted(share_cols)[: p.k]

@@ -13,6 +13,7 @@ from weavesafe.errors import (
     ShareFormatError,
 )
 from weavesafe.gf2m import native_dtype
+from weavesafe.linalg import mat_vec
 from weavesafe.pm_mbr import params_new
 from weavesafe.store import (
     Cluster,
@@ -262,8 +263,10 @@ def test_store_empty_file(tmp_path):
 
 
 def test_store_matches_scalar_pipeline(tmp_path):
-    """The vectorized store path must write exactly what chunk-at-a-time
-    coset encoding plus node encoding would."""
+    """The store writes, chunk by chunk, the coset encoding of the chunk
+    followed by each node's generator matrix applied with the scalar
+    mat_vec, so the generator-stack layout is checked against the
+    generator matrices rather than against itself."""
     data = b"scalar cross-check payload!"
     seed = 31
     cluster_store(data, P534, tmp_path / "c", seed=seed)
@@ -273,9 +276,10 @@ def test_store_matches_scalar_pipeline(tmp_path):
     rand = SymbolSource(P534.m, seed).symbols(2 * n_chunks).reshape(n_chunks, 2)
     expected_shares = {e: [] for e in range(1, 6)}
     for t in range(n_chunks):
-        codeword = codec.outer.coset_encode(chunks[t].tolist(), rand[t].tolist())
+        codeword = codec.outer.coset_encode_bulk(chunks[t].reshape(-1, 1), rand[t].reshape(-1, 1))
+        assert mat_vec(codec.outer.parity_check, codeword[:, 0].tolist()) == chunks[t].tolist()
         for e in range(1, 6):
-            expected_shares[e].append(codec.inner.encode_node(codeword, e))
+            expected_shares[e].append(mat_vec(codec.inner.generator_matrix(e), codeword[:, 0].tolist()))
     cluster = Cluster(tmp_path / "c")
     for e in range(1, 6):
         _, symbols = read_share(cluster.share_path(e))

@@ -6,22 +6,39 @@ import pytest
 
 from conftest import grid_params
 from weavesafe.errors import ParameterError
-from weavesafe.gf2m import field_new
-from weavesafe.linalg import invert, mat_vec, null_space, rank, submatrix
+from weavesafe.gf2m import Field
+from weavesafe.linalg import Matrix, invert, mat_vec, rank, submatrix
 from weavesafe import weaksec
-from weavesafe.pm_mbr import InnerCode, params_new
+from weavesafe.pm_mbr import InnerCode, build_generator_stack, params_new
 from weavesafe.weaksec import (
     OuterCode,
     SecureCodec,
     build_cauchy_stack,
+    codec_plan,
     index_sets,
     make_codec,
     make_type_row,
     max_guesses,
+    outer_plan,
     perfect_capacity,
     secure_capacity,
     type_cardinalities,
 )
+
+
+def coset_encode(outer, message, randomness) -> list:
+    """One chunk through coset_encode_bulk: a one-column call."""
+    dtype = outer.field.dtype
+    cols = outer.coset_encode_bulk(
+        np.array(message, dtype=dtype).reshape(-1, 1), np.array(randomness, dtype=dtype).reshape(-1, 1)
+    )
+    return cols[:, 0].tolist()
+
+
+def coset_decode(outer, codeword) -> list:
+    """One chunk through coset_decode_bulk: a one-column call."""
+    cols = outer.coset_decode_bulk(np.array(codeword, dtype=outer.field.dtype).reshape(-1, 1))
+    return cols[:, 0].tolist()
 
 
 # -- type cardinalities -------------------------------------------------------
@@ -77,7 +94,7 @@ def test_index_set_structure():
 
 def test_stack_running_example_dimensions():
     params = params_new(5, 3, 4, 4)
-    stack = build_cauchy_stack(params, field_new(4))
+    stack = build_cauchy_stack(params, Field(4))
     assert (stack.rows, stack.cols) == (9, 4)
     assert all(v != 0 for row in stack.data for v in row)
 
@@ -85,7 +102,7 @@ def test_stack_running_example_dimensions():
 def test_stack_rejects_small_field():
     params = params_new(5, 3, 4, 4)
     with pytest.raises(ParameterError, match="does not match"):
-        build_cauchy_stack(params, field_new(3))
+        build_cauchy_stack(params, Field(3))
     with pytest.raises(ParameterError, match="field too small"):
         params_new(5, 3, 4, 3)
 
@@ -94,21 +111,22 @@ def test_stack_rejects_small_field():
 
 
 def test_make_type_row_group_two():
-    f = field_new(4)
+    f = Field(4)
     g = 7
-    coeffs = [g, f.mul(g, g), f.pow(g, 3), 0]  # 4th entry unused for type 4
+    g2, g3 = f.mul(g, g), f.mul(g, f.mul(g, g))
+    coeffs = [g, g2, g3, 0]  # 4th entry unused for type 4
     row = make_type_row(f, 3, 4, 4, coeffs)
-    assert row == [0, 0, 0, g, 0, 0, f.mul(g, g), 0, f.pow(g, 3)]
+    assert row == [0, 0, 0, g, 0, 0, g2, 0, g3]
 
 
 def test_make_type_row_group_one_support():
-    f = field_new(4)
+    f = Field(4)
     row = make_type_row(f, 3, 4, 1, [1, 2, 3, 4])
     assert [i + 1 for i, v in enumerate(row) if v] == [1, 2, 3, 4]
 
 
 def test_make_type_row_errors():
-    f = field_new(4)
+    f = Field(4)
     with pytest.raises(ValueError, match="type index"):
         make_type_row(f, 3, 4, 5, [1, 2, 3, 4])
     with pytest.raises(ValueError, match="zero coefficient"):
@@ -136,7 +154,7 @@ def test_parity_check_matches_reference_pattern(codec534):
     for r, (type_i, p) in enumerate(outer.row_types):
         expected = [0] * 9
         for b, j in REFERENCE_POSITIONS[type_i]:
-            expected[b - 1] = coeff.get(p - 1, j - 1)
+            expected[b - 1] = coeff.data[p - 1][j - 1]
         assert h.row(r) == expected, f"row {r}"
 
 
@@ -174,9 +192,9 @@ def test_coset_roundtrip(codec534):
     for _ in range(25):
         msg = [rng.randrange(16) for _ in range(7)]
         rnd = [rng.randrange(16) for _ in range(2)]
-        codeword = outer.coset_encode(msg, rnd)
+        codeword = coset_encode(outer, msg, rnd)
         assert len(codeword) == 9
-        assert outer.coset_decode(codeword) == msg
+        assert coset_decode(outer, codeword) == msg
 
 
 def test_coset_encode_is_injective_in_randomness(codec534):
@@ -184,10 +202,10 @@ def test_coset_encode_is_injective_in_randomness(codec534):
     msg = [3, 1, 4, 1, 5, 9, 2]
     seen = set()
     for r1, r2 in [(0, 0), (0, 1), (7, 7), (15, 3)]:
-        codeword = tuple(outer.coset_encode(msg, [r1, r2]))
+        codeword = tuple(coset_encode(outer, msg, [r1, r2]))
         assert codeword not in seen
         seen.add(codeword)
-        assert outer.coset_decode(list(codeword)) == msg
+        assert coset_decode(outer, list(codeword)) == msg
 
 
 def test_coset_enumerates_whole_coset(codec322):
@@ -202,7 +220,7 @@ def test_coset_enumerates_whole_coset(codec322):
             if mat_vec(outer.parity_check, list(x)) == [msg_sym]
         }
         assert len(coset) == q * q
-        produced = [tuple(outer.coset_encode([msg_sym], [r1, r2])) for r1 in range(q) for r2 in range(q)]
+        produced = [tuple(coset_encode(outer, [msg_sym], [r1, r2])) for r1 in range(q) for r2 in range(q)]
         assert len(set(produced)) == q * q
         assert set(produced) == coset
 
@@ -212,30 +230,35 @@ def test_coset_decode_matches_parity_product(codec534):
     outer = codec534.outer
     for _ in range(10):
         x = [rng.randrange(16) for _ in range(9)]
-        assert outer.coset_decode(x) == mat_vec(outer.parity_check, x)
-    assert outer.coset_decode([0] * 9) == [0] * 7
+        assert coset_decode(outer, x) == mat_vec(outer.parity_check, x)
+    assert coset_decode(outer, [0] * 9) == [0] * 7
 
 
 def test_coset_decode_invariant_under_null_space(codec534):
+    """Two codewords of one message differ by a vector of H's null space,
+    which is two-dimensional; adding such a vector never changes a
+    syndrome."""
     rng = random.Random(2)
     outer = codec534.outer
-    basis = null_space(outer.parity_check)
-    assert len(basis) == 2
+    msg = [rng.randrange(16) for _ in range(7)]
+    base = coset_encode(outer, msg, [0, 0])
+    basis = [[a ^ b for a, b in zip(coset_encode(outer, msg, r), base)] for r in ([1, 0], [0, 1])]
+    assert rank(Matrix(codec534.field, basis)) == 2
     x = [rng.randrange(16) for _ in range(9)]
-    syndrome = outer.coset_decode(x)
+    syndrome = coset_decode(outer, x)
     for v in basis:
         shifted = [a ^ b for a, b in zip(x, v)]
-        assert outer.coset_decode(shifted) == syndrome
+        assert coset_decode(outer, shifted) == syndrome
 
 
 def test_coset_length_validation(codec534):
     outer = codec534.outer
     with pytest.raises(ValueError):
-        outer.coset_encode([0] * 6, [0, 0])
+        coset_encode(outer, [0] * 6, [0, 0])
     with pytest.raises(ValueError):
-        outer.coset_encode([0] * 7, [0])
+        coset_encode(outer, [0] * 7, [0])
     with pytest.raises(ValueError):
-        outer.coset_decode([0] * 8)
+        coset_decode(outer, [0] * 8)
 
 
 def test_coset_bulk_matches_scalar(codec534):
@@ -246,8 +269,8 @@ def test_coset_bulk_matches_scalar(codec534):
     cols = outer.coset_encode_bulk(np.array(msgs, dtype=np.int32).T, np.array(rnds, dtype=np.int32).T)
     decoded = outer.coset_decode_bulk(cols)
     for t in range(11):
-        assert cols[:, t].tolist() == outer.coset_encode(msgs[t], rnds[t])
-        assert decoded[:, t].tolist() == msgs[t]
+        assert cols[:, t].tolist() == coset_encode(outer, msgs[t], rnds[t])
+        assert decoded[:, t].tolist() == msgs[t] == mat_vec(outer.parity_check, cols[:, t].tolist())
 
 
 def test_coset_encode_bulk_matches_dense_inverse_on_grid():
@@ -290,7 +313,7 @@ def test_outer_code_rejects_wrong_coeff_shape(codec534):
     params = codec534.params
     bad = submatrix(codec534.outer.coeff_matrix, range(3), range(4))
     with pytest.raises(ParameterError):
-        OuterCode(params, codec534.field, bad)
+        OuterCode(params, codec534.field, bad, codec_plan(params).outer)
 
 
 # -- per-process memo of derived matrices --------------------------------------
@@ -329,12 +352,14 @@ def test_codecs_share_derived_data_over_their_own_fields():
     with pytest.raises(ValueError):
         a.inner.generator_stack[0, 0] ^= 1  # shared, so read-only
 
-    field = field_new(p.m)
+    field = Field(p.m)
     stack = build_cauchy_stack(p, field)
+    encoding = submatrix(stack, range(p.n), range(p.d))
+    coeffs = submatrix(stack, range(p.n, p.n + p.d), range(p.d))
     fresh = SecureCodec.__new__(SecureCodec)
     fresh.cauchy_stack = stack
-    fresh.inner = InnerCode(p, field, submatrix(stack, range(p.n), range(p.d)))
-    fresh.outer = OuterCode(p, field, submatrix(stack, range(p.n, p.n + p.d), range(p.d)))
+    fresh.inner = InnerCode(p, field, encoding, build_generator_stack(p, encoding.data, field.dtype))
+    fresh.outer = OuterCode(p, field, coeffs, outer_plan(p, field, coeffs.data))
     _assert_same_matrices(a, fresh)
 
 
