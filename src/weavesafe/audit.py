@@ -39,7 +39,7 @@ agree by both being right.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -249,7 +249,6 @@ class CertStep:
     type_index: int
     variables: tuple  # 1-based codeword indices decoded here
     rows: tuple  # 0-based row indices into the certificate matrix
-    sources: tuple  # per row: "check:<r>", "node", or "added:<r>"
 
 
 @dataclass(frozen=True)
@@ -274,7 +273,6 @@ class DecodeCertificate:
 class PlanStep:
     type_index: int
     check_rows: tuple  # positions within the message subset (0-based)
-    uses_node_row: bool
     added_rows: tuple  # 1-based coefficient-matrix rows appended for this step
     variables: tuple  # 1-based codeword indices
 
@@ -324,7 +322,7 @@ def _plan_step(d: int, t: int, check_rows: tuple, used: tuple, extra, variables:
         hats = tuple(h for h in range(1, d + 1) if h not in used)[:extra]
         if len(hats) != extra:
             raise AssertionError(f"bookkeeping broke at type {t}")
-    return PlanStep(t, check_rows, True, hats, variables)
+    return PlanStep(t, check_rows, hats, variables)
 
 
 @lru_cache(maxsize=None)
@@ -414,20 +412,10 @@ def certify_extended_parity(codec: SecureCodec) -> DecodeCertificate:
     """
     outer = codec.outer
     matrix = outer.parity_check_ext
-    checks = len(outer.row_types)
-
-    def source(r):
-        hat = outer.ext_row_types[r][1]
-        return f"check:{hat}" if r < checks else f"added:{hat}"
-
-    steps = tuple(
-        CertStep(s.type_index, s.variables, s.rows, tuple(source(r) for r in s.rows))
-        for s in outer.solve_steps
-    )
+    steps = tuple(CertStep(s.type_index, s.variables, s.rows) for s in outer.solve_steps)
     problem = _check_steps(matrix, steps)
-    return DecodeCertificate(
-        matrix, steps, outer.ext_row_types[checks:], problem is None, problem
-    )
+    appended = outer.ext_row_types[len(outer.row_types) :]
+    return DecodeCertificate(matrix, steps, appended, problem is None, problem)
 
 
 def certify_completion(codec: SecureCodec, subset: tuple, node: int) -> DecodeCertificate:
@@ -457,21 +445,12 @@ def certify_completion(codec: SecureCodec, subset: tuple, node: int) -> DecodeCe
             matrix, (), plan.appended, False, plan.failure, node, tuple(subset)
         )
 
-    node_row = {t: len(subset) + (t - 1) for t in range(1, p.d + 1)}
     steps = []
     for ps in plan.steps:
-        idx = []
-        src = []
-        for pos in ps.check_rows:
-            idx.append(pos)
-            src.append(f"check:{row_types[pos][1]}")
-        if ps.uses_node_row:
-            idx.append(node_row[ps.type_index])
-            src.append("node")
-        for hat in ps.added_rows:
-            idx.append(appended_at[(ps.type_index, hat)])
-            src.append(f"added:{hat}")
-        steps.append(CertStep(ps.type_index, ps.variables, tuple(idx), tuple(src)))
+        # The subset's check rows, the node's row of this type, the appended rows.
+        idx = ps.check_rows + (len(subset) + ps.type_index - 1,)
+        idx += tuple(appended_at[(ps.type_index, hat)] for hat in ps.added_rows)
+        steps.append(CertStep(ps.type_index, ps.variables, idx))
 
     problem = _check_steps(matrix, steps)
     return DecodeCertificate(
@@ -521,7 +500,6 @@ class AuditReport:
     certificate_steps: int
     certificate_success: bool
     cluster_demo: dict | None = None
-    extras: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
         n, k, d, m = self.params
@@ -546,7 +524,6 @@ class AuditReport:
         }
         if self.cluster_demo is not None:
             out["cluster_demo"] = self.cluster_demo
-        out.update(self.extras)
         return out
 
     def to_text(self) -> str:

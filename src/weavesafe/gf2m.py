@@ -167,7 +167,7 @@ def _xor_span(basis: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)  # one entry per degree, at most 14
 def _tables(m: int) -> tuple:
-    """(generator, product table, exp table, log table) of GF(2^m).
+    """(product table, exp table, log table) of GF(2^m).
 
     The product table is the full 2^m x 2^m table for m <= 8 and None
     above.  The exp table lists the powers of the smallest multiplicative
@@ -194,7 +194,7 @@ def _tables(m: int) -> tuple:
     powers = powers[: order - 1]
     log = np.full(order, -1, dtype=np.int64)
     log[powers] = np.arange(order - 1)
-    return generator, product, powers.tolist(), log.tolist()
+    return product, powers.tolist(), log.tolist()
 
 
 def _times(m: int, product, a: int, vec):
@@ -231,7 +231,7 @@ class Field:
         self.reduction_poly = CANONICAL_POLYS[m]
         self.order = 1 << m
         self.dtype = native_dtype(m)
-        self.generator, self._product, self.exp_table, self.log_table = _tables(m)
+        self._product, self.exp_table, self.log_table = _tables(m)
 
     # -- scalar operations ------------------------------------------------
 

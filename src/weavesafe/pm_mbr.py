@@ -115,30 +115,15 @@ def type_positions(k: int, d: int, t: int) -> tuple:
     return tuple(out)
 
 
-def build_generator_stack(params: CodeParams, encoding_rows: list, dtype) -> np.ndarray:
-    """All n*d generator rows as one (n*d) x B array, node after node.
-
-    Row (e-1)*d + t holds node e's encoding row on the symbols of
-    message-matrix row t, so node e's d stored symbols are rows
-    (e-1)*d .. e*d-1 applied to the codeword.
-    """
-    k, d = params.k, params.d
-    t, b, j = zip(*((t, b, j) for t in range(d) for b, j in type_positions(k, d, t)))
-    stack = np.zeros((params.n, d, params.total_symbols), dtype=dtype)
-    stack[:, t, b] = np.array(encoding_rows, dtype=dtype)[:, j]
-    return stack.reshape(params.n * d, -1)
-
-
 class InnerCode:
     """A product-matrix MBR code bound to one encoding matrix.
 
     The encoding matrix must have every square submatrix nonsingular
-    (a Cauchy matrix does); the secure codec supplies the canonical one,
-    with its generator stack (``build_generator_stack``) derived once.
+    (a Cauchy matrix does); the secure codec supplies the canonical one.
     Immutable after construction.
     """
 
-    def __init__(self, params: CodeParams, field: Field, encoding_matrix: Matrix, generator_stack):
+    def __init__(self, params: CodeParams, field: Field, encoding_matrix: Matrix):
         if field.m != params.m:
             raise ParameterError(f"field degree {field.m} does not match params m={params.m}")
         if (encoding_matrix.rows, encoding_matrix.cols) != (params.n, params.d):
@@ -149,7 +134,15 @@ class InnerCode:
         self.params = params
         self.field = field
         self.encoding_matrix = encoding_matrix
-        self.generator_stack = generator_stack
+        # All n*d generator rows as one (n*d) x B array, node after node:
+        # row (e-1)*d + t holds node e's encoding row on the symbols of
+        # message-matrix row t, so node e's d stored symbols are rows
+        # (e-1)*d .. e*d-1 applied to the codeword.
+        k, d = params.k, params.d
+        t, b, j = zip(*((t, b, j) for t in range(d) for b, j in type_positions(k, d, t)))
+        stack = np.zeros((params.n, d, params.total_symbols), dtype=field.dtype)
+        stack[:, t, b] = np.array(encoding_matrix.data, dtype=field.dtype)[:, j]
+        self.generator_stack = stack.reshape(params.n * d, -1)
 
     # -- generator matrices ----------------------------------------------
 

@@ -216,7 +216,6 @@ class Manifest:
 
 @dataclass(frozen=True)
 class ShareHeader:
-    version: int
     m: int
     n: int
     k: int
@@ -286,7 +285,7 @@ def read_share(path) -> tuple[ShareHeader, np.ndarray]:
     symbols = np.frombuffer(payload, dtype=_symbol_dtype(m)).astype(native_dtype(m), copy=False)
     if m not in (8, 16) and symbols.size and int(symbols.max()) >= (1 << m):
         raise ShareFormatError(f"{path}: symbol out of range for m={m}")
-    return ShareHeader(version, m, n, k, d, node, chunk_count), symbols.reshape(chunk_count, d)
+    return ShareHeader(m, n, k, d, node, chunk_count), symbols.reshape(chunk_count, d)
 
 
 # -- cluster ----------------------------------------------------------------------
@@ -451,4 +450,4 @@ def cluster_eavesdrop(root, node: int) -> np.ndarray:
         raise ValueError(f"node index {node} out of range 1..{p.n}")
     if not cluster.share_path(node).exists():
         raise InsufficientNodesError(f"node {node} is failed; nothing to observe")
-    return cluster.read_share_columns(node, manifest).T.copy()
+    return cluster.read_share_columns(node, manifest).T

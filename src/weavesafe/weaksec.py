@@ -20,15 +20,15 @@ that the extension is invertible, and the same steps are the encoder;
 no B x B inverse is ever formed.  Decoding is a single syndrome
 computation.
 
-Everything but the data is fixed by (n, k, d, m), so ``codec_plan``
-derives it once per process for each parameter set: the Cauchy stack, the
-encoding and coefficient matrices, H and H_ext, the solve steps (each
-step's inverse and coupling as native-dtype arrays) and the n*d generator
-rows.  The memo is keyed on ``CodeParams``, keeps the last
-``_CODEC_MEMO`` (8) parameter sets, and holds plain ints and arrays bound
-to no Field.  Each ``SecureCodec`` still builds its own Field and wraps
-the shared entries without validating them again.  Nothing derived from a
-message, from randomness or from a share is kept.
+Everything but the data is fixed by (n, k, d, m), so ``_codes`` derives
+it once per process for each parameter set: the Cauchy stack, the inner
+code (its encoding matrix and n*d generator rows) and the outer code (its
+coefficient matrix, H and H_ext, and the solve steps, each step's inverse
+and coupling as native-dtype arrays).  The memo is keyed on
+``CodeParams`` and keeps the last ``_CODEC_MEMO`` (8) parameter sets.
+Each ``SecureCodec`` builds its own Field and shares the memoized codes
+as they are.  Nothing derived from a message, from randomness or from a
+share is kept.
 """
 
 from dataclasses import dataclass
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ParameterError, SingularMatrixError
 from .gf2m import Field
 from .linalg import Matrix, cauchy, invert, submatrix
-from .pm_mbr import CodeParams, InnerCode, build_generator_stack, type_positions
+from .pm_mbr import CodeParams, InnerCode, type_positions
 
 # Most parameter sets whose derived matrices a process keeps.
 _CODEC_MEMO = 8
@@ -124,53 +124,6 @@ class SolveStep:
     coupling: np.ndarray  # the rows x known block, field dtype
 
 
-@dataclass(frozen=True)
-class OuterPlan:
-    """What a coefficient matrix fixes of the outer code; see OuterCode."""
-
-    parity_check: list  # rows of H
-    parity_array: np.ndarray  # H in the field's dtype, the coset decoder's map
-    row_types: tuple
-    parity_check_ext: list  # rows of H_ext
-    ext_row_types: tuple
-    solve_steps: tuple
-
-
-def outer_plan(params: CodeParams, field: Field, coeff_rows: list) -> OuterPlan:
-    """H and its extension from d coefficient rows, with the solve steps.
-
-    Nonsingular steps prove H_ext invertible, hence H of full row rank; a
-    non-square or singular step raises ParameterError.
-    """
-    k, d = params.k, params.d
-    counts = type_cardinalities(k, d)
-    rows = []
-    ledger = []
-    for type_i in range(2, d + 1):
-        for p in range(1, counts[type_i - 1] + 1):
-            rows.append(make_type_row(field, k, d, type_i, coeff_rows[p - 1]))
-            ledger.append((type_i, p))
-    if len(rows) != params.secure_symbols:
-        raise ParameterError(
-            f"type cardinalities sum to {len(rows)}, expected B-2 = {params.secure_symbols}"
-        )
-    # The extension appends a type-k row (last coefficient row) and a
-    # type-1 row (first coefficient row); the result is square.
-    ext = rows + [
-        make_type_row(field, k, d, k, coeff_rows[d - 1]),
-        make_type_row(field, k, d, 1, coeff_rows[0]),
-    ]
-    ext_types = tuple(ledger) + ((k, d), (1, 1))
-    return OuterPlan(
-        rows,
-        np.array(rows, dtype=field.dtype),
-        tuple(ledger),
-        ext,
-        ext_types,
-        _solve_steps(params, Matrix.derived(field, ext), ext_types),
-    )
-
-
 def _solve_steps(params: CodeParams, ext: Matrix, ext_types: tuple) -> tuple:
     """The successive decode of H_ext, one square solve per type.
 
@@ -208,29 +161,45 @@ def _solve_steps(params: CodeParams, ext: Matrix, ext_types: tuple) -> tuple:
 class OuterCode:
     """Parity-check machinery for one parameter set.
 
-    Holds the (B-2) x B parity-check matrix, its per-row (type,
-    coefficient-row) ledger, and the invertible B x B extension used for
-    uniform coset encoding, together with the type-ordered solve steps
-    that invert it, all taken from the ``outer_plan`` of the coefficient
-    matrix.  Immutable after construction; encoding consumes
+    Derives from a d x d coefficient matrix the (B-2) x B parity-check
+    matrix, its per-row (type, coefficient-row) ledger, and the invertible
+    B x B extension used for uniform coset encoding, together with the
+    type-ordered solve steps that invert it.  Nonsingular steps prove H_ext
+    invertible, hence H of full row rank; a non-square or singular step
+    raises ParameterError.  Immutable after construction; encoding consumes
     caller-supplied randomness and is otherwise deterministic.
     """
 
-    def __init__(self, params: CodeParams, field: Field, coeff_matrix: Matrix, plan: OuterPlan):
-        if (coeff_matrix.rows, coeff_matrix.cols) != (params.d, params.d):
+    def __init__(self, params: CodeParams, field: Field, coeff_matrix: Matrix):
+        k, d = params.k, params.d
+        if (coeff_matrix.rows, coeff_matrix.cols) != (d, d):
             raise ParameterError(
-                f"coefficient matrix must be {params.d}x{params.d}, "
-                f"got {coeff_matrix.rows}x{coeff_matrix.cols}"
+                f"coefficient matrix must be {d}x{d}, got {coeff_matrix.rows}x{coeff_matrix.cols}"
             )
         self.params = params
         self.field = field
         self.coeff_matrix = coeff_matrix
-        self.parity_check = Matrix.derived(field, plan.parity_check)
-        self.parity_array = plan.parity_array
-        self.row_types = plan.row_types
-        self.parity_check_ext = Matrix.derived(field, plan.parity_check_ext)
-        self.ext_row_types = plan.ext_row_types
-        self.solve_steps = plan.solve_steps
+        coeffs = coeff_matrix.data
+        counts = type_cardinalities(k, d)
+        rows = []
+        ledger = []
+        for type_i in range(2, d + 1):
+            for p in range(1, counts[type_i - 1] + 1):
+                rows.append(make_type_row(field, k, d, type_i, coeffs[p - 1]))
+                ledger.append((type_i, p))
+        if len(rows) != params.secure_symbols:
+            raise ParameterError(
+                f"type cardinalities sum to {len(rows)}, expected B-2 = {params.secure_symbols}"
+            )
+        self.parity_check = Matrix.derived(field, rows)
+        self.parity_array = np.array(rows, dtype=field.dtype)  # H, the coset decoder's map
+        self.row_types = tuple(ledger)
+        # The extension appends a type-k row (last coefficient row) and a
+        # type-1 row (first coefficient row); the result is square.
+        ext = [make_type_row(field, k, d, k, coeffs[d - 1]), make_type_row(field, k, d, 1, coeffs[0])]
+        self.parity_check_ext = Matrix.derived(field, rows + ext)
+        self.ext_row_types = self.row_types + ((k, d), (1, 1))
+        self.solve_steps = _solve_steps(params, self.parity_check_ext, self.ext_row_types)
 
     # -- coset encode / decode, one column per chunk ----------------------
 
@@ -259,55 +228,38 @@ class OuterCode:
         return self.field.mat_mul_cols(self.parity_array, codeword_cols)
 
 
-@dataclass(frozen=True)
-class CodecPlan:
-    """Everything one parameter set fixes, as entries bound to no Field.
-
-    Shared by every codec of the parameter set, so never mutated.
-    """
-
-    cauchy_stack: list  # rows of the (n+d) x d stack: n encoding rows, d coefficient rows
-    generator_stack: np.ndarray  # n*d x B, see pm_mbr.build_generator_stack
-    outer: OuterPlan
-
-
 @lru_cache(maxsize=_CODEC_MEMO)
-def codec_plan(params: CodeParams) -> CodecPlan:
-    """The derived matrices of one parameter set, memoized per process.
+def _codes(params: CodeParams) -> tuple:
+    """(Cauchy stack, inner code, outer code) of one parameter set over
+    one Field, memoized per process.
 
-    Its arrays are made read-only, since every codec of the parameter set
-    shares them.
+    Every codec of the parameter set shares them, so their arrays are made
+    read-only.
     """
     field = Field(params.m)
-    stack = build_cauchy_stack(params, field).data
-    plan = CodecPlan(
-        stack,
-        build_generator_stack(params, stack[: params.n], field.dtype),
-        outer_plan(params, field, stack[params.n :]),
-    )
-    shared = [plan.generator_stack, plan.outer.parity_array]
-    shared += [a for s in plan.outer.solve_steps for a in (s.inverse, s.coupling)]
+    stack = build_cauchy_stack(params, field)
+    n, d = params.n, params.d
+    inner = InnerCode(params, field, submatrix(stack, range(n), range(d)))
+    outer = OuterCode(params, field, submatrix(stack, range(n, n + d), range(d)))
+    shared = [inner.generator_stack, outer.parity_array]
+    shared += [a for s in outer.solve_steps for a in (s.inverse, s.coupling)]
     for array in shared:
         array.flags.writeable = False
-    return plan
+    return stack, inner, outer
 
 
 class SecureCodec:
     """Inner MBR code and outer coset code bound over one Cauchy stack.
 
-    Every codec has its own Field; the matrices come from ``codec_plan``
-    and are shared by the codecs of one parameter set.
+    The stack and both codes come from ``_codes`` and are shared by every
+    codec of the parameter set; each codec builds its own Field, equal to
+    theirs.
     """
 
     def __init__(self, params: CodeParams):
         self.params = params
-        self.field = f = Field(params.m)
-        plan = codec_plan(params)
-        stack = plan.cauchy_stack
-        self.cauchy_stack = Matrix.derived(f, stack)
-        encoding, coeffs = Matrix.derived(f, stack[: params.n]), Matrix.derived(f, stack[params.n :])
-        self.inner = InnerCode(params, f, encoding, plan.generator_stack)
-        self.outer = OuterCode(params, f, coeffs, plan.outer)
+        self.field = Field(params.m)
+        self.cauchy_stack, self.inner, self.outer = _codes(params)
 
     def __repr__(self) -> str:
         p = self.params

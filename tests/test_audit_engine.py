@@ -93,14 +93,14 @@ def reference_plan(k: int, d: int, row_types: tuple) -> CompletionPlan:
         if len(variables) != equations or len(hats) != extra:
             raise AssertionError(f"bookkeeping broke at type {t}")
         appended.extend((t, h) for h in hats)
-        steps.append(PlanStep(t, tuple(check_rows_by_type[t]), True, hats, variables))
+        steps.append(PlanStep(t, tuple(check_rows_by_type[t]), hats, variables))
         decoded.update(variables)
 
     def small_step(t, expect):
         variables = undecoded(t)
         if len(variables) != expect:
             raise AssertionError(f"bookkeeping broke at type {t}")
-        steps.append(PlanStep(t, tuple(check_rows_by_type[t]), True, (), variables))
+        steps.append(PlanStep(t, tuple(check_rows_by_type[t]), (), variables))
         decoded.update(variables)
 
     def fail(t, need, have):

@@ -197,10 +197,10 @@ def test_codec_build_checks_only_the_cauchy_points(monkeypatch):
     """A codec build validates the Cauchy points it is given; every matrix
     derived from the stack is built without checking its entries again."""
     from weavesafe.pm_mbr import params_new
-    from weavesafe.weaksec import codec_plan, make_codec
+    from weavesafe.weaksec import _codes, make_codec
 
     p = params_new(20, 10, 16, 8)
-    codec_plan.cache_clear()  # a derived plan would be reused unchecked
+    _codes.cache_clear()  # memoized codes would be reused unchecked
     checks = []
     real = Field.check
     monkeypatch.setattr(Field, "check", lambda self, v: checks.append(v) or real(self, v))

@@ -1,11 +1,15 @@
-"""Every definition in the package has a caller in the package.
+"""Every definition in the package has a caller in the package, and every
+attribute it stores is read.
 
 Module-level functions and classes, and the non-dunder methods and
 properties of classes, must be referenced by name somewhere in
 ``src/weavesafe`` outside their own body, or be exported in
-``weavesafe.__all__``.  Names are matched without resolving what they
-refer to, so two definitions sharing a name can hide each other, but a
-definition that is used is never reported.
+``weavesafe.__all__``.  The annotated fields of a class body and the
+``self.X = ...`` assignments in its methods must be read as an attribute
+(``.X`` in a load) somewhere in ``src/weavesafe`` or ``tests/``.  Names are
+matched without resolving what they refer to, so two definitions sharing
+a name can hide each other, but a definition that is used is never
+reported.
 """
 
 import ast
@@ -15,6 +19,11 @@ from pathlib import Path
 import weavesafe
 
 SRC = Path(weavesafe.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+
+def parse(directory: Path) -> dict:
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(directory.glob("*.py"))}
 
 
 def referenced_names(node) -> Counter:
@@ -42,7 +51,7 @@ def definitions(tree):
 
 
 def unreferenced(src: Path, exported) -> list:
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    trees = parse(src)
     used = Counter()
     for tree in trees.values():
         used += referenced_names(tree)
@@ -54,6 +63,46 @@ def unreferenced(src: Path, exported) -> list:
             if used[node.name] - referenced_names(node)[node.name] <= 0:
                 dead.append(f"{module}:{qualname}")
     return dead
+
+
+def stored_attributes(tree):
+    """(qualified name, attribute) for the annotated fields of each class
+    body and the ``self.X = ...`` assignments in each class's methods."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                yield f"{node.name}.{member.target.id}", member.target.id
+            elif isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for sub in ast.walk(member):
+                    if (
+                        isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"
+                    ):
+                        yield f"{node.name}.{sub.attr}", sub.attr
+
+
+def unread(src: Path, readers) -> list:
+    """Attributes stored in src that no module in src or readers loads."""
+    trees = parse(src)
+    loaded = list(trees.values()) + [tree for d in readers for tree in parse(d).values()]
+    read = {
+        sub.attr
+        for tree in loaded
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    return sorted(
+        {
+            f"{module}:{qualname}"
+            for module, tree in trees.items()
+            for qualname, attr in stored_attributes(tree)
+            if attr not in read
+        }
+    )
 
 
 def test_every_definition_has_a_caller_in_src():
@@ -76,3 +125,24 @@ def test_guard_reports_a_definition_used_only_by_itself(tmp_path):
         "mod.py:Box.unused",
         "mod.py:Box.idle",
     ]
+
+
+def test_every_stored_attribute_is_read():
+    assert unread(SRC, [TESTS]) == []
+
+
+def test_guard_reports_an_attribute_never_read(tmp_path):
+    src, readers = tmp_path / "src", tmp_path / "tests"
+    src.mkdir()
+    readers.mkdir()
+    (src / "mod.py").write_text(
+        "class Box:\n"
+        "    kept: int\n    idle: int\n\n"
+        "    def __init__(self):\n"
+        "        self.v, self.w = 1, 2\n        self.count = 0\n\n"
+        "    def bump(self):\n        self.count += 1\n        self.w = 3\n        return self.v\n\n\n"
+        "def peek(box):\n    return box.kept\n"
+    )
+    (readers / "test_mod.py").write_text("def test_w(box):\n    assert box.w == 2\n")
+    assert unread(src, [readers]) == ["mod.py:Box.count", "mod.py:Box.idle"]
+    assert unread(src, []) == ["mod.py:Box.count", "mod.py:Box.idle", "mod.py:Box.w"]

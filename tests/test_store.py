@@ -375,6 +375,7 @@ def test_eavesdrop_matches_generator_model(tmp_path):
         observed = cluster_eavesdrop(tmp_path / "c", e)
         expected = codec.field.mat_mul_cols(codec.inner.generator_matrix(e).data, codewords)
         assert observed.tolist() == expected.T.tolist()
+        assert np.array_equal(observed, read_share(cluster.share_path(e))[1])  # chunk-major, as stored
 
 
 def test_eavesdrop_failed_node(tmp_path):

@@ -9,17 +9,15 @@ from weavesafe.errors import ParameterError
 from weavesafe.gf2m import Field
 from weavesafe.linalg import Matrix, invert, mat_vec, rank, submatrix
 from weavesafe import weaksec
-from weavesafe.pm_mbr import InnerCode, build_generator_stack, params_new
+from weavesafe.pm_mbr import InnerCode, params_new
 from weavesafe.weaksec import (
     OuterCode,
     SecureCodec,
     build_cauchy_stack,
-    codec_plan,
     index_sets,
     make_codec,
     make_type_row,
     max_guesses,
-    outer_plan,
     perfect_capacity,
     secure_capacity,
     type_cardinalities,
@@ -313,7 +311,7 @@ def test_outer_code_rejects_wrong_coeff_shape(codec534):
     params = codec534.params
     bad = submatrix(codec534.outer.coeff_matrix, range(3), range(4))
     with pytest.raises(ParameterError):
-        OuterCode(params, codec534.field, bad, codec_plan(params).outer)
+        OuterCode(params, codec534.field, bad)
 
 
 # -- per-process memo of derived matrices --------------------------------------
@@ -335,31 +333,28 @@ def _assert_same_matrices(a, b):
 
 def test_codecs_share_derived_data_over_their_own_fields():
     """Two builds of one parameter set are distinct codecs, each over its
-    own Field, that share one plan; the plan equals a derivation that
-    bypasses the memo."""
+    own Field, that share one stack and one inner and outer code; these
+    equal a derivation that bypasses the memo."""
     p = params_new(7, 4, 6, 5)
     a, b = make_codec(p), make_codec(p)
     assert a is not b and a.field is not b.field and a.field == b.field
+    assert a.cauchy_stack is b.cauchy_stack and a.inner is b.inner and a.outer is b.outer
     for codec in (a, b):
-        assert codec.inner.field is codec.field and codec.outer.field is codec.field
+        assert codec.inner.field == codec.field and codec.outer.field == codec.field
         for matrix in (codec.cauchy_stack, codec.inner.encoding_matrix, codec.outer.parity_check):
-            assert matrix.field is codec.field
-    assert a.inner.generator_stack is b.inner.generator_stack
-    assert a.outer.solve_steps is b.outer.solve_steps
-    assert a.outer.parity_check.data is b.outer.parity_check.data
+            assert matrix.field == codec.field
     for step in a.outer.solve_steps:
         assert step.inverse.dtype == step.coupling.dtype == a.field.dtype
-    with pytest.raises(ValueError):
-        a.inner.generator_stack[0, 0] ^= 1  # shared, so read-only
+    for shared in (a.inner.generator_stack, a.outer.parity_array, a.outer.solve_steps[0].inverse):
+        with pytest.raises(ValueError):
+            shared[0, 0] ^= 1  # shared, so read-only
 
     field = Field(p.m)
     stack = build_cauchy_stack(p, field)
-    encoding = submatrix(stack, range(p.n), range(p.d))
-    coeffs = submatrix(stack, range(p.n, p.n + p.d), range(p.d))
     fresh = SecureCodec.__new__(SecureCodec)
     fresh.cauchy_stack = stack
-    fresh.inner = InnerCode(p, field, encoding, build_generator_stack(p, encoding.data, field.dtype))
-    fresh.outer = OuterCode(p, field, coeffs, outer_plan(p, field, coeffs.data))
+    fresh.inner = InnerCode(p, field, submatrix(stack, range(p.n), range(p.d)))
+    fresh.outer = OuterCode(p, field, submatrix(stack, range(p.n, p.n + p.d), range(p.d)))
     _assert_same_matrices(a, fresh)
 
 
@@ -368,12 +363,12 @@ def test_codec_memo_stays_at_its_bound():
     evicted set is derived again, to equal matrices."""
     grid = [grid_params(k, d) for k in range(2, 6) for d in range(k, k + 3)]
     assert len(grid) > weaksec._CODEC_MEMO
-    weaksec.codec_plan.cache_clear()
+    weaksec._codes.cache_clear()
     first = make_codec(grid[0])
     for p in grid:
         make_codec(p)
-        assert weaksec.codec_plan.cache_info().currsize <= weaksec._CODEC_MEMO
-    assert weaksec.codec_plan.cache_info().currsize == weaksec._CODEC_MEMO
+        assert weaksec._codes.cache_info().currsize <= weaksec._CODEC_MEMO
+    assert weaksec._codes.cache_info().currsize == weaksec._CODEC_MEMO
     again = make_codec(grid[0])
     assert again.inner.generator_stack is not first.inner.generator_stack
     _assert_same_matrices(first, again)
