@@ -47,9 +47,7 @@ from .weaksec import (
     index_sets,
     make_codec,
     make_type_row,
-    max_guesses,
     perfect_capacity,
-    secure_capacity,
     type_cardinalities,
 )
 
@@ -89,12 +87,10 @@ __all__ = [
     "leakage",
     "make_codec",
     "make_type_row",
-    "max_guesses",
     "params_new",
     "perfect_capacity",
     "rank",
     "replay_certificate",
-    "secure_capacity",
     "type_cardinalities",
     "verify_weak_secrecy",
     "__version__",

@@ -55,6 +55,8 @@ from .linalg import (
     submatrix,
     vstack,
 )
+from .pm_mbr import reconstruct_bulk
+from .store import Cluster
 from .weaksec import SecureCodec, index_sets, make_type_row, perfect_capacity
 
 DEFAULT_VERIFY_CAP = 5_000_000
@@ -437,7 +439,7 @@ def certify_completion(codec: SecureCodec, subset: tuple, node: int) -> DecodeCe
     appended_at = {}
     for t, hat in plan.appended:
         appended_at[(t, hat)] = len(rows)
-        rows.append(make_type_row(codec.field, p.k, p.d, t, outer.coeff_matrix.row(hat - 1)))
+        rows.append(make_type_row(p.k, p.d, t, outer.coeff_matrix.row(hat - 1)))
     matrix = Matrix.derived(codec.field, rows)
 
     if not plan.success:
@@ -591,12 +593,9 @@ def audit_report(
 def _cluster_observation_demo(codec: SecureCodec, root) -> dict:
     """Check, on real share files, that each node stores exactly its
     generator matrix applied to the codeword stream."""
-    from . import store
-
-    cluster = store.Cluster(root)
-    share_cols = {e: cluster.read_share_columns(e) for e in cluster.live_nodes()}
-    from .pm_mbr import reconstruct_bulk
-
+    cluster = Cluster(root)
+    manifest = cluster.manifest()
+    share_cols = {e: cluster.read_share_columns(e, manifest) for e in cluster.live_nodes(manifest)}
     codeword_cols = reconstruct_bulk(codec.inner, share_cols)
     ok = 0
     for e, cols in share_cols.items():

@@ -24,8 +24,9 @@ written with one build must decode with any other):
     m=16 : x^16 + x^12 + x^3 + x + 1        0x1100B
 
 Scalar multiplication and inversion go through exp/log tables built on
-the smallest multiplicative generator (for m=8 the canonical polynomial
-is irreducible but x itself is not a generator, so the builder searches).
+the smallest multiplicative generator: 2 (the residue x) for every m but
+8, where x has order 51 and the generator is 3.  Finding it also proves
+the polynomial irreducible (see ``_tables``).
 Addition is xor; in characteristic 2 every element is its own negative,
 so a + b = 0 exactly when a = b.
 
@@ -121,36 +122,6 @@ _PLAN_MEMO = 256
 _SPLIT_MEMO = 4096
 
 
-def clmul_reduce(a: int, b: int, poly: int, m: int) -> int:
-    """Carry-less multiply then reduce modulo poly.
-
-    Slow reference path; the Field uses it only to bootstrap its tables.
-    """
-    p = 0
-    while b:
-        if b & 1:
-            p ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> m) & 1:
-            a ^= poly
-    return p
-
-
-def is_irreducible(poly: int, m: int) -> bool:
-    """Exhaustive trial division by every polynomial of degree 1..m//2."""
-    if poly.bit_length() - 1 != m:
-        return False
-    for deg in range(1, m // 2 + 1):
-        for cand in range(1 << deg, 1 << (deg + 1)):
-            rem = poly
-            while rem.bit_length() - 1 >= deg:
-                rem ^= cand << (rem.bit_length() - 1 - deg)
-            if rem == 0:
-                return False
-    return True
-
-
 def native_dtype(m: int) -> np.dtype:
     """The numpy dtype that holds one m-bit symbol: uint8 or uint16."""
     return np.dtype(np.uint8 if m <= 8 else np.uint16)
@@ -172,29 +143,34 @@ def _tables(m: int) -> tuple:
     The product table is the full 2^m x 2^m table for m <= 8 and None
     above.  The exp table lists the powers of the smallest multiplicative
     generator; the log table inverts it, with -1 at zero.
+
+    Candidates g = 2, 3, ... are tried in turn; the first whose powers
+    g^0 .. g^(2^m - 2) reach every nonzero residue is the generator, and
+    its coverage proves the polynomial irreducible.  Were g times some
+    nonzero residue g^i zero, g would be nilpotent and so g^m = 0, one of
+    the powers that cover (m < 2^m - 1).  So g is a unit, and so is each
+    nonzero residue, a power of g: the residues form a field.
     """
-    poly = CANONICAL_POLYS[m]
-    if not is_irreducible(poly, m):  # guards table corruption, never fires for the shipped set
-        raise ParameterError(f"reduction polynomial {poly:#x} for m={m} is not irreducible")
     order = 1 << m
-    generator = _find_generator(m, poly)
     dtype = native_dtype(m)
     product = None
     if m <= 8:
         basis = np.stack(_times_x_powers(np.arange(order), m), axis=-1)
         product = _xor_span(basis.astype(dtype))
 
-    # Powers of the generator by doubling: the block g^L .. g^(2L-1) is
-    # the block before it times g^L.
-    powers = np.ones(1, dtype=dtype)
-    step = generator
-    while powers.size < order - 1:
-        powers = np.concatenate([powers, _times(m, product, step, powers)])
-        step = clmul_reduce(step, step, poly, m)
-    powers = powers[: order - 1]
-    log = np.full(order, -1, dtype=np.int64)
-    log[powers] = np.arange(order - 1)
-    return product, powers.tolist(), log.tolist()
+    for generator in range(2, order):
+        # Powers of the candidate by doubling: the block g^L .. g^(2L-1) is
+        # the block before it times g^L.
+        powers, step = np.ones(1, dtype=dtype), generator
+        while powers.size < order - 1:
+            powers = np.concatenate([powers, _times(m, product, step, powers)])
+            step = int(_times(m, product, step, np.array(step, dtype=dtype)))
+        powers = powers[: order - 1]
+        log = np.full(order, -1, dtype=np.int64)
+        log[powers] = np.arange(order - 1)
+        if log[1:].min() >= 0:
+            return product, powers.tolist(), log.tolist()
+    raise ParameterError(f"reduction polynomial {CANONICAL_POLYS[m]:#x} for m={m} is not irreducible")
 
 
 def _times(m: int, product, a: int, vec):
@@ -204,15 +180,6 @@ def _times(m: int, product, a: int, vec):
         return product[a].take(vec)
     low, high = _split_tables(m, a)
     return low.take(vec & 0xFF) ^ high.take(vec >> 8)
-
-
-def _find_generator(m: int, poly: int) -> int:
-    group_order = (1 << m) - 1
-    prime_factors = _prime_factors(group_order)
-    for g in range(2, 1 << m):
-        if all(_pow_raw(g, group_order // f, poly, m) != 1 for f in prime_factors):
-            return g
-    raise AssertionError("no generator found; field tables are broken")
 
 
 class Field:
@@ -421,27 +388,3 @@ def _split_tables(m: int, a: int):
     """Low-byte and high-byte product tables of the coefficient a, m > 8."""
     basis = np.array(_times_x_powers(a, m), dtype=native_dtype(m))
     return _xor_span(basis[:8]), _xor_span(basis[8:])
-
-
-def _prime_factors(x: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= x:
-        if x % f == 0:
-            out.append(f)
-            while x % f == 0:
-                x //= f
-        f += 1
-    if x > 1:
-        out.append(x)
-    return out
-
-
-def _pow_raw(a: int, e: int, poly: int, m: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = clmul_reduce(r, a, poly, m)
-        a = clmul_reduce(a, a, poly, m)
-        e >>= 1
-    return r

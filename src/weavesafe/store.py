@@ -196,17 +196,28 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
+        """Parse a manifest, refusing wrong types and other format versions."""
         try:
             doc = json.loads(text)
             p = doc["params"]
             params = params_new(p["n"], p["k"], p["d"], p["m"])
+            version = doc["format_version"]
+            if type(version) is not int or version != FORMAT_VERSION:
+                raise ShareFormatError(f"unsupported manifest format_version {version!r}")
+            for key in ("original_length", "chunk_count"):
+                if type(doc[key]) is not int or doc[key] < 0:
+                    raise ShareFormatError(f"malformed manifest: {key} must be a non-negative int")
+            if not isinstance(doc["shares"], dict):
+                raise ShareFormatError("malformed manifest: shares must be an object")
+            if not isinstance(doc["digest_sha256"], str):
+                raise ShareFormatError("malformed manifest: digest_sha256 must be a string")
             return cls(
                 params=params,
                 original_length=doc["original_length"],
                 chunk_count=doc["chunk_count"],
                 shares={int(node): path for node, path in doc["shares"].items()},
                 digest_sha256=doc["digest_sha256"],
-                format_version=doc["format_version"],
+                format_version=version,
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             if isinstance(exc, ParameterError):
@@ -332,16 +343,13 @@ class Cluster:
     def share_path(self, node: int) -> Path:
         return self.root / f"node_{node}" / "share.wsrc"
 
-    def live_nodes(self, manifest: Manifest | None = None) -> list[int]:
-        """Nodes whose share file exists; pass the manifest an operation
-        already parsed to skip parsing it again."""
-        n = (manifest or self.manifest()).params.n
-        return [e for e in range(1, n + 1) if self.share_path(e).exists()]
+    def live_nodes(self, manifest: Manifest) -> list[int]:
+        """Nodes whose share file exists, given the operation's manifest."""
+        return [e for e in range(1, manifest.params.n + 1) if self.share_path(e).exists()]
 
-    def read_share_columns(self, node: int, manifest: Manifest | None = None) -> np.ndarray:
+    def read_share_columns(self, node: int, manifest: Manifest) -> np.ndarray:
         """Share symbols as a (d, chunk_count) array, header cross-checked
-        against the manifest (parsed here unless given)."""
-        manifest = manifest or self.manifest()
+        against the operation's manifest."""
         p = manifest.params
         header, symbols = read_share(self.share_path(node))
         if (header.m, header.n, header.k, header.d) != (p.m, p.n, p.k, p.d):

@@ -89,7 +89,7 @@ def build_cauchy_stack(params: CodeParams, field: Field) -> Matrix:
     return cauchy(field, list(range(span)), list(range(span, span + params.d)))
 
 
-def make_type_row(field: Field, k: int, d: int, type_index: int, coeffs: list[int]) -> list[int]:
+def make_type_row(k: int, d: int, type_index: int, coeffs: list[int]) -> list[int]:
     """Length-B row supported exactly on the index set of the given type.
 
     coeffs is read in message-matrix column order; entries past the k-th
@@ -185,7 +185,7 @@ class OuterCode:
         ledger = []
         for type_i in range(2, d + 1):
             for p in range(1, counts[type_i - 1] + 1):
-                rows.append(make_type_row(field, k, d, type_i, coeffs[p - 1]))
+                rows.append(make_type_row(k, d, type_i, coeffs[p - 1]))
                 ledger.append((type_i, p))
         if len(rows) != params.secure_symbols:
             raise ParameterError(
@@ -196,7 +196,7 @@ class OuterCode:
         self.row_types = tuple(ledger)
         # The extension appends a type-k row (last coefficient row) and a
         # type-1 row (first coefficient row); the result is square.
-        ext = [make_type_row(field, k, d, k, coeffs[d - 1]), make_type_row(field, k, d, 1, coeffs[0])]
+        ext = [make_type_row(k, d, k, coeffs[d - 1]), make_type_row(k, d, 1, coeffs[0])]
         self.parity_check_ext = Matrix.derived(field, rows + ext)
         self.ext_row_types = self.row_types + ((k, d), (1, 1))
         self.solve_steps = _solve_steps(params, self.parity_check_ext, self.ext_row_types)
@@ -271,18 +271,6 @@ def make_codec(params: CodeParams) -> SecureCodec:
 
 
 # -- capacity formulas ---------------------------------------------------
-
-
-def secure_capacity(k: int, d: int) -> int:
-    """Message symbols per codeword under the secrecy wrapper: B - 2."""
-    type_cardinalities(k, d)  # parameter validation
-    return k * (k + 1) // 2 + k * (d - k) - 2
-
-
-def max_guesses(k: int, d: int) -> int:
-    """Largest side-information size the construction tolerates: d + k - 4."""
-    type_cardinalities(k, d)
-    return d + k - 4
 
 
 def perfect_capacity(k: int, d: int, l: int) -> int:

@@ -55,6 +55,22 @@ def test_reconstruct_with_too_few_nodes_exits_4(encoded, tmp_path):
     assert run("reconstruct", root, tmp_path / "out.bin") == 4
 
 
+@pytest.mark.parametrize(
+    "key, value", [("format_version", 2), ("original_length", "x"), ("shares", [])]
+)
+def test_reconstruct_refuses_a_bad_manifest(encoded, tmp_path, capsys, key, value):
+    _, root = encoded
+    path = Cluster(root).manifest_path
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.bin"
+    assert run("reconstruct", root, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("weavesafe: error:") and key in err
+    assert not out.exists()
+
+
 def test_encode_invalid_params_exits_3(tmp_path):
     src = tmp_path / "f"
     src.write_bytes(b"x")

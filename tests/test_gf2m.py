@@ -1,15 +1,60 @@
+import math
 import random
 
 import pytest
 
 from conftest import gf_inv_bruteforce, gf_mul_bruteforce
 from weavesafe.errors import ParameterError
-from weavesafe.gf2m import CANONICAL_POLYS, Field, is_irreducible
+from weavesafe import gf2m
+from weavesafe.gf2m import CANONICAL_POLYS, Field
 
 
 def test_canonical_polynomials_are_irreducible():
-    for m, poly in CANONICAL_POLYS.items():
-        assert is_irreducible(poly, m), f"m={m}"
+    """The generator's powers are every nonzero residue exactly once,
+    which holds exactly when the polynomial is irreducible (see
+    ``gf2m._tables``)."""
+    for m in CANONICAL_POLYS:
+        assert sorted(Field(m).exp_table) == list(range(1, 2**m)), f"m={m}"
+
+
+def test_generator_is_the_smallest():
+    """x generates every canonical field but GF(2^8), where it has order 51
+    and 3 = x + 1 is the smallest generator."""
+    for m in CANONICAL_POLYS:
+        assert Field(m).exp_table[1] == (3 if m == 8 else 2), f"m={m}"
+    assert 255 // math.gcd(Field(8).log_table[2], 255) == 51
+
+
+@pytest.fixture
+def planted_poly(monkeypatch):
+    """Plant a reduction polynomial for m = 4; the table memo is cleared
+    before and after, so no other test sees the planted tables."""
+
+    def plant(poly):
+        monkeypatch.setitem(CANONICAL_POLYS, 4, poly)
+        gf2m._tables.cache_clear()
+
+    yield plant
+    gf2m._tables.cache_clear()
+
+
+def test_reducible_polynomial_is_refused(planted_poly):
+    planted_poly(0x11)  # x^4 + 1 = (x + 1)^4
+    with pytest.raises(ParameterError, match="0x11 for m=4 is not irreducible"):
+        Field(4)
+
+
+def test_irreducible_non_primitive_polynomial_builds_a_field(planted_poly):
+    planted_poly(0x1F)  # x^4 + x^3 + x^2 + x + 1: x has order 5
+    f = Field(4)
+    assert f.reduction_poly == 0x1F
+    assert f.exp_table[1] == 3
+    assert sorted(f.exp_table) == list(range(1, 16))
+    for a in range(16):
+        for b in range(16):
+            assert f.mul(a, b) == gf_mul_bruteforce(a, b, 4)
+        if a:
+            assert f.mul(a, f.inv(a)) == 1
 
 
 def test_field_new_basics():

@@ -6,7 +6,9 @@ properties of classes, must be referenced by name somewhere in
 ``src/weavesafe`` outside their own body, or be exported in
 ``weavesafe.__all__``.  The annotated fields of a class body and the
 ``self.X = ...`` assignments in its methods must be read as an attribute
-(``.X`` in a load) somewhere in ``src/weavesafe`` or ``tests/``.  Names are
+(``.X`` in a load) somewhere in ``src/weavesafe`` or ``tests/``.  Every
+named parameter of a function, method or lambda must be read in its body
+(``self``, ``cls`` and the parameters of dunder methods are exempt).  Names are
 matched without resolving what they refer to, so two definitions sharing
 a name can hide each other, but a definition that is used is never
 reported.
@@ -105,6 +107,30 @@ def unread(src: Path, readers) -> list:
     )
 
 
+def unused_parameters(src: Path) -> list:
+    """(module:function, parameter) for each named parameter in src that
+    its function's body never loads."""
+    unused = []
+    for module, tree in parse(src).items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            unused += [(f"{module}:{name}", p) for p in params if p not in loaded | {"self", "cls"}]
+    return unused
+
+
 def test_every_definition_has_a_caller_in_src():
     assert unreferenced(SRC, set(weavesafe.__all__)) == []
 
@@ -146,3 +172,27 @@ def test_guard_reports_an_attribute_never_read(tmp_path):
     (readers / "test_mod.py").write_text("def test_w(box):\n    assert box.w == 2\n")
     assert unread(src, [readers]) == ["mod.py:Box.count", "mod.py:Box.idle"]
     assert unread(src, []) == ["mod.py:Box.count", "mod.py:Box.idle", "mod.py:Box.w"]
+
+
+def test_every_parameter_is_read():
+    assert unused_parameters(SRC) == []
+
+
+def test_guard_reports_a_parameter_never_read(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def scale(field, k, *rest, flag=False, **extra):\n"
+        "    return [k * 2 for _ in rest] if extra else k\n\n\n"
+        "class Box:\n"
+        "    def __init__(self, idle):\n        self.v = 1\n\n"
+        "    def get(self, key, default=None):\n        return key\n\n"
+        "    @classmethod\n    def make(cls, width):\n        return cls()\n\n\n"
+        "pick = lambda a, b: a\n"
+        "keep = lambda a: [a for _ in ()]\n"
+    )
+    assert unused_parameters(tmp_path) == [
+        ("mod.py:scale", "field"),
+        ("mod.py:scale", "flag"),
+        ("mod.py:get", "default"),
+        ("mod.py:make", "width"),
+        ("mod.py:<lambda>", "b"),
+    ]

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from weavesafe.audit import audit_report
 from weavesafe.errors import (
     InsufficientNodesError,
     IntegrityError,
@@ -246,6 +247,40 @@ def test_manifest_roundtrip():
         Manifest.from_json("not json")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("format_version", 2),
+        ("format_version", True),
+        ("format_version", "1"),
+        ("original_length", "x"),
+        ("original_length", -1),
+        ("original_length", True),
+        ("original_length", 1000.0),
+        ("chunk_count", None),
+        ("chunk_count", -3),
+        ("chunk_count", False),
+        ("shares", []),
+        ("shares", "node_1/share.wsrc"),
+        ("digest_sha256", 7),
+        ("digest_sha256", None),
+    ],
+)
+def test_manifest_rejects_bad_values(tmp_path, key, value):
+    """A value of the wrong type, a negative count or another format
+    version, planted into a real manifest, is refused before any share is
+    read."""
+    cluster_store(bytes(range(256)) * 4, P534_BYTE, tmp_path / "c", seed=3)
+    cluster = Cluster(tmp_path / "c")
+    doc = json.loads(cluster.manifest_path.read_text())
+    doc[key] = value
+    cluster.manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(ShareFormatError, match=key):
+        cluster.manifest()
+    with pytest.raises(ShareFormatError, match=key):
+        cluster_reconstruct(tmp_path / "c")
+
+
 # -- cluster lifecycle -----------------------------------------------------------
 
 
@@ -320,6 +355,7 @@ def test_each_operation_parses_the_manifest_once(tmp_path, monkeypatch):
         lambda: cluster_fail(tmp_path / "c", 2),
         lambda: cluster_repair(tmp_path / "c", 2),
         lambda: cluster_eavesdrop(tmp_path / "c", 1),
+        lambda: audit_report(make_codec(P534_BYTE), cluster_root=tmp_path / "c"),
     ):
         del parses[:]
         op()
@@ -331,7 +367,8 @@ def test_reconstruct_after_failures_uses_any_k(tmp_path):
     cluster_store(data, P534, tmp_path / "c", seed=8)
     cluster_fail(tmp_path / "c", 1)
     cluster_fail(tmp_path / "c", 4)
-    assert Cluster(tmp_path / "c").live_nodes() == [2, 3, 5]
+    cluster = Cluster(tmp_path / "c")
+    assert cluster.live_nodes(cluster.manifest()) == [2, 3, 5]
     assert cluster_reconstruct(tmp_path / "c") == data
     cluster_fail(tmp_path / "c", 2)
     with pytest.raises(InsufficientNodesError):
@@ -367,7 +404,7 @@ def test_eavesdrop_matches_generator_model(tmp_path):
     codec = make_codec(P534)
     # recover the codeword stream from shares, then check the observation model
     cluster = Cluster(tmp_path / "c")
-    shares = {e: cluster.read_share_columns(e) for e in (1, 2, 3)}
+    shares = {e: cluster.read_share_columns(e, cluster.manifest()) for e in (1, 2, 3)}
     from weavesafe.pm_mbr import reconstruct_bulk
 
     codewords = reconstruct_bulk(codec.inner, shares)
@@ -425,7 +462,7 @@ def test_share_manifest_cross_validation(tmp_path):
     cluster = Cluster(tmp_path / "c")
     write_share(cluster.share_path(1), other, 1, np.zeros((0, 4), dtype=np.int32))
     with pytest.raises(ShareFormatError):
-        cluster.read_share_columns(1)
+        cluster.read_share_columns(1, cluster.manifest())
 
 
 # Seeded share files pinned across builds: SHA-256 of the manifest and of each

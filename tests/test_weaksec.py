@@ -17,9 +17,7 @@ from weavesafe.weaksec import (
     index_sets,
     make_codec,
     make_type_row,
-    max_guesses,
     perfect_capacity,
-    secure_capacity,
     type_cardinalities,
 )
 
@@ -113,24 +111,22 @@ def test_make_type_row_group_two():
     g = 7
     g2, g3 = f.mul(g, g), f.mul(g, f.mul(g, g))
     coeffs = [g, g2, g3, 0]  # 4th entry unused for type 4
-    row = make_type_row(f, 3, 4, 4, coeffs)
+    row = make_type_row(3, 4, 4, coeffs)
     assert row == [0, 0, 0, g, 0, 0, g2, 0, g3]
 
 
 def test_make_type_row_group_one_support():
-    f = Field(4)
-    row = make_type_row(f, 3, 4, 1, [1, 2, 3, 4])
+    row = make_type_row(3, 4, 1, [1, 2, 3, 4])
     assert [i + 1 for i, v in enumerate(row) if v] == [1, 2, 3, 4]
 
 
 def test_make_type_row_errors():
-    f = Field(4)
     with pytest.raises(ValueError, match="type index"):
-        make_type_row(f, 3, 4, 5, [1, 2, 3, 4])
+        make_type_row(3, 4, 5, [1, 2, 3, 4])
     with pytest.raises(ValueError, match="zero coefficient"):
-        make_type_row(f, 3, 4, 1, [1, 0, 3, 4])
+        make_type_row(3, 4, 1, [1, 0, 3, 4])
     with pytest.raises(ValueError, match="coefficients"):
-        make_type_row(f, 3, 4, 1, [1, 2, 3])
+        make_type_row(3, 4, 1, [1, 2, 3])
 
 
 # -- parity-check construction ---------------------------------------------
@@ -168,8 +164,8 @@ def test_extension_top_block_is_parity_check(codec534):
     # appended rows: a type-3 row drawing the last coefficient row, then a
     # type-1 row drawing the first
     coeff = outer.coeff_matrix
-    assert ext.row(7) == make_type_row(codec534.field, 3, 4, 3, coeff.row(3))
-    assert ext.row(8) == make_type_row(codec534.field, 3, 4, 1, coeff.row(0))
+    assert ext.row(7) == make_type_row(3, 4, 3, coeff.row(3))
+    assert ext.row(8) == make_type_row(3, 4, 1, coeff.row(0))
 
 
 def test_extension_invertible_on_grid():
@@ -296,9 +292,6 @@ def test_coset_encode_bulk_matches_dense_inverse_on_grid():
 
 
 def test_capacity_formulas():
-    assert secure_capacity(3, 4) == 7
-    assert max_guesses(3, 4) == 3
-    assert max_guesses(2, 2) == 0
     assert perfect_capacity(3, 4, 1) == 5
     assert perfect_capacity(3, 4, 0) == 9
     # capacity given up for perfect secrecy at one observed node is d
