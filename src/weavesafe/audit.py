@@ -55,7 +55,7 @@ from .linalg import (
     submatrix,
     vstack,
 )
-from .pm_mbr import reconstruct_bulk
+from .pm_mbr import encode_bulk, message_cells, reconstruct_bulk
 from .store import Cluster
 from .weaksec import SecureCodec, index_sets, make_type_row, perfect_capacity
 
@@ -336,7 +336,7 @@ def _plan_skeleton(k: int, d: int, counts: tuple) -> tuple:
     appends (None when it uses only the rows present) and its variables;
     failure is None, or the reason the plan stops after those steps.
     """
-    total = k * (k + 1) // 2 + k * (d - k)
+    total = len(message_cells(k, d))
     ind = index_sets(k, d)
     lam = tuple(1 + c for c in counts)  # the node row adds one per type
     decoded: set = set()
@@ -597,11 +597,8 @@ def _cluster_observation_demo(codec: SecureCodec, root) -> dict:
     manifest = cluster.manifest()
     share_cols = {e: cluster.read_share_columns(e, manifest) for e in cluster.live_nodes(manifest)}
     codeword_cols = reconstruct_bulk(codec.inner, share_cols)
-    ok = 0
-    for e, cols in share_cols.items():
-        expected = codec.field.mat_mul_cols(codec.inner.generator_rows(e), codeword_cols)
-        if (expected == cols).all():
-            ok += 1
+    expected = encode_bulk(codec.inner, codeword_cols)
+    ok = sum(1 for e, cols in share_cols.items() if (expected[e] == cols).all())
     return {
         "chunks": int(codeword_cols.shape[1]),
         "nodes": len(share_cols),

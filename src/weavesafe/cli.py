@@ -2,13 +2,10 @@
 
 Exit codes: 0 ok, 1 other error, 2 usage, 3 invalid parameters,
 4 insufficient nodes, 5 secrecy violation, 6 enumeration cap exceeded.
-The audit cap can also be set through the WEAVESAFE_AUDIT_CAP
-environment variable; an explicit --cap wins.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from . import store
@@ -89,18 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("root", nargs="?", default=None, help="audit an existing cluster")
     p.add_argument("-g", type=int, default=None, help="guesses to verify (default: the guaranteed maximum)")
     p.add_argument("--baseline", action="store_true", help="audit the inner code without the outer layer")
-    p.add_argument("--cap", type=int, default=None, help="max (subset, node) rank checks")
+    p.add_argument(
+        "--cap", type=int, default=DEFAULT_VERIFY_CAP,
+        help="max (subset, node) rank checks (default: %(default)s)",
+    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
-
-
-def _audit_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("WEAVESAFE_AUDIT_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_VERIFY_CAP
 
 
 def cmd_encode(args) -> int:
@@ -165,19 +156,18 @@ def cmd_audit(args) -> int:
         params = _params_from_args(args)
     else:
         raise ParameterError("audit needs either -n/-k/-d or a cluster root")
-    cap = _audit_cap(args)
     codec = make_codec(params)
     g = params.max_guesses if args.g is None else args.g
 
     if args.baseline:
-        result = verify_weak_secrecy(codec, g, baseline=True, max_checks=cap)
+        result = verify_weak_secrecy(codec, g, baseline=True, max_checks=args.cap)
         if args.format == "json":
             print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
         else:
             print("\n".join(result.to_lines("baseline (no outer code)")))
         return EXIT_OK if result.passed else EXIT_SECRECY
 
-    report = audit_report(codec, guesses=g, max_checks=cap, cluster_root=args.root)
+    report = audit_report(codec, guesses=g, max_checks=args.cap, cluster_root=args.root)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:

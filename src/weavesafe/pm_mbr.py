@@ -48,6 +48,11 @@ class CodeParams:
         """Side-information symbols an eavesdropper may hold: d + k - 4."""
         return self.d + self.k - 4
 
+    def check_node(self, node: int):
+        """Refuse anything but a node index in 1..n."""
+        if not isinstance(node, int) or not 1 <= node <= self.n:
+            raise ValueError(f"node index {node} out of range 1..{self.n}")
+
 
 def params_new(n: int, k: int, d: int, m: int) -> CodeParams:
     for name, v in (("n", n), ("k", k), ("d", d), ("m", m)):
@@ -153,7 +158,7 @@ class InnerCode:
         row t.  The entries come from the encoding matrix, which was
         validated when it was built, so they are not checked again.
         """
-        self._check_node(node)
+        self.params.check_node(node)
         d = self.params.d
         return self.generator_stack[(node - 1) * d : node * d].tolist()
 
@@ -161,14 +166,10 @@ class InnerCode:
         """d x B matrix sending a codeword to the symbols node stores."""
         return Matrix.derived(self.field, self.generator_rows(node))
 
-    def _check_node(self, node: int):
-        if not isinstance(node, int) or not 1 <= node <= self.params.n:
-            raise ValueError(f"node index {node} out of range 1..{self.params.n}")
-
     def _check_shares(self, share_cols: dict):
         """Every node index in range and every share d rows tall."""
         for node, cols in share_cols.items():
-            self._check_node(node)
+            self.params.check_node(node)
             if len(cols) != self.params.d:
                 raise ValueError(
                     f"share for node {node} has {len(cols)} rows, expected {self.params.d}"
@@ -234,7 +235,7 @@ def reconstruct_bulk(code: InnerCode, share_cols: dict):
 def repair_bulk(code: InnerCode, failed: int, helper_share_cols: dict):
     """Vectorized exact repair; returns (repaired d x N array, symbols downloaded)."""
     p = code.params
-    code._check_node(failed)
+    p.check_node(failed)
     if failed in helper_share_cols:
         raise ValueError(f"failed node {failed} cannot appear among its helpers")
     if len(helper_share_cols) != p.d:
@@ -244,18 +245,10 @@ def repair_bulk(code: InnerCode, failed: int, helper_share_cols: dict):
     code._check_shares(helper_share_cols)
     helpers = sorted(helper_share_cols)
     f = code.field
-    target_row = code.encoding_matrix.row(failed - 1)
     # Row h of uploads is helper h's symbol per chunk: its share dotted
-    # with the failed node's encoding row, one kernel call per nonzero
-    # coefficient on row c of every helper's share.  The rows are stacked
-    # into one helpers x N buffer, reused for every coefficient: a stack of
-    # all helpers' shares would be a d times larger allocation per repair.
-    uploads = np.zeros((len(helpers), helper_share_cols[helpers[0]].shape[1]), dtype=f.dtype)
-    rows = np.empty_like(uploads)
-    for c, coeff in enumerate(target_row):
-        if coeff:
-            np.stack([helper_share_cols[h][c] for h in helpers], out=rows)
-            uploads ^= f.mul_vec(coeff, rows)
+    # with the failed node's encoding row, one kernel call per helper.
+    target_row = np.array(code.encoding_matrix.data[failed - 1 : failed], f.dtype)
+    uploads = np.concatenate([f.mat_mul_cols(target_row, helper_share_cols[h]) for h in helpers])
     stack = submatrix(code.encoding_matrix, [h - 1 for h in helpers], range(p.d))
     repaired = f.mat_mul_cols(invert(stack).data, uploads)
     return repaired, uploads.size  # one symbol per helper per chunk

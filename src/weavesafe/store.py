@@ -135,7 +135,7 @@ def unchunk_plaintext(chunks: np.ndarray, byte_length: int, params: CodeParams) 
 
 
 class SymbolSource:
-    """Uniform m-bit symbols; SHA-256 counter stream when seeded, else urandom.
+    """Uniform m-bit symbols; SHA-256 counter stream from an int seed, else urandom.
 
     The hash stream makes seeded runs byte-identical across platforms.
     """
@@ -149,10 +149,6 @@ class SymbolSource:
             if seed < 0:
                 raise ValueError("seed must be nonnegative")
             self._key = seed.to_bytes(max((seed.bit_length() + 7) // 8, 1), "big")
-        elif isinstance(seed, (bytes, bytearray)):
-            self._key = bytes(seed)
-        elif isinstance(seed, str):
-            self._key = seed.encode("utf-8")
         else:
             raise TypeError(f"unsupported seed type {type(seed).__name__}")
         self._counter = 0
@@ -174,29 +170,33 @@ class SymbolSource:
 # -- manifest -------------------------------------------------------------------
 
 
+def _share_map(n: int) -> dict:
+    """The manifest's node -> relative share path map, fixed by n."""
+    return {str(e): f"node_{e}/share.wsrc" for e in range(1, n + 1)}
+
+
 @dataclass
 class Manifest:
     params: CodeParams
     original_length: int
     chunk_count: int
-    shares: dict  # node -> relative share path
     digest_sha256: str
-    format_version: int = FORMAT_VERSION
 
     def to_json(self) -> str:
         doc = {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "params": {"n": self.params.n, "k": self.params.k, "d": self.params.d, "m": self.params.m},
             "original_length": self.original_length,
             "chunk_count": self.chunk_count,
-            "shares": {str(node): path for node, path in sorted(self.shares.items())},
+            "shares": _share_map(self.params.n),
             "digest_sha256": self.digest_sha256,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
-        """Parse a manifest, refusing wrong types and other format versions."""
+        """Parse a manifest, refusing wrong types, other format versions
+        and any share map but the one n fixes."""
         try:
             doc = json.loads(text)
             p = doc["params"]
@@ -207,32 +207,15 @@ class Manifest:
             for key in ("original_length", "chunk_count"):
                 if type(doc[key]) is not int or doc[key] < 0:
                     raise ShareFormatError(f"malformed manifest: {key} must be a non-negative int")
-            if not isinstance(doc["shares"], dict):
-                raise ShareFormatError("malformed manifest: shares must be an object")
+            if doc["shares"] != _share_map(params.n):
+                raise ShareFormatError("malformed manifest: shares must map node e to node_e/share.wsrc")
             if not isinstance(doc["digest_sha256"], str):
                 raise ShareFormatError("malformed manifest: digest_sha256 must be a string")
-            return cls(
-                params=params,
-                original_length=doc["original_length"],
-                chunk_count=doc["chunk_count"],
-                shares={int(node): path for node, path in doc["shares"].items()},
-                digest_sha256=doc["digest_sha256"],
-                format_version=version,
-            )
+            return cls(params, doc["original_length"], doc["chunk_count"], doc["digest_sha256"])
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             if isinstance(exc, ParameterError):
                 raise
             raise ShareFormatError(f"malformed manifest: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class ShareHeader:
-    m: int
-    n: int
-    k: int
-    d: int
-    node: int
-    chunk_count: int
 
 
 @dataclass(frozen=True)
@@ -266,9 +249,11 @@ def write_share(path, params: CodeParams, node: int, symbols: np.ndarray) -> Non
         fh.write(payload)
 
 
-def read_share(path) -> tuple[ShareHeader, np.ndarray]:
-    """A share's header and its (chunks x d) symbols, as a fresh writable
-    array of native dtype.
+def read_share(path, params: CodeParams, node: int, chunk_count: int) -> np.ndarray:
+    """Node's share as a fresh writable (chunk_count x d) array of native
+    dtype, after every check a share must pass: magic, version, reserved
+    field, (m, n, k, d), node label, chunk count, payload length and symbol
+    range.
 
     The file is read into a bytearray, which the array then views: at
     m <= 8 the file's bytes are the symbols and nothing is copied.  Two-byte
@@ -281,22 +266,28 @@ def read_share(path) -> tuple[ShareHeader, np.ndarray]:
         del raw[fh.readinto(raw) :]
     if len(raw) < _HEADER.size:
         raise ShareFormatError(f"{path}: truncated header")
-    magic, version, m, n, k, d, node, reserved, chunk_count = _HEADER.unpack_from(raw)
+    magic, version, m, n, k, d, label, reserved, count = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise ShareFormatError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise ShareFormatError(f"{path}: unsupported version {version}")
     if reserved != 0:
         raise ShareFormatError(f"{path}: nonzero reserved field")
-    width = 2 if m > 8 else 1
-    expected = chunk_count * d * width
+    if (m, n, k, d) != (params.m, params.n, params.k, params.d):
+        raise ShareFormatError(f"share for node {node} disagrees with manifest parameters")
+    if label != node:
+        raise ShareFormatError(f"share at node {node} labels itself node {label}")
+    if count != chunk_count:
+        raise ShareFormatError(f"share for node {node} has wrong chunk count")
+    dtype = _symbol_dtype(m)
+    expected = count * d * dtype.itemsize
     payload = memoryview(raw)[_HEADER.size :]
     if len(payload) != expected:
         raise ShareFormatError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    symbols = np.frombuffer(payload, dtype=_symbol_dtype(m)).astype(native_dtype(m), copy=False)
+    symbols = np.frombuffer(payload, dtype=dtype).astype(native_dtype(m), copy=False)
     if m not in (8, 16) and symbols.size and int(symbols.max()) >= (1 << m):
         raise ShareFormatError(f"{path}: symbol out of range for m={m}")
-    return ShareHeader(m, n, k, d, node, chunk_count), symbols.reshape(chunk_count, d)
+    return symbols.reshape(count, d)
 
 
 # -- cluster ----------------------------------------------------------------------
@@ -348,17 +339,8 @@ class Cluster:
         return [e for e in range(1, manifest.params.n + 1) if self.share_path(e).exists()]
 
     def read_share_columns(self, node: int, manifest: Manifest) -> np.ndarray:
-        """Share symbols as a (d, chunk_count) array, header cross-checked
-        against the operation's manifest."""
-        p = manifest.params
-        header, symbols = read_share(self.share_path(node))
-        if (header.m, header.n, header.k, header.d) != (p.m, p.n, p.k, p.d):
-            raise ShareFormatError(f"share for node {node} disagrees with manifest parameters")
-        if header.node != node:
-            raise ShareFormatError(f"share at node {node} labels itself node {header.node}")
-        if header.chunk_count != manifest.chunk_count:
-            raise ShareFormatError(f"share for node {node} has wrong chunk count")
-        return symbols.T.copy()
+        """Node's checked share as a (d, chunk_count) array."""
+        return read_share(self.share_path(node), manifest.params, node, manifest.chunk_count).T.copy()
 
 
 def cluster_store(data: bytes, params: CodeParams, root, seed=None) -> Manifest:
@@ -378,7 +360,6 @@ def cluster_store(data: bytes, params: CodeParams, root, seed=None) -> Manifest:
         params=params,
         original_length=len(data),
         chunk_count=n_chunks,
-        shares={e: f"node_{e}/share.wsrc" for e in range(1, params.n + 1)},
         digest_sha256=hashlib.sha256(data).hexdigest(),
     )
     with _ClusterLock(cluster.root):
@@ -416,9 +397,7 @@ def cluster_reconstruct(root) -> bytes:
 def cluster_fail(root, node: int) -> None:
     """Simulate a node failure by removing its share file."""
     cluster = Cluster(root)
-    p = cluster.manifest().params
-    if not 1 <= node <= p.n:
-        raise ValueError(f"node index {node} out of range 1..{p.n}")
+    cluster.manifest().params.check_node(node)
     path = cluster.share_path(node)
     if not path.exists():
         raise ValueError(f"node {node} is already failed")
@@ -431,8 +410,7 @@ def cluster_repair(root, node: int) -> RepairStats:
     cluster = Cluster(root)
     manifest = cluster.manifest()
     p = manifest.params
-    if not 1 <= node <= p.n:
-        raise ValueError(f"node index {node} out of range 1..{p.n}")
+    p.check_node(node)
     if cluster.share_path(node).exists():
         raise ValueError(f"node {node} is live; nothing to repair")
     live = cluster.live_nodes(manifest)
@@ -453,9 +431,8 @@ def cluster_eavesdrop(root, node: int) -> np.ndarray:
     """Everything node stores, one length-d observation vector per chunk."""
     cluster = Cluster(root)
     manifest = cluster.manifest()
-    p = manifest.params
-    if not 1 <= node <= p.n:
-        raise ValueError(f"node index {node} out of range 1..{p.n}")
-    if not cluster.share_path(node).exists():
+    manifest.params.check_node(node)
+    path = cluster.share_path(node)
+    if not path.exists():
         raise InsufficientNodesError(f"node {node} is failed; nothing to observe")
-    return cluster.read_share_columns(node, manifest).T
+    return read_share(path, manifest.params, node, manifest.chunk_count)

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ParameterError, SingularMatrixError
 from .gf2m import Field
 from .linalg import Matrix, cauchy, invert, submatrix
-from .pm_mbr import CodeParams, InnerCode, type_positions
+from .pm_mbr import CodeParams, InnerCode, message_cells, type_positions
 
 # Most parameter sets whose derived matrices a process keeps.
 _CODEC_MEMO = 8
@@ -99,8 +99,7 @@ def make_type_row(k: int, d: int, type_index: int, coeffs: list[int]) -> list[in
         raise ValueError(f"type index {type_index} out of range 1..{d}")
     if len(coeffs) != d:
         raise ValueError(f"need {d} coefficients, got {len(coeffs)}")
-    total = k * (k + 1) // 2 + k * (d - k)
-    row = [0] * total
+    row = [0] * len(message_cells(k, d))
     for b, j in type_positions(k, d, type_index - 1):
         if coeffs[j] == 0:
             raise ValueError(f"zero coefficient at column {j + 1} would break the type-{type_index} support")

@@ -8,7 +8,9 @@ properties of classes, must be referenced by name somewhere in
 ``self.X = ...`` assignments in its methods must be read as an attribute
 (``.X`` in a load) somewhere in ``src/weavesafe`` or ``tests/``.  Every
 named parameter of a function, method or lambda must be read in its body
-(``self``, ``cls`` and the parameters of dunder methods are exempt).  Names are
+(``self``, ``cls`` and the parameters of dunder methods are exempt).  No
+module reads an environment variable: options are command-line flags and
+function arguments, stated once.  Names are
 matched without resolving what they refer to, so two definitions sharing
 a name can hide each other, but a definition that is used is never
 reported.
@@ -196,3 +198,35 @@ def test_guard_reports_a_parameter_never_read(tmp_path):
         ("mod.py:make", "width"),
         ("mod.py:<lambda>", "b"),
     ]
+
+
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(src: Path) -> list:
+    """module:line of each use of os.environ, os.getenv or their bytes
+    forms in src, whether reached as an attribute or imported by name."""
+    found = {
+        (module, node.lineno)
+        for module, tree in parse(src).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _ENV_NAMES
+        or isinstance(node, ast.Name) and node.id in _ENV_NAMES
+        or isinstance(node, ast.ImportFrom) and any(a.name in _ENV_NAMES for a in node.names)
+    }
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_no_environment_variable_is_read():
+    assert environment_reads(SRC) == []
+
+
+def test_guard_reports_an_environment_read(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import os\n"
+        "from os import getenv\n\n\n"
+        "def cap():\n"
+        "    return os.environ.get('CAP') or os.getenv('CAP') or getenv('CAP')\n\n\n"
+        "def path():\n    return os.path.join('a', 'b')\n"
+    )
+    assert environment_reads(tmp_path) == ["mod.py:2", "mod.py:6"]

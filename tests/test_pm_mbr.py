@@ -354,9 +354,9 @@ def test_bulk_repair_matches_scalar(code534):
 
 def test_bulk_kernel_calls_keep_their_symbol_counts(monkeypatch):
     """encode_bulk applies all n*d generator rows in one kernel call, and
-    repair_bulk multiplies one stacked helpers x N block per nonzero
-    coefficient of the failed node's row: the same symbol multiplications
-    as per-node and per-helper calls, in fewer calls."""
+    repair_bulk applies the failed node's 1 x d encoding row to each
+    helper's d x N share in one kernel call per helper: the same symbol
+    multiplications as per-node and per-coefficient calls."""
     from weavesafe.gf2m import Field
 
     code = inner(7, 4, 6, 5)
@@ -384,10 +384,11 @@ def test_bulk_kernel_calls_keep_their_symbol_counts(monkeypatch):
     del calls[:]
     helpers = {e: shares[e] for e in range(2, p.d + 2)}
     repaired, downloaded = repair_bulk(code, 1, helpers)
-    uploads = [c for c in calls if c[0] == "mul_vec"]
-    nonzero = [a for a in code.encoding_matrix.row(0) if a]
-    assert [c[1] for c in uploads] == nonzero
+    uploads = [c for c in calls if c[0] == "mat_mul_cols" and len(c[1]) == 1]
+    assert [np.asarray(c[1]).tolist() for c in uploads] == [[code.encoding_matrix.data[0]]] * p.d
     assert all(c[2] == (p.d, 19) for c in uploads)
+    nonzero = [a for a in code.encoding_matrix.row(0) if a]  # table path: one mul_vec each
+    assert [c[1] for c in calls if c[0] == "mul_vec"][: p.d * len(nonzero)] == nonzero * p.d
     assert repaired.tolist() == shares[1].tolist() and downloaded == p.d * 19
 
 

@@ -145,12 +145,11 @@ def test_symbol_source_unseeded_is_fresh():
 
 
 def test_symbol_source_seed_types():
-    assert SymbolSource(8, b"\x01").symbols(4).tolist() == SymbolSource(8, 1).symbols(4).tolist()
-    SymbolSource(8, "phrase").symbols(1)
     with pytest.raises(ValueError):
         SymbolSource(8, -1)
-    with pytest.raises(TypeError):
-        SymbolSource(8, 1.5)
+    for seed in (1.5, b"\x01", "phrase"):
+        with pytest.raises(TypeError):
+            SymbolSource(8, seed)
 
 
 # -- share files ----------------------------------------------------------------
@@ -167,8 +166,7 @@ def test_share_header_layout(tmp_path):
     assert raw[10:12] == b"\x00\x00"  # reserved
     assert raw[12:16] == (2).to_bytes(4, "little")  # chunk count
     assert raw[16:] == bytes([1, 2, 3, 4, 5, 6, 7, 8])  # big-endian symbols
-    header, back = read_share(path)
-    assert (header.node, header.chunk_count) == (2, 2)
+    back = read_share(path, P534, 2, 2)
     assert back.tolist() == symbols.tolist()
 
 
@@ -178,7 +176,7 @@ def test_share_two_byte_symbols(tmp_path):
     write_share(path, params, 1, np.array([[0xABC, 1, 2, 3]], dtype=np.int32))
     raw = path.read_bytes()
     assert raw[16:18] == b"\x0a\xbc"
-    _, back = read_share(path)
+    back = read_share(path, params, 1, 1)
     assert back.dtype == np.uint16
     assert back.tolist() == [[0xABC, 1, 2, 3]]
 
@@ -193,11 +191,14 @@ def test_share_rejects_corruption(tmp_path):
         (lambda b: b"XSRC" + bytes(b[4:]), "magic"),
         (lambda b: bytes(b[:4]) + b"\x09" + bytes(b[5:]), "version"),
         (lambda b: bytes(b[:10]) + b"\x00\x01" + bytes(b[12:]), "reserved"),
+        (lambda b: bytes(b[:5]) + b"\x05" + bytes(b[6:]), "disagrees with manifest parameters"),
+        (lambda b: bytes(b[:9]) + b"\x03" + bytes(b[10:]), "labels itself node 3"),
+        (lambda b: bytes(b[:12]) + (2).to_bytes(4, "little") + bytes(b[16:]), "wrong chunk count"),
         (lambda b: bytes(b) + b"\x00", "payload"),
     ]:
         (tmp_path / "bad.wsrc").write_bytes(mutate(raw))
         with pytest.raises(ShareFormatError, match=message):
-            read_share(tmp_path / "bad.wsrc")
+            read_share(tmp_path / "bad.wsrc", P534, 1, 1)
 
 
 def test_share_rejects_out_of_range_symbol(tmp_path):
@@ -207,7 +208,7 @@ def test_share_rejects_out_of_range_symbol(tmp_path):
     raw[16:18] = b"\xff\xff"  # 0xFFFF >= 2^12
     path.write_bytes(bytes(raw))
     with pytest.raises(ShareFormatError, match="out of range"):
-        read_share(path)
+        read_share(path, params_new(5, 3, 4, 12), 1, 1)
 
 
 def test_share_rejects_out_of_range_one_byte_symbol(tmp_path):
@@ -217,10 +218,10 @@ def test_share_rejects_out_of_range_one_byte_symbol(tmp_path):
     raw[17] = 0x20  # 32 >= 2^5
     path.write_bytes(bytes(raw))
     with pytest.raises(ShareFormatError, match="out of range"):
-        read_share(path)
+        read_share(path, params_new(5, 3, 4, 5), 1, 1)
     raw[17] = 0x1F
     path.write_bytes(bytes(raw))
-    assert read_share(path)[1].tolist() == [[0, 31, 0, 0]]
+    assert read_share(path, params_new(5, 3, 4, 5), 1, 1).tolist() == [[0, 31, 0, 0]]
 
 
 def test_read_share_returns_fresh_writable_symbols(tmp_path):
@@ -230,15 +231,16 @@ def test_read_share_returns_fresh_writable_symbols(tmp_path):
     for m in (8, 12):
         path = tmp_path / f"s{m}.wsrc"
         symbols = np.array([[255, 1, 2, 3], [4, 5, 6, 7]], dtype=np.int32)
-        write_share(path, params_new(5, 3, 4, m), 1, symbols)
-        _, back = read_share(path)
+        params = params_new(5, 3, 4, m)
+        write_share(path, params, 1, symbols)
+        back = read_share(path, params, 1, 2)
         assert back.flags.writeable and back.dtype == native_dtype(m)
         back[0, 0] = 9
-        assert read_share(path)[1].tolist() == symbols.tolist()
+        assert read_share(path, params, 1, 2).tolist() == symbols.tolist()
 
 
 def test_manifest_roundtrip():
-    manifest = Manifest(P534, 100, 15, {1: "node_1/share.wsrc"}, "ab" * 32)
+    manifest = Manifest(P534, 100, 15, "ab" * 32)
     back = Manifest.from_json(manifest.to_json())
     assert back == manifest
     with pytest.raises(ShareFormatError):
@@ -264,12 +266,17 @@ def test_manifest_roundtrip():
         ("shares", "node_1/share.wsrc"),
         ("digest_sha256", 7),
         ("digest_sha256", None),
+        pytest.param("shares", {"1": "/etc/passwd"}, id="shares-planted-path"),
+        pytest.param("shares", {}, id="shares-empty"),
+        pytest.param(
+            "shares", {str(e): f"node_{e}/share.wsrc" for e in range(1, 5)}, id="shares-missing-node-5"
+        ),
     ],
 )
 def test_manifest_rejects_bad_values(tmp_path, key, value):
-    """A value of the wrong type, a negative count or another format
-    version, planted into a real manifest, is refused before any share is
-    read."""
+    """A value of the wrong type, a negative count, another format version
+    or a share map other than the one n fixes, planted into a real
+    manifest, is refused before any share is read."""
     cluster_store(bytes(range(256)) * 4, P534_BYTE, tmp_path / "c", seed=3)
     cluster = Cluster(tmp_path / "c")
     doc = json.loads(cluster.manifest_path.read_text())
@@ -317,7 +324,7 @@ def test_store_matches_scalar_pipeline(tmp_path):
             expected_shares[e].append(mat_vec(codec.inner.generator_matrix(e), codeword[:, 0].tolist()))
     cluster = Cluster(tmp_path / "c")
     for e in range(1, 6):
-        _, symbols = read_share(cluster.share_path(e))
+        symbols = read_share(cluster.share_path(e), P534, e, n_chunks)
         assert symbols.tolist() == expected_shares[e]
 
 
@@ -412,7 +419,8 @@ def test_eavesdrop_matches_generator_model(tmp_path):
         observed = cluster_eavesdrop(tmp_path / "c", e)
         expected = codec.field.mat_mul_cols(codec.inner.generator_matrix(e).data, codewords)
         assert observed.tolist() == expected.T.tolist()
-        assert np.array_equal(observed, read_share(cluster.share_path(e))[1])  # chunk-major, as stored
+        stored = read_share(cluster.share_path(e), P534, e, codewords.shape[1])
+        assert np.array_equal(observed, stored)  # chunk-major, as stored
 
 
 def test_eavesdrop_failed_node(tmp_path):
