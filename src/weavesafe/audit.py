@@ -55,7 +55,7 @@ from .linalg import (
     submatrix,
     vstack,
 )
-from .pm_mbr import encode_bulk, message_cells, reconstruct_bulk
+from .pm_mbr import CodeParams, encode_bulk, message_cells, reconstruct_bulk
 from .store import Cluster
 from .weaksec import SecureCodec, index_sets, make_type_row, perfect_capacity
 
@@ -157,7 +157,7 @@ def verify_weak_secrecy(
 
     nodes = range(1, p.n + 1)
     quotients = quotient_stack(
-        codec.field, check_matrix.data, [codec.inner.generator_rows(e) for e in nodes]
+        codec.field, check_matrix.data, [codec.inner.generator_matrix(e).data for e in nodes]
     )
     checks = 0
     for size in range(1, guesses + 2):
@@ -435,7 +435,7 @@ def certify_completion(codec: SecureCodec, subset: tuple, node: int) -> DecodeCe
     plan = plan_completion(p.k, p.d, row_types)
 
     rows = [outer.parity_check.row(i - 1) for i in subset]
-    rows.extend(codec.inner.generator_rows(node))
+    rows.extend(codec.inner.generator_matrix(node).data)
     appended_at = {}
     for t, hat in plan.appended:
         appended_at[(t, hat)] = len(rows)
@@ -489,13 +489,7 @@ def replay_certificate(cert: DecodeCertificate, codeword: list[int]) -> list[int
 
 @dataclass
 class AuditReport:
-    params: tuple
-    total_symbols: int
-    secure_symbols: int
-    max_guesses: int
-    perfect_secure_symbols: int
-    baseline_guesses: int
-    improvement: int
+    params: CodeParams
     weak_secrecy: VerifyResult
     baseline_fail: VerifyResult
     baseline_pass: VerifyResult
@@ -504,18 +498,20 @@ class AuditReport:
     cluster_demo: dict | None = None
 
     def to_dict(self) -> dict:
-        n, k, d, m = self.params
+        p = self.params
+        perfect = perfect_capacity(p.k, p.d, 1)
+        baseline = self.baseline_pass.guesses  # what the bare inner code tolerates
         out = {
-            "params": {"n": n, "k": k, "d": d, "m": m},
-            "total_symbols": self.total_symbols,
-            "secure_symbols": self.secure_symbols,
-            "max_guesses": self.max_guesses,
+            "params": {"n": p.n, "k": p.k, "d": p.d, "m": p.m},
+            "total_symbols": p.total_symbols,
+            "secure_symbols": p.secure_symbols,
+            "max_guesses": p.max_guesses,
             "perfect_secrecy": {
-                "secure_symbols": self.perfect_secure_symbols,
-                "capacity_loss": self.total_symbols - self.perfect_secure_symbols,
+                "secure_symbols": perfect,
+                "capacity_loss": p.total_symbols - perfect,
             },
-            "baseline_guesses": self.baseline_guesses,
-            "improvement_over_baseline": self.improvement,
+            "baseline_guesses": baseline,
+            "improvement_over_baseline": p.max_guesses - baseline,
             "weak_secrecy": self.weak_secrecy.to_dict(),
             "baseline_fail_probe": self.baseline_fail.to_dict(),
             "baseline_pass_probe": self.baseline_pass.to_dict(),
@@ -529,16 +525,17 @@ class AuditReport:
         return out
 
     def to_text(self) -> str:
-        n, k, d, m = self.params
+        doc = self.to_dict()
+        perfect = doc["perfect_secrecy"]["secure_symbols"]
         lines = [
-            f"params: n={n} k={k} d={d} m={m}",
-            f"codeword symbols: {self.total_symbols}",
-            f"secure message symbols: {self.secure_symbols}",
-            f"perfect-secrecy capacity (one observed node): {self.perfect_secure_symbols}",
-            f"capacity kept over perfect secrecy: +{self.secure_symbols - self.perfect_secure_symbols}",
-            f"tolerated guesses: {self.max_guesses}",
-            f"bare inner code tolerates: {self.baseline_guesses}",
-            f"improvement: +{self.improvement} guesses",
+            "params: " + " ".join(f"{key}={value}" for key, value in doc["params"].items()),
+            f"codeword symbols: {doc['total_symbols']}",
+            f"secure message symbols: {doc['secure_symbols']}",
+            f"perfect-secrecy capacity (one observed node): {perfect}",
+            f"capacity kept over perfect secrecy: +{doc['secure_symbols'] - perfect}",
+            f"tolerated guesses: {doc['max_guesses']}",
+            f"bare inner code tolerates: {doc['baseline_guesses']}",
+            f"improvement: +{doc['improvement_over_baseline']} guesses",
             "",
         ]
         lines += self.weak_secrecy.to_lines("weak secrecy")
@@ -574,13 +571,7 @@ def audit_report(
     if cluster_root is not None:
         demo = _cluster_observation_demo(codec, cluster_root)
     return AuditReport(
-        params=(p.n, p.k, p.d, p.m),
-        total_symbols=p.total_symbols,
-        secure_symbols=p.secure_symbols,
-        max_guesses=p.max_guesses,
-        perfect_secure_symbols=perfect_capacity(p.k, p.d, 1),
-        baseline_guesses=p.k - 2,
-        improvement=p.max_guesses - (p.k - 2),
+        params=p,
         weak_secrecy=weak,
         baseline_fail=base_fail,
         baseline_pass=base_pass,

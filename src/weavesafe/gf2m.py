@@ -26,7 +26,8 @@ written with one build must decode with any other):
 Scalar multiplication and inversion go through exp/log tables built on
 the smallest multiplicative generator: 2 (the residue x) for every m but
 8, where x has order 51 and the generator is 3.  Finding it also proves
-the polynomial irreducible (see ``_tables``).
+the polynomial irreducible.  ``_tables`` is the one place the log/exp
+tables are built, in the form that both eliminations in ``linalg`` index.
 Addition is xor; in characteristic 2 every element is its own negative,
 so a + b = 0 exactly when a = b.
 
@@ -141,8 +142,9 @@ def _tables(m: int) -> tuple:
     """(product table, exp table, log table) of GF(2^m).
 
     The product table is the full 2^m x 2^m table for m <= 8 and None
-    above.  The exp table lists the powers of the smallest multiplicative
-    generator; the log table inverts it, with -1 at zero.
+    above.  With N = 2^m - 1, the log table maps zero to 2N and a nonzero
+    residue to its log in [0, N); the exp table is the N powers twice and
+    2N + 1 zeros, so a sum of two logs indexes the product.
 
     Candidates g = 2, 3, ... are tried in turn; the first whose powers
     g^0 .. g^(2^m - 2) reach every nonzero residue is the generator, and
@@ -169,7 +171,8 @@ def _tables(m: int) -> tuple:
         log = np.full(order, -1, dtype=np.int64)
         log[powers] = np.arange(order - 1)
         if log[1:].min() >= 0:
-            return product, powers.tolist(), log.tolist()
+            log[0] = 2 * (order - 1)
+            return product, powers.tolist() * 2 + [0] * (2 * order - 1), log.tolist()
     raise ParameterError(f"reduction polynomial {CANONICAL_POLYS[m]:#x} for m={m} is not irreducible")
 
 
@@ -209,20 +212,15 @@ class Field:
         return a
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.order - 1)]
+        return self.exp_table[self.log_table[a] + self.log_table[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.exp_table[(self.order - 1 - self.log_table[a]) % (self.order - 1)]
+        return self.exp_table[self.order - 1 - self.log_table[a]]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and other.m == self.m
-
-    def __hash__(self) -> int:
-        return hash(("gf2m", self.m))
 
     def __repr__(self) -> str:
         return f"Field(m={self.m})"

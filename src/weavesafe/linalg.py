@@ -15,11 +15,12 @@ row space as one array, and ``first_dependent_subset`` walks index
 subsets as prefixes, so that each prefix's elimination is shared by all
 of its extensions.  Both apply one row update, ``_clear``, to whole
 arrays: a pivot's first nonzero column is cleared from many vectors
-with one gather from ``_sum_tables``, an exp table doubled and followed
-by a zero tail, indexed by sums of logs, with a sentinel log for zero.
-Keeping the oracle on the separate scalar path means that a fault in the
-batched update cannot hide itself: the engine's verdicts are re-derived
-by code it does not use.
+with one gather from the exp table, indexed by sums of logs.  Both
+eliminations index the tables that ``gf2m._tables`` builds, ``_eliminate``
+as the Field's lists and the engine as ``_sum_tables``' numpy copies;
+they share no elimination code.  Keeping the oracle on the separate
+scalar path means that a fault in the batched update cannot hide itself:
+the engine's verdicts are re-derived by code it does not use.
 
 The walk keeps the states of a block of prefixes, in lexicographic
 order, as one (prefixes x groups x vectors x width) array, and makes at
@@ -77,9 +78,6 @@ class Matrix:
             and other.field == self.field
             and other.data == self.data
         )
-
-    def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over GF(2^{self.field.m}))"
@@ -142,21 +140,13 @@ def cauchy(field: Field, row_points: list[int], col_points: list[int]) -> Matrix
     )
 
 
-@lru_cache(maxsize=None)
-def _log_tables(field: Field):
-    """(log, exp) with exp doubled, so exp[log[a] + log[b]] = a * b for
-    nonzero a, b without a modulo; log[0] is -1.  Fields of one degree
-    are equal and share the tables."""
-    return field.log_table, field.exp_table * 2
-
-
 def _eliminate(field: Field, data: list[list[int]], col_limit: int | None = None):
     """In-place forward elimination; returns list of (row, pivot_col).
 
     Pivots are searched only in the first col_limit columns (all by
     default); row operations always span the full width.
     """
-    log, exp = _log_tables(field)
+    log, exp = field.log_table, field.exp_table
     order = field.order - 1
     rows = len(data)
     cols = len(data[0]) if rows else 0
@@ -173,7 +163,7 @@ def _eliminate(field: Field, data: list[list[int]], col_limit: int | None = None
         data[r], data[piv] = data[piv], data[r]
         inv_log = order - log[data[r][c]]
         if inv_log != order:  # pivot is not 1: scale the row by its inverse
-            data[r] = [exp[log[v] + inv_log] if v else 0 for v in data[r]]
+            data[r] = [exp[log[v] + inv_log] for v in data[r]]  # zeros land in the tail
         prow = data[r]
         plog = [log[v] for v in prow]
         for i in range(rows):
@@ -197,23 +187,11 @@ def rank(a: Matrix) -> int:
 
 @lru_cache(maxsize=None)  # one entry per degree, at most 14
 def _sum_tables(m: int):
-    """(log, exp) for the batched row update over GF(2^m), as numpy arrays.
-
-    With N = 2^m - 1, log maps a nonzero symbol to its discrete log in
-    [0, N) and zero to the sentinel 2N.  exp, of native dtype, holds the
-    powers twice (indices 0 .. 2N-1) and then a zero tail (2N .. 4N).  A
-    sum of two logs then indexes the product directly: two nonzero
-    factors land in the doubled powers, and any sum with the sentinel in
-    the tail, so one ``take`` multiplies with no test for zero and no
-    modulo, at every degree m = 3..16.
-    """
+    """The Field's (log, exp) tables of GF(2^m) as numpy arrays, exp of
+    native dtype, for the batched row update: one ``take`` at a sum of
+    logs multiplies, with no test for zero and no modulo."""
     f = Field(m)
-    n = f.order - 1
-    log = np.array(f.log_table, dtype=np.intp)
-    log[0] = 2 * n
-    powers = np.array(f.exp_table, dtype=f.dtype)
-    exp = np.concatenate([powers, powers, np.zeros(2 * n + 1, dtype=f.dtype)])
-    return log, exp
+    return np.array(f.log_table, dtype=np.intp), np.array(f.exp_table, dtype=f.dtype)
 
 
 # Most symbols one ``_clear`` updates: a block of walk states, or of the

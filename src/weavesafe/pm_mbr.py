@@ -49,8 +49,8 @@ class CodeParams:
         return self.d + self.k - 4
 
     def check_node(self, node: int):
-        """Refuse anything but a node index in 1..n."""
-        if not isinstance(node, int) or not 1 <= node <= self.n:
+        """Refuse anything but a node index in 1..n (an int, not a bool)."""
+        if type(node) is not int or not 1 <= node <= self.n:
             raise ValueError(f"node index {node} out of range 1..{self.n}")
 
 
@@ -151,8 +151,9 @@ class InnerCode:
 
     # -- generator matrices ----------------------------------------------
 
-    def generator_rows(self, node: int) -> list[list[int]]:
-        """Coefficient rows of node's generator matrix, as fresh plain lists.
+    def generator_matrix(self, node: int) -> Matrix:
+        """d x B matrix sending a codeword to the symbols node stores, on
+        fresh plain-list rows.
 
         Row t holds node's encoding row on the symbols of message-matrix
         row t.  The entries come from the encoding matrix, which was
@@ -160,11 +161,7 @@ class InnerCode:
         """
         self.params.check_node(node)
         d = self.params.d
-        return self.generator_stack[(node - 1) * d : node * d].tolist()
-
-    def generator_matrix(self, node: int) -> Matrix:
-        """d x B matrix sending a codeword to the symbols node stores."""
-        return Matrix.derived(self.field, self.generator_rows(node))
+        return Matrix.derived(self.field, self.generator_stack[(node - 1) * d : node * d].tolist())
 
     def _check_shares(self, share_cols: dict):
         """Every node index in range and every share d rows tall."""

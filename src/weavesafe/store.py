@@ -22,7 +22,8 @@ code fans it out to the nodes.  In memory, symbols are numpy arrays at
 native width from chunking to share files and back: uint8 for m <= 8,
 uint16 above (``gf2m.native_dtype``).  A failed node is simply a
 missing share file; repair rebuilds it bit-identically from d live
-helpers.
+helpers.  Store, fail and repair hold the single-writer lock (root/.lock)
+for the whole operation; reconstruct and eavesdrop read without it.
 
 Reusing a seed voids the uniformity that the coset layer's secrecy rests
 on: the seed flag exists for tests and reproducibility checks only.
@@ -298,7 +299,6 @@ class _ClusterLock:
 
     def __init__(self, root: Path):
         self.path = root / ".lock"
-        self._fd = None
 
     def __enter__(self):
         try:
@@ -308,12 +308,13 @@ class _ClusterLock:
                 f"cluster {self.path.parent} is locked by another writer "
                 f"(remove {self.path} if stale)"
             ) from None
+        except FileNotFoundError:
+            raise ShareFormatError(f"no cluster at {self.path.parent}") from None
         return self
 
     def __exit__(self, *exc):
-        if self._fd is not None:
-            os.close(self._fd)
-            os.unlink(self.path)
+        os.close(self._fd)
+        os.unlink(self.path)
 
 
 class Cluster:
@@ -348,21 +349,19 @@ def cluster_store(data: bytes, params: CodeParams, root, seed=None) -> Manifest:
     codec = make_codec(params)
     cluster = Cluster(root)
     cluster.root.mkdir(parents=True, exist_ok=True)
-
-    chunks = chunk_plaintext(data, params)
-    n_chunks = chunks.shape[0]
-    randomness = SymbolSource(params.m, seed).symbols(2 * n_chunks).reshape(n_chunks, 2)
-    codewords = codec.outer.coset_encode_bulk(chunks.T, randomness.T)
-    del chunks  # the plaintext symbols are not needed past the coset layer
-    node_shares = encode_bulk(codec.inner, codewords)
-
-    manifest = Manifest(
-        params=params,
-        original_length=len(data),
-        chunk_count=n_chunks,
-        digest_sha256=hashlib.sha256(data).hexdigest(),
-    )
     with _ClusterLock(cluster.root):
+        chunks = chunk_plaintext(data, params)
+        n_chunks = chunks.shape[0]
+        randomness = SymbolSource(params.m, seed).symbols(2 * n_chunks).reshape(n_chunks, 2)
+        codewords = codec.outer.coset_encode_bulk(chunks.T, randomness.T)
+        del chunks  # the plaintext symbols are not needed past the coset layer
+        node_shares = encode_bulk(codec.inner, codewords)
+        manifest = Manifest(
+            params=params,
+            original_length=len(data),
+            chunk_count=n_chunks,
+            digest_sha256=hashlib.sha256(data).hexdigest(),
+        )
         for e in range(1, params.n + 1):
             path = cluster.share_path(e)
             path.parent.mkdir(exist_ok=True)
@@ -397,31 +396,31 @@ def cluster_reconstruct(root) -> bytes:
 def cluster_fail(root, node: int) -> None:
     """Simulate a node failure by removing its share file."""
     cluster = Cluster(root)
-    cluster.manifest().params.check_node(node)
-    path = cluster.share_path(node)
-    if not path.exists():
-        raise ValueError(f"node {node} is already failed")
     with _ClusterLock(cluster.root):
+        cluster.manifest().params.check_node(node)
+        path = cluster.share_path(node)
+        if not path.exists():
+            raise ValueError(f"node {node} is already failed")
         path.unlink()
 
 
 def cluster_repair(root, node: int) -> RepairStats:
     """Regenerate a failed node's share, bit-identical, from d helpers."""
     cluster = Cluster(root)
-    manifest = cluster.manifest()
-    p = manifest.params
-    p.check_node(node)
-    if cluster.share_path(node).exists():
-        raise ValueError(f"node {node} is live; nothing to repair")
-    live = cluster.live_nodes(manifest)
-    if len(live) < p.d:
-        raise InsufficientNodesError(f"repair needs d={p.d} helpers, only {len(live)} live")
-    helpers = live[: p.d]
-    codec = make_codec(p)
-    helper_cols = {e: cluster.read_share_columns(e, manifest) for e in helpers}
-    repaired, downloaded = repair_bulk(codec.inner, node, helper_cols)
     with _ClusterLock(cluster.root):
+        manifest = cluster.manifest()
+        p = manifest.params
+        p.check_node(node)
         path = cluster.share_path(node)
+        if path.exists():
+            raise ValueError(f"node {node} is live; nothing to repair")
+        live = cluster.live_nodes(manifest)
+        if len(live) < p.d:
+            raise InsufficientNodesError(f"repair needs d={p.d} helpers, only {len(live)} live")
+        helpers = live[: p.d]
+        codec = make_codec(p)
+        helper_cols = {e: cluster.read_share_columns(e, manifest) for e in helpers}
+        repaired, downloaded = repair_bulk(codec.inner, node, helper_cols)
         path.parent.mkdir(exist_ok=True)
         write_share(path, p, node, repaired.T)
     return RepairStats(node, tuple(helpers), manifest.chunk_count, downloaded)

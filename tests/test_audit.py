@@ -293,12 +293,13 @@ def test_completion_validates_subset(codec534):
 
 def test_audit_report_running_example(codec534):
     report = audit_report(codec534)
-    assert report.total_symbols == 9
-    assert report.secure_symbols == 7
-    assert report.max_guesses == 3
-    assert report.perfect_secure_symbols == 5
-    assert report.baseline_guesses == 1
-    assert report.improvement == 2  # d - 2
+    doc = report.to_dict()
+    assert doc["total_symbols"] == 9
+    assert doc["secure_symbols"] == 7
+    assert doc["max_guesses"] == 3
+    assert doc["perfect_secrecy"]["secure_symbols"] == 5
+    assert doc["baseline_guesses"] == 1
+    assert doc["improvement_over_baseline"] == 2  # d - 2
     assert report.weak_secrecy.passed
     assert not report.baseline_fail.passed
     assert report.baseline_pass.passed
@@ -307,8 +308,8 @@ def test_audit_report_running_example(codec534):
 
 def test_audit_report_degenerate_pair():
     report = audit_report(make_codec(grid_params(2, 2)))
-    assert report.max_guesses == 0
-    assert report.improvement == 0
+    assert report.to_dict()["max_guesses"] == 0
+    assert report.to_dict()["improvement_over_baseline"] == 0
     assert report.weak_secrecy.passed
 
 

@@ -14,7 +14,7 @@ def test_canonical_polynomials_are_irreducible():
     which holds exactly when the polynomial is irreducible (see
     ``gf2m._tables``)."""
     for m in CANONICAL_POLYS:
-        assert sorted(Field(m).exp_table) == list(range(1, 2**m)), f"m={m}"
+        assert sorted(Field(m).exp_table[: 2**m - 1]) == list(range(1, 2**m)), f"m={m}"
 
 
 def test_generator_is_the_smallest():
@@ -49,7 +49,7 @@ def test_irreducible_non_primitive_polynomial_builds_a_field(planted_poly):
     f = Field(4)
     assert f.reduction_poly == 0x1F
     assert f.exp_table[1] == 3
-    assert sorted(f.exp_table) == list(range(1, 16))
+    assert sorted(f.exp_table[: 2**4 - 1]) == list(range(1, 16))
     for a in range(16):
         for b in range(16):
             assert f.mul(a, b) == gf_mul_bruteforce(a, b, 4)
@@ -138,7 +138,25 @@ def test_log_exp_tables_are_mutually_inverse():
         f = Field(m)
         for a in range(1, f.order):
             assert f.exp_table[f.log_table[a]] == a
-        assert sorted(f.exp_table) == list(range(1, f.order))
+        assert sorted(f.exp_table[: 2**m - 1]) == list(range(1, f.order))
+
+
+def test_one_table_form_serves_field_and_eliminations():
+    """Zero's log is the sentinel 2N and the exp table is the N powers
+    twice, then 2N + 1 zeros, so any sum of two logs indexes the product.
+    The doubled powers are the same int objects, and linalg's batched
+    update holds exactly these tables as arrays."""
+    from weavesafe.linalg import _sum_tables
+
+    for m in (3, 8, 16):
+        f = Field(m)
+        n = f.order - 1
+        assert f.log_table[0] == 2 * n and len(f.exp_table) == 4 * n + 1
+        assert all(a is b for a, b in zip(f.exp_table[:n], f.exp_table[n : 2 * n]))
+        assert f.exp_table[2 * n :] == [0] * (2 * n + 1)
+        log, exp = _sum_tables(m)
+        assert exp.dtype == f.dtype
+        assert log.tolist() == f.log_table and exp.tolist() == f.exp_table
 
 
 def test_pow(gf16):

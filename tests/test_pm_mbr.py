@@ -198,14 +198,16 @@ def test_generator_full_rank(code534):
 
 
 def test_generator_rows_are_fresh_plain_lists(code534):
+    d = code534.params.d
     for e in range(1, 6):
-        rows = code534.generator_rows(e)
-        assert rows == code534.generator_matrix(e).data
+        stack_rows = code534.generator_stack[(e - 1) * d : e * d].tolist()
+        rows = code534.generator_matrix(e).data
+        assert rows == stack_rows
         assert all(type(v) is int for row in rows for v in row)
         rows[0][0] ^= 1
-        assert code534.generator_rows(e) == code534.generator_matrix(e).data
+        assert code534.generator_matrix(e).data == stack_rows
     with pytest.raises(ValueError, match="out of range"):
-        code534.generator_rows(6)
+        code534.generator_matrix(6)
 
 
 def test_generator_values_come_from_encoding_row(code534):
@@ -376,10 +378,10 @@ def test_bulk_kernel_calls_keep_their_symbol_counts(monkeypatch):
     kernel_calls = [c for c in calls if c[0] == "mat_mul_cols"]
     assert [c[2] for c in kernel_calls] == [(p.total_symbols, 19)]
     assert sum(1 for row in kernel_calls[0][1] for a in row if a) == sum(
-        1 for e in range(1, p.n + 1) for row in code.generator_rows(e) for a in row if a
+        1 for e in range(1, p.n + 1) for row in code.generator_matrix(e).data for a in row if a
     )
     for e in range(1, p.n + 1):
-        assert shares[e].tolist() == code.field.mat_mul_cols(code.generator_rows(e), cols).tolist()
+        assert shares[e].tolist() == code.field.mat_mul_cols(code.generator_matrix(e).data, cols).tolist()
 
     del calls[:]
     helpers = {e: shares[e] for e in range(2, p.d + 2)}

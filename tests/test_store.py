@@ -3,6 +3,8 @@ import json
 import math
 import os
 import random
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,6 +466,49 @@ def test_writer_lock_blocks_concurrent_mutation(tmp_path):
     assert not lock.exists()  # released after the operation
 
 
+def test_writers_refuse_node_true(tmp_path):
+    """True equals 1 but is no node index: repair, fail and eavesdrop refuse
+    it before touching the cluster."""
+    root = tmp_path / "c"
+    cluster_store(b"t" * 100, P534_BYTE, root, seed=18)
+    cluster_fail(root, 1)
+    for op in (cluster_repair, cluster_fail, cluster_eavesdrop):
+        with pytest.raises(ValueError, match="out of range"):
+            op(root, True)
+    assert not (root / "node_True").exists()
+    assert not (root / ".lock").exists()
+    assert not Cluster(root).share_path(1).exists()  # node 1 is still failed
+
+
+def test_writers_refuse_a_missing_cluster(tmp_path):
+    for op in (cluster_repair, cluster_fail):
+        with pytest.raises(ShareFormatError, match="no cluster"):
+            op(tmp_path / "missing", 1)
+    assert not (tmp_path / "missing").exists()
+
+
+def test_repair_holds_the_lock_through_its_reads(tmp_path, monkeypatch):
+    """A store that lands while repair works from the helpers' shares is
+    refused, so the repaired share cannot come from data it overwrote."""
+    from weavesafe import store
+
+    root = tmp_path / "c"
+    data = b"original" * 50
+    cluster_store(data, P534_BYTE, root, seed=19)
+    cluster_fail(root, 2)
+    real = store.repair_bulk
+
+    def racing(*args):
+        with pytest.raises(ShareFormatError, match="locked"):
+            cluster_store(b"other data" * 40, P534_BYTE, root, seed=20)
+        return real(*args)
+
+    monkeypatch.setattr(store, "repair_bulk", racing)
+    cluster_repair(root, 2)
+    assert not (root / ".lock").exists()
+    assert cluster_reconstruct(root) == data
+
+
 def test_share_manifest_cross_validation(tmp_path):
     cluster_store(b"q" * 64, P534, tmp_path / "c", seed=16)
     other = params_new(6, 3, 4, 4)
@@ -569,3 +614,23 @@ def test_lifecycle_with_d_equal_to_k(tmp_path, params):
     assert share_path.read_bytes() == original
     assert stats.symbols_per_chunk == params[2]
     assert cluster_reconstruct(tmp_path) == data
+
+
+# The v1 compatibility corpus: the manifest and shares that storing
+# GOLDEN_DATA with seed=13 wrote at each golden parameter set, committed
+# under tests/corpus/v1/<n>-<k>-<d>-<m>/.  Later formats add a corpus
+# beside it; this one must keep decoding unchanged.
+CORPUS_V1 = Path(__file__).resolve().parent / "corpus" / "v1"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_V1.iterdir()))
+def test_v1_corpus_reconstructs_and_repairs(tmp_path, name):
+    committed = CORPUS_V1 / name
+    root = tmp_path / name
+    shutil.copytree(committed, root)
+    assert cluster_reconstruct(root) == GOLDEN_DATA
+    cluster_fail(root, 1)
+    cluster_repair(root, 1)
+    repaired = Cluster(root).share_path(1).read_bytes()
+    assert repaired == (committed / "node_1" / "share.wsrc").read_bytes()
+    assert cluster_reconstruct(root) == GOLDEN_DATA
