@@ -21,10 +21,11 @@ full row rank, rank(H_S) = |S| and the identity becomes
 The parity-check matrix H has full row rank because the coset encoder's
 nonsingular solve steps invert its square extension; the identity
 matrix of the baseline (no outer code) has it trivially.  The verifier
-therefore reduces the check matrix modulo every node's G_e at once (one
-(nodes x rows x width) array, ``linalg.quotient_stack``), then walks
-each size level's subsets as prefixes, keeping every node's remaining
-rows reduced modulo the prefix: a check is one test for zero.  The walk
+therefore reduces the check matrix modulo every node's G_e at once (the
+inner code's generator stack in, one (nodes x rows x width) array out,
+``linalg.quotient_stack``), then walks each size level's subsets as
+prefixes, keeping every node's remaining rows reduced modulo the prefix:
+a check is one test for zero.  The walk
 (``linalg.first_dependent_subset``) handles blocks of prefixes as whole
 arrays, a bounded number of symbols at a time, and reports checks and
 the first hit in the order above.  Sizes go up one at a time, so each
@@ -156,9 +157,8 @@ def verify_weak_secrecy(
         raise CapExceededError(f"{total} rank checks exceed cap {max_checks}")
 
     nodes = range(1, p.n + 1)
-    quotients = quotient_stack(
-        codec.field, check_matrix.data, [codec.inner.generator_matrix(e).data for e in nodes]
-    )
+    generators = codec.inner.generator_stack.reshape(p.n, p.d, -1)
+    quotients = quotient_stack(codec.field, check_matrix.data, generators)
     checks = 0
     for size in range(1, guesses + 2):
         visited, subset, group = first_dependent_subset(codec.field, quotients, size)

@@ -131,8 +131,10 @@ def cmd_repair(args) -> int:
 
 
 def cmd_eavesdrop(args) -> int:
-    observations = store.cluster_eavesdrop(args.root, args.node)
-    params = store.Cluster(args.root).manifest().params
+    cluster = store.Cluster(args.root)
+    manifest = cluster.manifest()
+    observations = cluster.observe(args.node, manifest)
+    params = manifest.params
     doc = {
         "node": args.node,
         "params": {"n": params.n, "k": params.k, "d": params.d, "m": params.m},
@@ -150,12 +152,13 @@ def cmd_eavesdrop(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if args.root is not None:
+    flags = (args.n, args.k, args.d, args.m)
+    if args.root is not None and flags == (None,) * 4:
         params = store.Cluster(args.root).manifest().params
-    elif None not in (args.n, args.k, args.d):
+    elif args.root is None and None not in flags[:3]:
         params = _params_from_args(args)
     else:
-        raise ParameterError("audit needs either -n/-k/-d or a cluster root")
+        raise ParameterError("audit needs either -n/-k/-d or a cluster root, not both")
     codec = make_codec(params)
     g = params.max_guesses if args.g is None else args.g
 

@@ -27,7 +27,8 @@ Scalar multiplication and inversion go through exp/log tables built on
 the smallest multiplicative generator: 2 (the residue x) for every m but
 8, where x has order 51 and the generator is 3.  Finding it also proves
 the polynomial irreducible.  ``_tables`` is the one place the log/exp
-tables are built, in the form that both eliminations in ``linalg`` index.
+tables are built, in the one form that the Field and both eliminations in
+``linalg`` index, as lists and as numpy arrays.
 Addition is xor; in characteristic 2 every element is its own negative,
 so a + b = 0 exactly when a = b.
 
@@ -36,13 +37,13 @@ of symbols at native width: uint8 for m <= 8, uint16 above.  It has two
 paths, both from Plank, Greenan and Miller ("Screaming Fast Galois Field
 Arithmetic Using Intel SIMD Instructions", FAST 2013):
 
-* Table path: one gather from a product table per nonzero coefficient,
-  xor-accumulated per row.  For m <= 8 that is the full 2^m x 2^m uint8
-  product table; above that, each coefficient gets a low-byte and a
-  high-byte uint16 table, built on first use, whose two lookups are
-  xored.  Multiplication by a fixed coefficient is linear over GF(2), so
-  every table is the xor span of the coefficient times x^i.  ``mul_vec``
-  is always this path.
+* Table path: the coefficient's product tables, built on first use,
+  are gathered from once per nonzero coefficient, xor-accumulated per
+  row.  For m <= 8 one table covers the whole field, so a product is one
+  gather; above that the coefficient has a low-byte and a high-byte
+  uint16 table, whose two lookups are xored.  Multiplication by a fixed
+  coefficient is linear over GF(2), so every table is the xor span of
+  the coefficient times x^i.  ``mul_vec`` is always this path.
 * Bit-sliced path (their "BYTWO" region multiply on 64-bit words): a
   window of each used column is viewed as uint64 words of 8 (m <= 8) or
   4 (m > 8) symbol lanes and expanded once into its m planes x^i * column
@@ -77,16 +78,15 @@ one-row solve steps (f = 1) stay on tables; at (5,3,4,8) and at
 (12,6,10,16) only inner encode (f = 8 and 22) is bit-sliced.
 
 What depends on the degree or on a map alone is derived once per
-process and shared by every Field of the degree.  The exp/log tables and
-the m <= 8 product table are kept for each degree (at most 14).  The
-m > 8 coefficient tables are kept for the last ``_SPLIT_MEMO`` (4096)
-(degree, coefficient) pairs.  A map's plan (the nonzero entries for the
-table path; the used columns and the row batches with their plane
-indices for the bit-sliced path) is keyed on (m, shape, coefficient
-bytes) and kept for the last ``_PLAN_MEMO`` (256) distinct maps.  A plan
-does not depend on the column count, so one map applied to files of any
-size shares one plan.  The bounds are fixed, and no memo holds any
-symbol of the data the maps are applied to.
+process and shared by every Field of the degree.  The exp/log tables are
+kept for each degree (at most 14), and the coefficient tables for the
+last ``_SPLIT_MEMO`` (4096) (degree, coefficient) pairs.  A map's plan
+(the nonzero entries for the table path; the used columns and the row
+batches with their plane indices for the bit-sliced path) is keyed on
+(m, shape, coefficient bytes) and kept for the last ``_PLAN_MEMO`` (256)
+distinct maps.  A plan does not depend on the column count, so one map
+applied to files of any size shares one plan.  The bounds are fixed, and
+no memo holds any symbol of the data the maps are applied to.
 """
 
 from dataclasses import dataclass
@@ -129,22 +129,22 @@ def native_dtype(m: int) -> np.dtype:
 
 
 def _xor_span(basis: np.ndarray) -> np.ndarray:
-    """Tables over the last axis: entry b is the xor of basis[..., i] over
-    the set bits i of b."""
-    table = np.zeros(basis.shape[:-1] + (1,), dtype=basis.dtype)
-    for i in range(basis.shape[-1]):
-        table = np.concatenate([table, table ^ basis[..., i : i + 1]], axis=-1)
+    """The table whose entry b is the xor of basis[i] over the set bits i of b."""
+    table = np.zeros(1, dtype=basis.dtype)
+    for v in basis:
+        table = np.concatenate([table, table ^ v])
     return table
 
 
 @lru_cache(maxsize=None)  # one entry per degree, at most 14
 def _tables(m: int) -> tuple:
-    """(product table, exp table, log table) of GF(2^m).
+    """(exp, log) tables of GF(2^m) as lists, then as numpy arrays.
 
-    The product table is the full 2^m x 2^m table for m <= 8 and None
-    above.  With N = 2^m - 1, the log table maps zero to 2N and a nonzero
-    residue to its log in [0, N); the exp table is the N powers twice and
-    2N + 1 zeros, so a sum of two logs indexes the product.
+    With N = 2^m - 1, the log table maps zero to 2N and a nonzero residue
+    to its log in [0, N); the exp table is the N powers twice and 2N + 1
+    zeros, so a sum of two logs indexes the product.  The arrays hold the
+    same values, exp at native dtype and log as intp, for the batched row
+    update in ``linalg``.
 
     Candidates g = 2, 3, ... are tried in turn; the first whose powers
     g^0 .. g^(2^m - 2) reach every nonzero residue is the generator, and
@@ -155,38 +155,34 @@ def _tables(m: int) -> tuple:
     """
     order = 1 << m
     dtype = native_dtype(m)
-    product = None
-    if m <= 8:
-        basis = np.stack(_times_x_powers(np.arange(order), m), axis=-1)
-        product = _xor_span(basis.astype(dtype))
-
     for generator in range(2, order):
         # Powers of the candidate by doubling: the block g^L .. g^(2L-1) is
         # the block before it times g^L.
         powers, step = np.ones(1, dtype=dtype), generator
         while powers.size < order - 1:
-            powers = np.concatenate([powers, _times(m, product, step, powers)])
-            step = int(_times(m, product, step, np.array(step, dtype=dtype)))
+            powers = np.concatenate([powers, _times(m, step, powers)])
+            step = int(_times(m, step, np.array(step, dtype=dtype)))
         powers = powers[: order - 1]
-        log = np.full(order, -1, dtype=np.int64)
+        log = np.full(order, -1, dtype=np.intp)
         log[powers] = np.arange(order - 1)
         if log[1:].min() >= 0:
             log[0] = 2 * (order - 1)
-            return product, powers.tolist() * 2 + [0] * (2 * order - 1), log.tolist()
+            exp = np.concatenate([powers, powers, np.zeros(2 * order - 1, dtype)])
+            return powers.tolist() * 2 + [0] * (2 * order - 1), log.tolist(), exp, log
     raise ParameterError(f"reduction polynomial {CANONICAL_POLYS[m]:#x} for m={m} is not irreducible")
 
 
-def _times(m: int, product, a: int, vec):
-    """a times every entry of vec: one gather from the product table for
-    m <= 8, two from the coefficient's split tables above."""
-    if product is not None:
-        return product[a].take(vec)
+def _times(m: int, a: int, vec):
+    """a times every entry of vec: one gather from the coefficient's table
+    for m <= 8, one from each of its byte tables above."""
     low, high = _split_tables(m, a)
+    if m <= 8:
+        return low.take(vec)
     return low.take(vec & 0xFF) ^ high.take(vec >> 8)
 
 
 class Field:
-    """GF(2^m) with precomputed discrete-log and product tables.
+    """GF(2^m) with precomputed discrete-log tables, as lists and arrays.
 
     The tables depend on m alone, so every Field of one degree shares
     them (see ``_tables``).  All operations are pure, so one Field
@@ -201,7 +197,7 @@ class Field:
         self.reduction_poly = CANONICAL_POLYS[m]
         self.order = 1 << m
         self.dtype = native_dtype(m)
-        self._product, self.exp_table, self.log_table = _tables(m)
+        self.exp_table, self.log_table, self.exp_array, self.log_array = _tables(m)
 
     # -- scalar operations ------------------------------------------------
 
@@ -229,7 +225,7 @@ class Field:
 
     def mul_vec(self, a: int, vec):
         """Multiply every entry of a numpy vector of symbols by the scalar a."""
-        return _times(self.m, self._product, a, vec)
+        return _times(self.m, a, vec)
 
     def mat_mul_cols(self, rows, cols):
         """Apply a small matrix (coefficient rows: an array, or lists) to a
@@ -371,18 +367,14 @@ def _lanes(value: int, lane_bits: int) -> np.uint64:
     return np.uint64(sum(value << s for s in range(0, 64, lane_bits)))
 
 
-def _times_x_powers(a, m: int):
-    """[a, a*x, ..., a*x^(m-1)] in GF(2^m), for an element or an array of them."""
-    poly = CANONICAL_POLYS[m]
-    out = []
-    for _ in range(m):
-        out.append(a)
-        a = (a << 1) ^ ((a >> (m - 1)) & 1) * poly
-    return out
-
-
 @lru_cache(maxsize=_SPLIT_MEMO)
 def _split_tables(m: int, a: int):
-    """Low-byte and high-byte product tables of the coefficient a, m > 8."""
-    basis = np.array(_times_x_powers(a, m), dtype=native_dtype(m))
+    """The coefficient a's product tables, spans of a, a*x, ..., a*x^(m-1):
+    over the whole field and an unused [0] for m <= 8, over the low and
+    the high byte above."""
+    basis = []
+    for _ in range(m):
+        basis.append(a)
+        a = (a << 1) ^ ((a >> (m - 1)) & 1) * CANONICAL_POLYS[m]
+    basis = np.array(basis, dtype=native_dtype(m))
     return _xor_span(basis[:8]), _xor_span(basis[8:])

@@ -16,11 +16,11 @@ subsets as prefixes, so that each prefix's elimination is shared by all
 of its extensions.  Both apply one row update, ``_clear``, to whole
 arrays: a pivot's first nonzero column is cleared from many vectors
 with one gather from the exp table, indexed by sums of logs.  Both
-eliminations index the tables that ``gf2m._tables`` builds, ``_eliminate``
-as the Field's lists and the engine as ``_sum_tables``' numpy copies;
-they share no elimination code.  Keeping the oracle on the separate
-scalar path means that a fault in the batched update cannot hide itself:
-the engine's verdicts are re-derived by code it does not use.
+eliminations index the tables that ``gf2m._tables`` builds and the Field
+holds, ``_eliminate`` as lists and the engine as numpy arrays; they share
+no elimination code.  Keeping the oracle on the separate scalar path
+means that a fault in the batched update cannot hide itself: the
+engine's verdicts are re-derived by code it does not use.
 
 The walk keeps the states of a block of prefixes, in lexicographic
 order, as one (prefixes x groups x vectors x width) array, and makes at
@@ -28,7 +28,6 @@ most ``_BLOCK_SYMBOLS`` (2^16) symbols of child states at a time, so its
 scratch stays near 1 MiB whatever the number of subsets.
 """
 
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -185,15 +184,6 @@ def rank(a: Matrix) -> int:
     return len(_eliminate(a.field, data))
 
 
-@lru_cache(maxsize=None)  # one entry per degree, at most 14
-def _sum_tables(m: int):
-    """The Field's (log, exp) tables of GF(2^m) as numpy arrays, exp of
-    native dtype, for the batched row update: one ``take`` at a sum of
-    logs multiplies, with no test for zero and no modulo."""
-    f = Field(m)
-    return np.array(f.log_table, dtype=np.intp), np.array(f.exp_table, dtype=f.dtype)
-
-
 # Most symbols one ``_clear`` updates: a block of walk states, or of the
 # moduli in ``quotient_stack``.  Its scratch is about 8 + 3 bytes per
 # symbol (the summed logs and the gathered products) on top of the block
@@ -201,17 +191,19 @@ def _sum_tables(m: int):
 _BLOCK_SYMBOLS = 1 << 16
 
 
-def _clear(tables, vectors, pivots) -> None:
+def _clear(field: Field, vectors, pivots) -> None:
     """Clear, in place, the entry of each vector at its pivot's first
-    nonzero column by adding that multiple of the pivot.
+    nonzero column by adding that multiple of the pivot: one ``take`` from
+    the field's exp array at a sum of logs multiplies, with no test for
+    zero and no modulo.
 
     vectors is a C-contiguous array of shape (..., V, W), and pivots has
     shape (..., W): one pivot for each V vectors.  A zero pivot leaves its
     vectors unchanged: its inverse log is the sentinel, so each of its
     products lands in the zero tail.
     """
-    log, exp = tables
-    n = (len(exp) - 1) // 4
+    log, exp = field.log_array, field.exp_array
+    n = field.order - 1
     width = vectors.shape[-1]
     col = (pivots != 0).argmax(axis=-1)
     lead = np.take_along_axis(pivots, col[..., None], axis=-1)  # (..., 1)
@@ -239,12 +231,14 @@ def _zero_rows(a) -> np.ndarray:
     return acc == 0
 
 
-def quotient_stack(field: Field, rows, moduli) -> np.ndarray:
+def quotient_stack(field: Field, rows, moduli: np.ndarray) -> np.ndarray:
     """rows reduced modulo the row space of each modulus, stacked.
 
-    Returns an array of native dtype, shape (moduli x rows x width): entry
-    e holds each row reduced modulo rowspace(moduli[e]), on the columns
-    where that modulus has no pivot, zero-padded to the widest quotient.
+    moduli is one (moduli x depth x width) array; a modulus with fewer
+    rows is padded with zero rows, which span nothing.  Returns an array
+    of native dtype, shape (moduli x rows x width): entry e holds each row
+    reduced modulo rowspace(moduli[e]), on the columns where that modulus
+    has no pivot, zero-padded to the widest quotient.
     Rows are congruent modulo a row space exactly when their reductions
     are equal, so a set of rows is independent modulo it exactly when the
     reductions are linearly independent.
@@ -258,13 +252,9 @@ def quotient_stack(field: Field, rows, moduli) -> np.ndarray:
     count = len(rows)
     if not count:
         return np.zeros((len(moduli), 0, 0), dtype=field.dtype)
-    tables = _sum_tables(field.m)
-    depth = max((len(mod) for mod in moduli), default=0)
-    width = len(rows[0])
-    state = np.zeros((len(moduli), depth + count, width), dtype=field.dtype)
-    for e, mod in enumerate(moduli):
-        if len(mod):
-            state[e, : len(mod)] = mod
+    depth, width = moduli.shape[1:]
+    state = np.empty((len(moduli), depth + count, width), dtype=field.dtype)
+    state[:, :depth] = moduli
     state[:, depth:] = rows
     pivot = np.zeros((len(moduli), width), dtype=bool)
     step = max(1, _BLOCK_SYMBOLS // max(1, state[0].size))
@@ -274,7 +264,7 @@ def quotient_stack(field: Field, rows, moduli) -> np.ndarray:
         pivot[np.flatnonzero(live), (lead != 0).argmax(axis=-1)[live]] = True
         for lo in range(0, len(moduli), step):
             block = state[lo : lo + step]
-            _clear(tables, block, block[:, r].copy())  # rows up to r are done
+            _clear(field, block, block[:, r].copy())  # rows up to r are done
     kept = width - pivot.sum(axis=1)
     out = np.zeros((len(moduli), count, int(kept.max(initial=0))), dtype=field.dtype)
     for e in range(len(moduli)):
@@ -318,7 +308,6 @@ def first_dependent_subset(field: Field, groups, size: int):
     if vectors.ndim != 3 or 0 in vectors.shape[:2]:  # no groups, or no vectors
         return 0, None, None
     ngroups, count, width = vectors.shape
-    tables = _sum_tables(field.m)
     visited = 0
 
     def leaf(prefixes, last, start, states):
@@ -359,7 +348,7 @@ def first_dependent_subset(field: Field, groups, size: int):
             if len(par):
                 head = int(idx.min()) + 1
                 children = states[par, :, head - start :]
-                _clear(tables, children, pivots)
+                _clear(field, children, pivots)
                 found = walk(np.column_stack([prefixes[par], idx]), idx, head, children)
                 if found:
                     return found

@@ -20,18 +20,41 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InsufficientNodesError, ParameterError
-from .gf2m import Field
 from .linalg import Matrix, invert, submatrix
 
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Validated (n, k, d, m) with the usual derived quantities."""
+    """(n, k, d, m) with the usual derived quantities, valid by
+    construction: ``__post_init__`` refuses what the scheme cannot serve."""
 
     n: int
     k: int
     d: int
     m: int
+
+    def __post_init__(self):
+        n, k, d, m = self.n, self.k, self.d, self.m
+        for name, v in (("n", n), ("k", k), ("d", d), ("m", m)):
+            if not isinstance(v, int):
+                raise ParameterError(f"{name} must be an integer, got {v!r}")
+        if k == 1:
+            raise ParameterError(
+                "k=1 is rejected: any single node alone then determines the whole "
+                "file, exactly like a reader, so no encoding can hide anything"
+            )
+        if k < 2:
+            raise ParameterError(f"k={k} out of range: need k >= 2")
+        if d < k:
+            raise ParameterError(f"d={d} < k={k}: repair degree cannot be below the reconstruction threshold")
+        if n < d + 1:
+            raise ParameterError(f"n={n} too small: need n >= d+1 = {d + 1} so d helpers survive one failure")
+        if not 3 <= m <= 16:
+            raise ParameterError(f"m={m} out of range: need 3 <= m <= 16")
+        if (1 << m) < n + 2 * d:
+            raise ParameterError(
+                f"field too small: 2^{m} = {1 << m} < n + 2d = {n + 2 * d} distinct points required"
+            )
 
     @property
     def total_symbols(self) -> int:
@@ -55,26 +78,7 @@ class CodeParams:
 
 
 def params_new(n: int, k: int, d: int, m: int) -> CodeParams:
-    for name, v in (("n", n), ("k", k), ("d", d), ("m", m)):
-        if not isinstance(v, int):
-            raise ParameterError(f"{name} must be an integer, got {v!r}")
-    if k == 1:
-        raise ParameterError(
-            "k=1 is rejected: any single node alone then determines the whole "
-            "file, exactly like a reader, so no encoding can hide anything"
-        )
-    if k < 2:
-        raise ParameterError(f"k={k} out of range: need k >= 2")
-    if d < k:
-        raise ParameterError(f"d={d} < k={k}: repair degree cannot be below the reconstruction threshold")
-    if n < d + 1:
-        raise ParameterError(f"n={n} too small: need n >= d+1 = {d + 1} so d helpers survive one failure")
-    if not 3 <= m <= 16:
-        raise ParameterError(f"m={m} out of range: need 3 <= m <= 16")
-    if (1 << m) < n + 2 * d:
-        raise ParameterError(
-            f"field too small: 2^{m} = {1 << m} < n + 2d = {n + 2 * d} distinct points required"
-        )
+    """CodeParams(n, k, d, m), which validates itself."""
     return CodeParams(n, k, d, m)
 
 
@@ -121,14 +125,15 @@ def type_positions(k: int, d: int, t: int) -> tuple:
 
 
 class InnerCode:
-    """A product-matrix MBR code bound to one encoding matrix.
+    """A product-matrix MBR code bound to one encoding matrix, over its field.
 
     The encoding matrix must have every square submatrix nonsingular
     (a Cauchy matrix does); the secure codec supplies the canonical one.
     Immutable after construction.
     """
 
-    def __init__(self, params: CodeParams, field: Field, encoding_matrix: Matrix):
+    def __init__(self, params: CodeParams, encoding_matrix: Matrix):
+        field = encoding_matrix.field
         if field.m != params.m:
             raise ParameterError(f"field degree {field.m} does not match params m={params.m}")
         if (encoding_matrix.rows, encoding_matrix.cols) != (params.n, params.d):

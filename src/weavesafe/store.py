@@ -343,6 +343,14 @@ class Cluster:
         """Node's checked share as a (d, chunk_count) array."""
         return read_share(self.share_path(node), manifest.params, node, manifest.chunk_count).T.copy()
 
+    def observe(self, node: int, manifest: Manifest) -> np.ndarray:
+        """Everything node stores against manifest: a length-d vector per chunk."""
+        manifest.params.check_node(node)
+        path = self.share_path(node)
+        if not path.exists():
+            raise InsufficientNodesError(f"node {node} is failed; nothing to observe")
+        return read_share(path, manifest.params, node, manifest.chunk_count)
+
 
 def cluster_store(data: bytes, params: CodeParams, root, seed=None) -> Manifest:
     """Encode data across n simulated nodes under root; returns the manifest."""
@@ -429,9 +437,4 @@ def cluster_repair(root, node: int) -> RepairStats:
 def cluster_eavesdrop(root, node: int) -> np.ndarray:
     """Everything node stores, one length-d observation vector per chunk."""
     cluster = Cluster(root)
-    manifest = cluster.manifest()
-    manifest.params.check_node(node)
-    path = cluster.share_path(node)
-    if not path.exists():
-        raise InsufficientNodesError(f"node {node} is failed; nothing to observe")
-    return read_share(path, manifest.params, node, manifest.chunk_count)
+    return cluster.observe(node, cluster.manifest())

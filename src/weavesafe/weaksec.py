@@ -24,11 +24,11 @@ Everything but the data is fixed by (n, k, d, m), so ``_codes`` derives
 it once per process for each parameter set: the Cauchy stack, the inner
 code (its encoding matrix and n*d generator rows) and the outer code (its
 coefficient matrix, H and H_ext, and the solve steps, each step's inverse
-and coupling as native-dtype arrays).  The memo is keyed on
-``CodeParams`` and keeps the last ``_CODEC_MEMO`` (8) parameter sets.
-Each ``SecureCodec`` builds its own Field and shares the memoized codes
-as they are.  Nothing derived from a message, from randomness or from a
-share is kept.
+and coupling as native-dtype arrays).  Both codes are cut from the stack
+and take its Field.  The memo is keyed on ``CodeParams`` and keeps the
+last ``_CODEC_MEMO`` (8) parameter sets.  Each ``SecureCodec`` builds its
+own Field and shares the memoized codes as they are.  Nothing derived
+from a message, from randomness or from a share is kept.
 """
 
 from dataclasses import dataclass
@@ -73,20 +73,16 @@ def index_sets(k: int, d: int) -> tuple:
     )
 
 
-def build_cauchy_stack(params: CodeParams, field: Field) -> Matrix:
-    """The canonical (n+d) x d Cauchy stack of encoding and coefficient rows.
+def build_cauchy_stack(params: CodeParams) -> Matrix:
+    """The canonical (n+d) x d Cauchy stack of encoding and coefficient
+    rows, over GF(2^m).
 
     Row points are the field elements 0..n+d-1 and column points
-    n+d..n+2d-1, so any build of the same parameters produces the same
-    matrix bit for bit.
+    n+d..n+2d-1 (CodeParams guarantees 2^m >= n + 2d), so any build of
+    the same parameters produces the same matrix bit for bit.
     """
-    if field.m != params.m:
-        raise ParameterError(f"field degree {field.m} does not match params m={params.m}")
-    needed = params.n + 2 * params.d
-    if field.order < needed:
-        raise ParameterError(f"field too small: {field.order} < n + 2d = {needed}")
     span = params.n + params.d
-    return cauchy(field, list(range(span)), list(range(span, span + params.d)))
+    return cauchy(Field(params.m), list(range(span)), list(range(span, span + params.d)))
 
 
 def make_type_row(k: int, d: int, type_index: int, coeffs: list[int]) -> list[int]:
@@ -158,7 +154,8 @@ def _solve_steps(params: CodeParams, ext: Matrix, ext_types: tuple) -> tuple:
 
 
 class OuterCode:
-    """Parity-check machinery for one parameter set.
+    """Parity-check machinery for one parameter set, over the field of its
+    coefficient matrix.
 
     Derives from a d x d coefficient matrix the (B-2) x B parity-check
     matrix, its per-row (type, coefficient-row) ledger, and the invertible
@@ -169,14 +166,14 @@ class OuterCode:
     caller-supplied randomness and is otherwise deterministic.
     """
 
-    def __init__(self, params: CodeParams, field: Field, coeff_matrix: Matrix):
+    def __init__(self, params: CodeParams, coeff_matrix: Matrix):
         k, d = params.k, params.d
         if (coeff_matrix.rows, coeff_matrix.cols) != (d, d):
             raise ParameterError(
                 f"coefficient matrix must be {d}x{d}, got {coeff_matrix.rows}x{coeff_matrix.cols}"
             )
         self.params = params
-        self.field = field
+        self.field = field = coeff_matrix.field
         self.coeff_matrix = coeff_matrix
         coeffs = coeff_matrix.data
         counts = type_cardinalities(k, d)
@@ -230,16 +227,15 @@ class OuterCode:
 @lru_cache(maxsize=_CODEC_MEMO)
 def _codes(params: CodeParams) -> tuple:
     """(Cauchy stack, inner code, outer code) of one parameter set over
-    one Field, memoized per process.
+    the stack's Field, memoized per process.
 
     Every codec of the parameter set shares them, so their arrays are made
     read-only.
     """
-    field = Field(params.m)
-    stack = build_cauchy_stack(params, field)
+    stack = build_cauchy_stack(params)
     n, d = params.n, params.d
-    inner = InnerCode(params, field, submatrix(stack, range(n), range(d)))
-    outer = OuterCode(params, field, submatrix(stack, range(n, n + d), range(d)))
+    inner = InnerCode(params, submatrix(stack, range(n), range(d)))
+    outer = OuterCode(params, submatrix(stack, range(n, n + d), range(d)))
     shared = [inner.generator_stack, outer.parity_array]
     shared += [a for s in outer.solve_steps for a in (s.inverse, s.coupling)]
     for array in shared:

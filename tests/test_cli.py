@@ -1,5 +1,7 @@
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +151,42 @@ def test_audit_requires_params_or_root():
     assert run("audit") == 3
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("-n", 7, "-k", 4, "-d", 6, "-m", 5), ("-n", 5), ("-k", 3), ("-d", 4), ("-m", 4)],
+)
+def test_audit_refuses_param_flags_with_a_root(encoded, capsys, flags):
+    """A cluster fixes its own parameters: flags next to a root are refused
+    rather than silently ignored."""
+    _, root = encoded
+    assert run("audit", *flags, root) == 3
+    assert "not both" in capsys.readouterr().err
+
+
+# The audit's stdout and exit code at fixed points, as text and JSON,
+# committed under tests/golden/audit/<point>.{txt,json}; the cluster point
+# audits a copy of the v1 corpus' (5,3,4,8) cluster.
+GOLDEN_AUDIT = Path(__file__).resolve().parent / "golden" / "audit"
+AUDIT_POINTS = {
+    "5-3-4": (("-n", 5, "-k", 3, "-d", 4), 0),
+    "6-3-5-4-g4": (("-n", 6, "-k", 3, "-d", 5, "-m", 4, "-g", 4), 0),
+    "7-4-6-5-g3": (("-n", 7, "-k", 4, "-d", 6, "-m", 5, "-g", 3), 0),
+    "baseline-5-3-4-g2": (("--baseline", "-n", 5, "-k", 3, "-d", 4, "-g", 2), 5),
+    "cluster-5-3-4-8": (None, 0),
+}
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("point", sorted(AUDIT_POINTS))
+def test_audit_output_matches_golden(tmp_path, capsys, point, fmt, ext):
+    argv, code = AUDIT_POINTS[point]
+    if argv is None:
+        corpus = Path(__file__).resolve().parent / "corpus" / "v1" / "5-3-4-8"
+        argv = (shutil.copytree(corpus, tmp_path / "5-3-4-8"),)
+    assert run("audit", "--format", fmt, *argv) == code
+    assert capsys.readouterr().out == (GOLDEN_AUDIT / f"{point}.{ext}").read_text()
+
+
 def test_eavesdrop_json(encoded, tmp_path, capsys):
     _, root = encoded
     out = tmp_path / "eve.json"
@@ -161,6 +199,7 @@ def test_eavesdrop_json(encoded, tmp_path, capsys):
     from weavesafe.store import cluster_eavesdrop
 
     assert doc["observations"] == cluster_eavesdrop(root, 3).tolist()
+    assert doc["params"] == {"n": 5, "k": 3, "d": 4, "m": 4}
 
 
 def test_usage_error_exits_2():

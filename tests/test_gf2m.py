@@ -27,15 +27,19 @@ def test_generator_is_the_smallest():
 
 @pytest.fixture
 def planted_poly(monkeypatch):
-    """Plant a reduction polynomial for m = 4; the table memo is cleared
-    before and after, so no other test sees the planted tables."""
+    """Plant a reduction polynomial for m = 4; the table memos (the log/exp
+    tables and the coefficient tables, which both depend on the
+    polynomial) are cleared before and after, so no other test sees the
+    planted tables."""
 
     def plant(poly):
         monkeypatch.setitem(CANONICAL_POLYS, 4, poly)
         gf2m._tables.cache_clear()
+        gf2m._split_tables.cache_clear()
 
     yield plant
     gf2m._tables.cache_clear()
+    gf2m._split_tables.cache_clear()
 
 
 def test_reducible_polynomial_is_refused(planted_poly):
@@ -144,17 +148,15 @@ def test_log_exp_tables_are_mutually_inverse():
 def test_one_table_form_serves_field_and_eliminations():
     """Zero's log is the sentinel 2N and the exp table is the N powers
     twice, then 2N + 1 zeros, so any sum of two logs indexes the product.
-    The doubled powers are the same int objects, and linalg's batched
-    update holds exactly these tables as arrays."""
-    from weavesafe.linalg import _sum_tables
-
+    The doubled powers are the same int objects, and the Field holds
+    exactly these tables as the arrays that linalg's batched update reads."""
     for m in (3, 8, 16):
         f = Field(m)
         n = f.order - 1
         assert f.log_table[0] == 2 * n and len(f.exp_table) == 4 * n + 1
         assert all(a is b for a, b in zip(f.exp_table[:n], f.exp_table[n : 2 * n]))
         assert f.exp_table[2 * n :] == [0] * (2 * n + 1)
-        log, exp = _sum_tables(m)
+        log, exp = f.log_array, f.exp_array
         assert exp.dtype == f.dtype
         assert log.tolist() == f.log_table and exp.tolist() == f.exp_table
 
@@ -416,7 +418,7 @@ def test_field_tables_are_shared_and_bounded():
         a, b = Field(m), Field(m)
         assert a is not b
         assert a.exp_table is b.exp_table and a.log_table is b.log_table
-        assert a._product is b._product
+        assert a.exp_array is b.exp_array and a.log_array is b.log_array
     gf2m._split_tables.cache_clear()
     a, b = Field(16), Field(16)
     xs = np.array([0, 1, 0xFF, 0x100, 0xFFFF], dtype=np.uint16)

@@ -224,9 +224,14 @@ def reference_all_minors(a, max_order):
     return True
 
 
+def one_modulus(field, modulus, width) -> np.ndarray:
+    """A modulus given as lists (possibly none), as a one-modulus stack."""
+    return np.array(modulus, dtype=field.dtype).reshape(1, -1, width)
+
+
 def reduce_modulo(field, rows, modulus) -> list:
     """rows reduced modulo one modulus' row space, as plain lists."""
-    return quotient_stack(field, rows, [modulus])[0].tolist()
+    return quotient_stack(field, rows, one_modulus(field, modulus, len(rows[0])))[0].tolist()
 
 
 def test_reduce_modulo_keeps_rank_over_the_quotient(gf16):
@@ -469,18 +474,20 @@ def test_walk_dependent_prefix_against_a_hit_in_both_orders(gf8):
 @pytest.mark.parametrize("budget", [1, 170, None])  # 56 symbols per modulus
 def test_quotient_stack_matches_reduce_modulo_per_modulus(gf16, monkeypatch, budget):
     """One stacked reduction per modulus, zero-padded to the widest, made
-    one modulus, three moduli or all moduli per block."""
+    one modulus, three moduli or all moduli per block.  The moduli go in
+    as one array, each padded with zero rows to the deepest."""
     rng = random.Random(26)
     rows = random_matrix(gf16, 5, 7, rng).data
     moduli = [random_matrix(gf16, rng.randrange(0, 4), 7, rng).data for _ in range(4)]
     moduli.append([[0] * 7, [1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]])  # dependent rows
+    padded = np.array([m + [[0] * 7] * (3 - len(m)) for m in moduli], dtype=gf16.dtype)
     if budget:
         monkeypatch.setattr(linalg, "_BLOCK_SYMBOLS", budget)
-    stacked = quotient_stack(gf16, rows, moduli)
+    stacked = quotient_stack(gf16, rows, padded)
     monkeypatch.undo()
     assert stacked.shape == (5, 5, max(7 - rank(Matrix(gf16, m)) if m else 7 for m in moduli))
     for e, modulus in enumerate(moduli):
-        single = quotient_stack(gf16, rows, [modulus])[0]
+        single = quotient_stack(gf16, rows, one_modulus(gf16, modulus, 7))[0]
         assert single.shape[1] == 7 - (rank(Matrix(gf16, modulus)) if modulus else 0)
         assert (stacked[e, :, : single.shape[1]] == single).all()
         assert not stacked[e, :, single.shape[1] :].any()

@@ -6,8 +6,10 @@ import pytest
 
 from conftest import grid_params
 from weavesafe.errors import InsufficientNodesError, ParameterError
-from weavesafe.linalg import invert, mat_vec, rank, submatrix
+from weavesafe.gf2m import Field
+from weavesafe.linalg import cauchy, invert, mat_vec, rank, submatrix
 from weavesafe.pm_mbr import (
+    CodeParams,
     InnerCode,
     cell_index,
     encode_bulk,
@@ -83,21 +85,42 @@ def test_params_capacity_formula():
             assert p.total_symbols == sum(d - i for i in range(k))
 
 
-@pytest.mark.parametrize(
-    "bad, match",
-    [
-        ((5, 1, 4, 4), "k=1"),
-        ((5, 0, 4, 4), "k="),
-        ((5, 3, 2, 4), "d=2 < k=3"),
-        ((4, 3, 4, 4), "n=4 too small"),
-        ((5, 3, 4, 2), "m=2 out of range"),
-        ((5, 3, 4, 17), "m=17 out of range"),
-        ((5, 3, 4, 3), "field too small"),
-    ],
-)
+REJECTED = [
+    ((5, 1, 4, 4), "k=1"),
+    ((5, 0, 4, 4), "k="),
+    ((5, 3, 2, 4), "d=2 < k=3"),
+    ((4, 3, 4, 4), "n=4 too small"),
+    ((5, 3, 4, 2), "m=2 out of range"),
+    ((5, 3, 4, 17), "m=17 out of range"),
+    ((5, 3, 4, 3), "field too small"),
+]
+
+
+@pytest.mark.parametrize("bad, match", REJECTED)
 def test_params_rejections(bad, match):
     with pytest.raises(ParameterError, match=match):
         params_new(*bad)
+
+
+@pytest.mark.parametrize("bad, match", REJECTED + [((4, 3, 4, 8), "n=4 too small")])
+def test_code_params_refuses_what_params_new_refuses(bad, match):
+    """A CodeParams built directly runs the same checks, with the same
+    message, so no unchecked parameter set exists."""
+    with pytest.raises(ParameterError) as direct:
+        CodeParams(*bad)
+    with pytest.raises(ParameterError) as checked:
+        params_new(*bad)
+    assert str(direct.value) == str(checked.value)
+    assert direct.match(match)
+
+
+def test_inner_code_refuses_a_matrix_over_another_field():
+    """The inner code takes its field from the encoding matrix, which must
+    be over GF(2^m) of the parameters."""
+    p = params_new(5, 3, 4, 4)
+    encoding = cauchy(Field(5), list(range(p.n)), list(range(p.n, p.n + p.d)))
+    with pytest.raises(ParameterError, match="field degree 5 does not match params m=4"):
+        InnerCode(p, encoding)
 
 
 # -- message matrix layout -------------------------------------------------

@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 from weavesafe.audit import audit_report
+from weavesafe.cli import main as cli_main
 from weavesafe.errors import (
     InsufficientNodesError,
     IntegrityError,
+    ParameterError,
     ShareFormatError,
 )
 from weavesafe.gf2m import native_dtype
 from weavesafe.linalg import mat_vec
-from weavesafe.pm_mbr import params_new
+from weavesafe.pm_mbr import CodeParams, params_new
 from weavesafe.store import (
     Cluster,
     Manifest,
@@ -365,10 +367,19 @@ def test_each_operation_parses_the_manifest_once(tmp_path, monkeypatch):
         lambda: cluster_repair(tmp_path / "c", 2),
         lambda: cluster_eavesdrop(tmp_path / "c", 1),
         lambda: audit_report(make_codec(P534_BYTE), cluster_root=tmp_path / "c"),
+        lambda: cli_main(["eavesdrop", str(tmp_path / "c"), "1", "-o", str(tmp_path / "eve.json")]),
     ):
         del parses[:]
         op()
         assert len(parses) == 1
+
+
+def test_unchecked_params_cannot_reach_the_store(tmp_path):
+    """A CodeParams built directly is checked like params_new's, so a
+    cluster no later read could open is never written."""
+    with pytest.raises(ParameterError, match="n=4 too small"):
+        cluster_store(b"never stored" * 10, CodeParams(4, 3, 4, 8), tmp_path / "c")
+    assert not (tmp_path / "c").exists()
 
 
 def test_reconstruct_after_failures_uses_any_k(tmp_path):

@@ -90,15 +90,12 @@ def test_index_set_structure():
 
 def test_stack_running_example_dimensions():
     params = params_new(5, 3, 4, 4)
-    stack = build_cauchy_stack(params, Field(4))
-    assert (stack.rows, stack.cols) == (9, 4)
+    stack = build_cauchy_stack(params)
+    assert (stack.rows, stack.cols) == (9, 4) and stack.field == Field(4)
     assert all(v != 0 for row in stack.data for v in row)
 
 
 def test_stack_rejects_small_field():
-    params = params_new(5, 3, 4, 4)
-    with pytest.raises(ParameterError, match="does not match"):
-        build_cauchy_stack(params, Field(3))
     with pytest.raises(ParameterError, match="field too small"):
         params_new(5, 3, 4, 3)
 
@@ -304,7 +301,7 @@ def test_outer_code_rejects_wrong_coeff_shape(codec534):
     params = codec534.params
     bad = submatrix(codec534.outer.coeff_matrix, range(3), range(4))
     with pytest.raises(ParameterError):
-        OuterCode(params, codec534.field, bad)
+        OuterCode(params, bad)
 
 
 # -- per-process memo of derived matrices --------------------------------------
@@ -342,12 +339,11 @@ def test_codecs_share_derived_data_over_their_own_fields():
         with pytest.raises(ValueError):
             shared[0, 0] ^= 1  # shared, so read-only
 
-    field = Field(p.m)
-    stack = build_cauchy_stack(p, field)
+    stack = build_cauchy_stack(p)
     fresh = SecureCodec.__new__(SecureCodec)
     fresh.cauchy_stack = stack
-    fresh.inner = InnerCode(p, field, submatrix(stack, range(p.n), range(p.d)))
-    fresh.outer = OuterCode(p, field, submatrix(stack, range(p.n, p.n + p.d), range(p.d)))
+    fresh.inner = InnerCode(p, submatrix(stack, range(p.n), range(p.d)))
+    fresh.outer = OuterCode(p, submatrix(stack, range(p.n, p.n + p.d), range(p.d)))
     _assert_same_matrices(a, fresh)
 
 
