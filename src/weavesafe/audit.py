@@ -23,7 +23,9 @@ nonsingular solve steps invert its square extension; the identity
 matrix of the baseline (no outer code) has it trivially.  The verifier
 therefore reduces the check matrix modulo every node's G_e at once (the
 inner code's generator stack in, one (nodes x rows x width) array out,
-``linalg.quotient_stack``), then walks each size level's subsets as
+``linalg.quotient_stack``): it eliminates the nodes' rows alone and
+applies each basis to the check rows with one GF kernel product, for all
+nodes whose pivots agree.  It then walks each size level's subsets as
 prefixes, keeping every node's remaining rows reduced modulo the prefix:
 a check is one test for zero.  The walk
 (``linalg.first_dependent_subset``) handles blocks of prefixes as whole
@@ -33,9 +35,9 @@ prefix is already known independent and a leaking subset leaks exactly
 one symbol; the walk asserts this rather than assuming it.
 
 ``leakage`` re-derives the verdict's witness as an oracle.  It stays on
-the scalar elimination behind ``linalg.rank``, which the engine's
-batched row update does not share, so the two computations can only
-agree by both being right.
+the scalar elimination behind ``linalg.rank``, which neither the
+engine's batched row update nor the kernel shares, so the two
+computations can only agree by both being right.
 """
 
 import math
@@ -391,11 +393,13 @@ def _check_steps(matrix: Matrix, steps) -> str | None:
         cols = [b - 1 for b in step.variables]
         if len(step.rows) != len(cols):
             return f"type {step.type_index} step is not square"
+        allowed = decoded.union(step.variables)
+        outside = [c for c in range(matrix.cols) if c + 1 not in allowed]
         for r in step.rows:
-            support = {c + 1 for c, v in enumerate(matrix.data[r]) if v}
-            stray = support - decoded - set(step.variables)
-            if stray:
-                return f"row {r} touches undecoded variables {sorted(stray)}"
+            row = matrix.data[r]
+            if any(map(row.__getitem__, outside)):
+                stray = [c + 1 for c in outside if row[c]]
+                return f"row {r} touches undecoded variables {stray}"
         if rank(submatrix(matrix, step.rows, cols)) != len(cols):
             return f"type {step.type_index} step submatrix is singular"
         decoded.update(step.variables)

@@ -364,7 +364,7 @@ _GROUP = 8  # most rows in one batch
 
 def _lanes(value: int, lane_bits: int) -> np.uint64:
     """value repeated in every lane_bits-wide lane of a 64-bit word."""
-    return np.uint64(sum(value << s for s in range(0, 64, lane_bits)))
+    return np.uint64(value * (((1 << 64) - 1) // ((1 << lane_bits) - 1)))  # times 0x0101...
 
 
 @lru_cache(maxsize=_SPLIT_MEMO)

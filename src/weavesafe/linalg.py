@@ -7,25 +7,33 @@ value-semantic; operations return fresh objects and never mutate their
 inputs.
 
 The module has two eliminations that share no code.  ``rank`` and
-``invert`` run the scalar ``_eliminate`` on Python lists; the codec build,
-the audit's rank-formula oracle (``audit.leakage``) and its certificates
-are built on these.  The audit engine runs on numpy
-instead: ``quotient_stack`` reduces the check rows modulo every node's
-row space as one array, and ``first_dependent_subset`` walks index
-subsets as prefixes, so that each prefix's elimination is shared by all
-of its extensions.  Both apply one row update, ``_clear``, to whole
-arrays: a pivot's first nonzero column is cleared from many vectors
-with one gather from the exp table, indexed by sums of logs.  Both
-eliminations index the tables that ``gf2m._tables`` builds and the Field
-holds, ``_eliminate`` as lists and the engine as numpy arrays; they share
-no elimination code.  Keeping the oracle on the separate scalar path
-means that a fault in the batched update cannot hide itself: the
-engine's verdicts are re-derived by code it does not use.
+``invert`` run the scalar ``_eliminate`` on Python lists, which updates
+each target row only at the pivot row's nonzeros; the codec build, the
+audit's rank-formula oracle (``audit.leakage``) and its certificates are
+built on these.  The audit engine runs on numpy instead, in two parts.
+``quotient_stack`` eliminates every node's rows, as one (nodes x depth x
+width) array, and then reduces the check rows modulo each node's basis
+with one ``Field.mat_mul_cols`` product per pattern of pivot columns: the
+bit-sliced GF kernel that the codecs use.  ``first_dependent_subset``
+walks index subsets as prefixes, so that each prefix's elimination is
+shared by all of its extensions.  Both eliminate with one row update,
+``_clear``, on whole arrays: a pivot's first nonzero column is cleared
+from many vectors with one gather from the exp table, indexed by sums of
+logs.  Both eliminations index the tables that ``gf2m._tables`` builds
+and the Field holds, ``_eliminate`` as lists and the engine as numpy
+arrays; they share no elimination code.  Keeping the oracle on the
+separate scalar path means that a fault in the batched update or in the
+kernel cannot hide itself: the engine's verdicts are re-derived by code
+it does not use.
 
-The walk keeps the states of a block of prefixes, in lexicographic
-order, as one (prefixes x groups x vectors x width) array, and makes at
-most ``_BLOCK_SYMBOLS`` (2^16) symbols of child states at a time, so its
-scratch stays near 1 MiB whatever the number of subsets.
+Scratch is bounded by fixed budgets, whatever the number of subsets or
+nodes.  ``_clear`` updates at most ``_BLOCK_SYMBOLS`` (2^16) symbols at a
+time: the walk keeps the states of a block of prefixes, in lexicographic
+order, as one (prefixes x groups x vectors x width) array and makes its
+child states a block at a time, and ``quotient_stack`` eliminates its
+moduli a block at a time, so both stay near 1 MiB.  The quotient's
+products are as large as its output, and the kernel bounds its own
+planes (``gf2m._PLANE_BYTES``).
 """
 
 from itertools import combinations
@@ -160,18 +168,18 @@ def _eliminate(field: Field, data: list[list[int]], col_limit: int | None = None
         if piv is None:
             continue
         data[r], data[piv] = data[piv], data[r]
-        inv_log = order - log[data[r][c]]
-        if inv_log != order:  # pivot is not 1: scale the row by its inverse
-            data[r] = [exp[log[v] + inv_log] for v in data[r]]  # zeros land in the tail
         prow = data[r]
-        plog = [log[v] for v in prow]
+        inv_log = order - log[prow[c]]
+        # The pivot row scaled to 1 at c, as (column, log) of its nonzeros.
+        nonzero = [(j, (log[v] + inv_log) % order) for j, v in enumerate(prow) if v]
+        for j, lv in nonzero:
+            prow[j] = exp[lv]
         for i in range(rows):
             if i != r and data[i][c]:
                 lf = log[data[i][c]]
                 irow = data[i]
-                for j in range(c, cols):
-                    if prow[j]:
-                        irow[j] ^= exp[lf + plog[j]]
+                for j, lv in nonzero:
+                    irow[j] ^= exp[lf + lv]
         pivots.append((r, c))
         r += 1
         if r == rows:
@@ -206,8 +214,8 @@ def _clear(field: Field, vectors, pivots) -> None:
     n = field.order - 1
     width = vectors.shape[-1]
     col = (pivots != 0).argmax(axis=-1)
-    lead = np.take_along_axis(pivots, col[..., None], axis=-1)  # (..., 1)
-    inv = np.where(lead != 0, n - log.take(lead), 2 * n)
+    lead = pivots.reshape(-1).take(np.arange(0, pivots.size, width).reshape(col.shape) + col)
+    inv = np.where(lead != 0, n - log.take(lead), 2 * n)[..., None]
     # The pivot scaled to 1 at its column, as logs (sentinel at zeros).
     lq = log.take(exp.take(log.take(pivots) + inv))
     rows = np.arange(0, vectors.size, width).reshape(vectors.shape[:-1])
@@ -243,32 +251,54 @@ def quotient_stack(field: Field, rows, moduli: np.ndarray) -> np.ndarray:
     are equal, so a set of rows is independent modulo it exactly when the
     reductions are linearly independent.
 
-    Each modulus row in turn becomes a pivot, and ``_clear`` removes its
-    first nonzero column from every later modulus row and from all of
-    rows, for as many moduli at once as ``_BLOCK_SYMBOLS`` allows.  A
-    modulus row that reduces to zero is dependent on the earlier ones and
-    pivots nothing.
+    Only the moduli are eliminated.  Each modulus row in turn becomes a
+    pivot at its first nonzero column, and ``_clear`` removes that column
+    from every other row of its modulus, for as many moduli at once as
+    ``_BLOCK_SYMBOLS`` allows; a modulus row that reduces to zero is
+    dependent on the earlier ones and pivots nothing.  Each basis row is
+    then scaled to 1 at its pivot, so on its pivot columns P a basis is
+    the identity, and the remainder of rows on the other columns is
+    rows + rows[:, P] * basis.  Moduli with the same pivots share one
+    ``Field.mat_mul_cols`` call over their bases side by side.
     """
     count = len(rows)
-    if not count:
-        return np.zeros((len(moduli), 0, 0), dtype=field.dtype)
-    depth, width = moduli.shape[1:]
-    state = np.empty((len(moduli), depth + count, width), dtype=field.dtype)
-    state[:, :depth] = moduli
-    state[:, depth:] = rows
-    pivot = np.zeros((len(moduli), width), dtype=bool)
-    step = max(1, _BLOCK_SYMBOLS // max(1, state[0].size))
-    for r in range(depth if width else 0):
-        lead = state[:, r]
-        live = lead.any(axis=-1)
-        pivot[np.flatnonzero(live), (lead != 0).argmax(axis=-1)[live]] = True
-        for lo in range(0, len(moduli), step):
-            block = state[lo : lo + step]
-            _clear(field, block, block[:, r].copy())  # rows up to r are done
-    kept = width - pivot.sum(axis=1)
-    out = np.zeros((len(moduli), count, int(kept.max(initial=0))), dtype=field.dtype)
-    for e in range(len(moduli)):
-        out[e, :, : kept[e]] = state[e, depth:][:, ~pivot[e]]
+    if not count or not moduli.shape[-1]:
+        return np.zeros((len(moduli), count, 0), dtype=field.dtype)
+    rows = np.asarray(rows, dtype=field.dtype)
+    basis = np.array(moduli, dtype=field.dtype)
+    total, depth, width = basis.shape
+    step = max(1, _BLOCK_SYMBOLS // max(1, depth * width))
+    for r in range(depth):
+        for lo in range(0, total, step):
+            block = basis[lo : lo + step]
+            pivot = block[:, r].copy()
+            _clear(field, block, pivot)  # which clears the pivot row too
+            block[:, r] = pivot
+    # A basis row keeps its first nonzero column, its pivot, from its own
+    # step on: a later pivot row is zero there and before its own pivot.
+    nonzero = basis != 0
+    pivots = np.where(nonzero.any(axis=-1), nonzero.argmax(axis=-1), -1)
+    pivoting = np.nonzero(pivots >= 0)
+    log, exp = field.log_array, field.exp_array
+    inv = field.order - 1 - log.take(basis[pivoting + (pivots[pivoting],)])
+    basis[pivoting] = exp.take(log.take(basis[pivoting]) + inv[:, None])  # 1 at each pivot
+
+    groups = {}
+    for e, key in enumerate(map(tuple, pivots.tolist())):
+        groups.setdefault(key, []).append(e)
+    kept = width - (pivots >= 0).sum(axis=1)
+    out = np.zeros((total, count, int(kept.max(initial=0))), dtype=field.dtype)
+    for key, members in groups.items():
+        live = [r for r, c in enumerate(key) if c >= 0]
+        cols = [key[r] for r in live]
+        free = np.ones(width, dtype=bool)
+        free[cols] = False
+        quotient = np.repeat(rows[:, None, free], len(members), axis=1)  # (rows, moduli, kept)
+        if cols:
+            side_by_side = basis[np.ix_(members, live, free)].transpose(1, 0, 2)
+            products = field.mat_mul_cols(rows[:, cols], side_by_side.reshape(len(cols), -1))
+            quotient ^= products.reshape(quotient.shape)
+        out[members, :, : quotient.shape[2]] = quotient.transpose(1, 0, 2)
     return out
 
 

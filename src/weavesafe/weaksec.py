@@ -168,6 +168,10 @@ class OuterCode:
 
     def __init__(self, params: CodeParams, coeff_matrix: Matrix):
         k, d = params.k, params.d
+        if coeff_matrix.field.m != params.m:
+            raise ParameterError(
+                f"field degree {coeff_matrix.field.m} does not match params m={params.m}"
+            )
         if (coeff_matrix.rows, coeff_matrix.cols) != (d, d):
             raise ParameterError(
                 f"coefficient matrix must be {d}x{d}, got {coeff_matrix.rows}x{coeff_matrix.cols}"

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import grid_params
 from weavesafe.audit import (
+    _check_steps,
     audit_report,
     certify_completion,
     certify_extended_parity,
@@ -180,6 +181,27 @@ def test_extension_certificate_replays(codec534):
     for _ in range(5):
         y = [rng.randrange(16) for _ in range(9)]
         assert replay_certificate(cert, y) == y
+
+
+def test_misordered_steps_name_every_stray_variable(codec534):
+    """A step whose rows touch variables no earlier step decoded is
+    rejected with each such variable, sorted, as the set difference of the
+    row's support gives them."""
+    matrix = codec534.outer.parity_check_ext
+    steps = certify_extended_parity(codec534).steps
+    rejected = 0
+    for order in (steps[::-1], steps[1:] + steps[:1], steps[2:] + steps[:2]):
+        decoded, expected = set(), None
+        for step in order:
+            for r in step.rows:
+                support = {c + 1 for c, v in enumerate(matrix.data[r]) if v}
+                stray = support - decoded - set(step.variables)
+                if stray and expected is None:
+                    expected = f"row {r} touches undecoded variables {sorted(stray)}"
+            decoded.update(step.variables)
+        assert _check_steps(matrix, order) == expected
+        rejected += expected is not None
+    assert rejected == 3
 
 
 def test_extension_certificate_grid():

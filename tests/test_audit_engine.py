@@ -4,8 +4,10 @@ Each reference below is the earlier implementation, kept here verbatim in
 behaviour: ``reference_verify`` runs the rank formula ``leakage`` for
 every (subset, node) pair, sizes ascending, then subsets in lexicographic
 order, then nodes; ``reference_plan`` recomputes a completion plan from
-scratch on every call.  The engine and the memoized planner must return
-equal results, counts and counterexamples included.
+scratch on every call; ``reference_quotient_stack`` eliminates the check
+rows together with each modulus.  The engine, the memoized planner and
+the kernel-product quotient must return equal results, counts and
+counterexamples included, and equal arrays byte for byte.
 """
 
 import json
@@ -14,6 +16,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import grid_params
@@ -30,7 +33,8 @@ from weavesafe.audit import (
     verify_weak_secrecy,
 )
 from weavesafe.errors import CapExceededError
-from weavesafe.linalg import submatrix
+from weavesafe.gf2m import Field
+from weavesafe.linalg import quotient_stack, submatrix
 from weavesafe.pm_mbr import params_new
 from weavesafe.weaksec import index_sets, make_codec
 
@@ -151,6 +155,124 @@ def reference_plan(k: int, d: int, row_types: tuple) -> CompletionPlan:
     if len(appended) != total - len(row_types) - d:
         raise AssertionError("append count does not square the matrix")
     return CompletionPlan(True, None, tuple(steps), tuple(appended))
+
+
+def reference_quotient_stack(field, rows, moduli):
+    """quotient_stack as it was: each modulus stacked over the check rows,
+    every modulus row in turn cleared from both with ``linalg._clear``."""
+    count = len(rows)
+    if not count:
+        return np.zeros((len(moduli), 0, 0), dtype=field.dtype)
+    depth, width = moduli.shape[1:]
+    state = np.empty((len(moduli), depth + count, width), dtype=field.dtype)
+    state[:, :depth] = moduli
+    state[:, depth:] = rows
+    pivot = np.zeros((len(moduli), width), dtype=bool)
+    step = max(1, linalg._BLOCK_SYMBOLS // max(1, state[0].size))
+    for r in range(depth if width else 0):
+        lead = state[:, r]
+        live = lead.any(axis=-1)
+        pivot[np.flatnonzero(live), (lead != 0).argmax(axis=-1)[live]] = True
+        for lo in range(0, len(moduli), step):
+            block = state[lo : lo + step]
+            linalg._clear(field, block, block[:, r].copy())  # rows up to r are done
+    kept = width - pivot.sum(axis=1)
+    out = np.zeros((len(moduli), count, int(kept.max(initial=0))), dtype=field.dtype)
+    for e in range(len(moduli)):
+        out[e, :, : kept[e]] = state[e, depth:][:, ~pivot[e]]
+    return out
+
+
+def assert_same_array(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def random_stack(field, rng, count, depth, width, moduli):
+    """Check rows and a (moduli x depth x width) stack, sparse enough that
+    first nonzero columns vary, with dependent rows and all-zero moduli."""
+
+    def symbol():
+        return rng.randrange(1, field.order) if rng.random() < 0.4 else 0
+
+    rows = [[symbol() for _ in range(width)] for _ in range(count)]
+    stack = np.array(
+        [[[symbol() for _ in range(width)] for _ in range(depth)] for _ in range(moduli)],
+        dtype=field.dtype,
+    ).reshape(moduli, depth, width)
+    for e in range(moduli):
+        kind = rng.randrange(4)
+        if kind == 0:
+            stack[e] = 0
+        elif kind == 1 and depth >= 2:  # a multiple of an earlier row
+            a, b = sorted(rng.sample(range(depth), 2))
+            stack[e, b] = field.mul_vec(rng.randrange(1, field.order), stack[e, a])
+    if count >= 2 and rng.random() < 0.5:
+        rows[-1] = list(rows[0])
+    return rows, stack
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_quotient_stack_matches_reference_on_random_stacks(m):
+    field = Field(m)
+    rng = random.Random(40 + m)
+    for _ in range(150):
+        count, depth, width = rng.randrange(0, 6), rng.randrange(0, 5), rng.randrange(0, 9)
+        rows, stack = random_stack(field, rng, count, depth, width, rng.randrange(1, 7))
+        assert_same_array(quotient_stack(field, rows, stack), reference_quotient_stack(field, rows, stack))
+
+
+def test_quotient_stack_matches_reference_across_pivot_groups():
+    """Moduli whose pivots differ take separate kernel calls, the order of
+    the groups following no modulus order; the all-zero modulus keeps every
+    column."""
+    field = Field(8)
+    rows = [[3, 0, 7, 1, 9], [0, 5, 0, 2, 4], [1, 1, 1, 1, 1]]
+    stack = np.array(
+        [
+            [[0, 2, 0, 1, 0], [5, 0, 0, 0, 1]],  # pivots 1, 0
+            [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]],  # pivots 0, 2
+            [[0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],  # none
+            [[0, 3, 0, 5, 0], [10, 0, 0, 0, 2]],  # pivots 1, 0 again
+            [[4, 4, 0, 0, 0], [8, 8, 0, 0, 0]],  # pivot 0, then a dependent row
+        ],
+        dtype=field.dtype,
+    )
+    got = quotient_stack(field, rows, stack)
+    assert got.shape == (5, 3, 5)
+    assert_same_array(got, reference_quotient_stack(field, rows, stack))
+    assert (got[2] == np.array(rows)).all()
+    assert not got[[0, 1, 3], :, 3:].any()  # two pivots leave three columns
+    assert_same_array(quotient_stack(field, [], stack), reference_quotient_stack(field, [], stack))
+    empty = np.zeros((5, 2, 0), dtype=field.dtype)
+    assert quotient_stack(field, [[]] * 3, empty).shape == (5, 3, 0)
+    assert_same_array(quotient_stack(field, [[]] * 3, empty), reference_quotient_stack(field, [[]] * 3, empty))
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(5, 3, 4, 8), (12, 6, 10, 8), (20, 10, 16, 8), (12, 6, 10, 16), (6, 3, 5, 4), (7, 4, 6, 5)],
+)
+def test_quotient_stack_matches_reference_at_the_fixed_points(point):
+    """The store and audit points, for H and for the baseline's identity."""
+    codec = make_codec(params_new(*point))
+    p = codec.params
+    moduli = codec.inner.generator_stack.reshape(p.n, p.d, -1)
+    for baseline in (False, True):
+        rows = _message_matrix(codec, baseline).data
+        expected = reference_quotient_stack(codec.field, rows, moduli)
+        assert_same_array(quotient_stack(codec.field, rows, moduli), expected)
+
+
+def test_audit_at_the_store_points():
+    """Weak secrecy at (20,10,16,8) for g = 0 and 1 (the m <= 8 kernel
+    path) and at (12,6,10,16) for g = 0 (m > 8).  The certificate's 16
+    steps at (20,10,16,8) are pinned in test_audit."""
+    codec = make_codec(params_new(20, 10, 16, 8))
+    for g, checks in ((0, 2260), (1, 128820)):
+        assert verify_weak_secrecy(codec, g) == VerifyResult(g, False, True, checks, None)
+    wide = make_codec(params_new(12, 6, 10, 16))
+    assert verify_weak_secrecy(wide, 0) == VerifyResult(0, False, True, 516, None)
 
 
 def test_engine_matches_reference_loop_on_grid():

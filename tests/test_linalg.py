@@ -100,6 +100,58 @@ def test_invert_rejects_singular(gf16):
         invert(zeros(gf16, 2, 3))
 
 
+def reference_eliminate(field, data, col_limit=None):
+    """linalg._eliminate as it was: the pivot row scaled as a whole, and
+    every column of each target row tested against it."""
+    log, exp = field.log_table, field.exp_table
+    order = field.order - 1
+    rows = len(data)
+    cols = len(data[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols if col_limit is None else col_limit):
+        piv = next((i for i in range(r, rows) if data[i][c]), None)
+        if piv is None:
+            continue
+        data[r], data[piv] = data[piv], data[r]
+        inv_log = order - log[data[r][c]]
+        if inv_log != order:
+            data[r] = [exp[log[v] + inv_log] for v in data[r]]
+        prow = data[r]
+        plog = [log[v] for v in prow]
+        for i in range(rows):
+            if i != r and data[i][c]:
+                lf = log[data[i][c]]
+                for j in range(c, cols):
+                    if prow[j]:
+                        data[i][j] ^= exp[lf + plog[j]]
+        pivots.append((r, c))
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_eliminate_matches_reference(m):
+    """Same pivots and the same reduced rows, for rank-deficient and sparse
+    matrices and for invert's column limit."""
+    field = Field(m)
+    rng = random.Random(60 + m)
+    for _ in range(120):
+        rows, cols = rng.randrange(0, 7), rng.randrange(1, 9)
+        data = [
+            [rng.randrange(1, field.order) if rng.random() < 0.5 else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if rows >= 2 and rng.random() < 0.3:
+            data[-1] = [field.mul(rng.randrange(1, field.order), v) for v in data[0]]
+        limit = rng.choice([None, rng.randrange(0, cols + 1)])
+        got, expected = [list(row) for row in data], [list(row) for row in data]
+        assert linalg._eliminate(field, got, limit) == reference_eliminate(field, expected, limit)
+        assert got == expected
+
+
 def test_solve_identity(gf16):
     """Solving a square system means applying its inverse, as
     reconstruct and repair do."""
@@ -471,11 +523,12 @@ def test_walk_dependent_prefix_against_a_hit_in_both_orders(gf8):
             walk(gf8, [early_prefix], 3)
 
 
-@pytest.mark.parametrize("budget", [1, 170, None])  # 56 symbols per modulus
+@pytest.mark.parametrize("budget", [1, 63, None])  # 3 x 7 = 21 symbols per modulus
 def test_quotient_stack_matches_reduce_modulo_per_modulus(gf16, monkeypatch, budget):
-    """One stacked reduction per modulus, zero-padded to the widest, made
-    one modulus, three moduli or all moduli per block.  The moduli go in
-    as one array, each padded with zero rows to the deepest."""
+    """One stacked reduction per modulus, zero-padded to the widest, with
+    the moduli eliminated one modulus, three moduli or all moduli per
+    block.  The moduli go in as one array, each padded with zero rows to
+    the deepest."""
     rng = random.Random(26)
     rows = random_matrix(gf16, 5, 7, rng).data
     moduli = [random_matrix(gf16, rng.randrange(0, 4), 7, rng).data for _ in range(4)]

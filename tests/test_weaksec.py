@@ -7,9 +7,9 @@ import pytest
 from conftest import grid_params
 from weavesafe.errors import ParameterError
 from weavesafe.gf2m import Field
-from weavesafe.linalg import Matrix, invert, mat_vec, rank, submatrix
+from weavesafe.linalg import Matrix, cauchy, invert, mat_vec, rank, submatrix
 from weavesafe import weaksec
-from weavesafe.pm_mbr import InnerCode, params_new
+from weavesafe.pm_mbr import CodeParams, InnerCode, params_new
 from weavesafe.weaksec import (
     OuterCode,
     SecureCodec,
@@ -302,6 +302,16 @@ def test_outer_code_rejects_wrong_coeff_shape(codec534):
     bad = submatrix(codec534.outer.coeff_matrix, range(3), range(4))
     with pytest.raises(ParameterError):
         OuterCode(params, bad)
+
+
+def test_outer_code_rejects_a_field_of_another_degree():
+    """A GF(32) coefficient matrix for m = 4 params: its entries (23 among
+    them) are not GF(16) symbols, so the code is refused as InnerCode
+    refuses it."""
+    coeffs = cauchy(Field(5), [0, 1, 2, 3], [4, 5, 6, 7])
+    assert max(max(row) for row in coeffs.data) > 15
+    with pytest.raises(ParameterError, match="field degree 5 does not match params m=4"):
+        OuterCode(CodeParams(5, 3, 4, 4), coeffs)
 
 
 # -- per-process memo of derived matrices --------------------------------------

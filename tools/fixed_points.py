@@ -13,7 +13,8 @@ file of ``--size`` bytes (unseeded store, as in production), checking the
 bytes and the repaired share.  Its result is the median seconds per op and
 the process's peak RSS (getrusage).
 
-Audit mode measures ``verify_weak_secrecy`` at the audit points:
+Audit mode measures ``verify_weak_secrecy`` at the audit points and at
+the store point (20,10,16,8):
 
     python3 tools/fixed_points.py --audit --out BENCH_audit.json \
         --tree parent=/path/to/parent/checkout --tree change=.
@@ -46,7 +47,12 @@ from pathlib import Path
 POINTS = ((5, 3, 4, 8), (12, 6, 10, 8), (20, 10, 16, 8), (12, 6, 10, 16))
 OPS = ("store", "reconstruct", "repair")
 # (n, k, d, m) -> (guesses, the checks of a pass)
-AUDIT_POINTS = {(6, 3, 5, 4): (4, 3822), (7, 4, 6, 5): (6, 184324), (8, 4, 7, 5): (7, 2111592)}
+AUDIT_POINTS = {
+    (6, 3, 5, 4): (4, 3822),
+    (7, 4, 6, 5): (6, 184324),
+    (8, 4, 7, 5): (7, 2111592),
+    (20, 10, 16, 8): (1, 128820),  # the largest store point
+}
 
 
 def _import(src: str):
