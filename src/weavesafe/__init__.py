@@ -43,7 +43,6 @@ from .store import (
 from .weaksec import (
     OuterCode,
     SecureCodec,
-    build_cauchy_stack,
     index_sets,
     make_codec,
     make_type_row,
@@ -73,7 +72,6 @@ __all__ = [
     "WeavesafeError",
     "all_square_submatrices_nonsingular",
     "audit_report",
-    "build_cauchy_stack",
     "cauchy",
     "certify_extended_parity",
     "certify_completion",

@@ -12,15 +12,21 @@ then rightward along row 1, then row 2 from the diagonal, and so on,
 mirrored below the diagonal.  Symbol indices and node indices are
 1-based at this module's boundary, matching how operators and reports
 count them.
+
+``CodeParams`` owns the point budget 2^m >= n + 2d, the Cauchy points
+and the (n+d) x d Cauchy stack on them (every square submatrix
+nonsingular), which both codes are cut from: a code is a function of
+(n, k, d, m) alone.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InsufficientNodesError, ParameterError
-from .linalg import Matrix, invert, submatrix
+from .gf2m import Field
+from .linalg import Matrix, cauchy, invert, submatrix
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,18 @@ class CodeParams:
     def max_guesses(self) -> int:
         """Side-information symbols an eavesdropper may hold: d + k - 4."""
         return self.d + self.k - 4
+
+    @cached_property
+    def cauchy_stack(self) -> Matrix:
+        """The (n+d) x d Cauchy stack of encoding and coefficient rows over
+        GF(2^m), built once per parameter object.
+
+        Row points are the field elements 0..n+d-1 and column points
+        n+d..n+2d-1, distinct by the point budget, so every build of the
+        same parameters gives the same matrix bit for bit.
+        """
+        span = self.n + self.d
+        return cauchy(Field(self.m), list(range(span)), list(range(span, span + self.d)))
 
     def check_node(self, node: int):
         """Refuse anything but a node index in 1..n (an int, not a bool)."""
@@ -125,34 +143,25 @@ def type_positions(k: int, d: int, t: int) -> tuple:
 
 
 class InnerCode:
-    """A product-matrix MBR code bound to one encoding matrix, over its field.
+    """The product-matrix MBR code of one parameter set, over GF(2^m).
 
-    The encoding matrix must have every square submatrix nonsingular
-    (a Cauchy matrix does); the secure codec supplies the canonical one.
-    Immutable after construction.
+    Its encoding matrix is rows 0..n-1 of ``params.cauchy_stack``, so
+    every square submatrix is nonsingular.  Immutable after construction.
     """
 
-    def __init__(self, params: CodeParams, encoding_matrix: Matrix):
-        field = encoding_matrix.field
-        if field.m != params.m:
-            raise ParameterError(f"field degree {field.m} does not match params m={params.m}")
-        if (encoding_matrix.rows, encoding_matrix.cols) != (params.n, params.d):
-            raise ParameterError(
-                f"encoding matrix must be {params.n}x{params.d}, "
-                f"got {encoding_matrix.rows}x{encoding_matrix.cols}"
-            )
+    def __init__(self, params: CodeParams):
+        n, k, d = params.n, params.k, params.d
         self.params = params
-        self.field = field
-        self.encoding_matrix = encoding_matrix
+        self.encoding_matrix = submatrix(params.cauchy_stack, range(n), range(d))
+        self.field = field = self.encoding_matrix.field
         # All n*d generator rows as one (n*d) x B array, node after node:
         # row (e-1)*d + t holds node e's encoding row on the symbols of
         # message-matrix row t, so node e's d stored symbols are rows
         # (e-1)*d .. e*d-1 applied to the codeword.
-        k, d = params.k, params.d
         t, b, j = zip(*((t, b, j) for t in range(d) for b, j in type_positions(k, d, t)))
-        stack = np.zeros((params.n, d, params.total_symbols), dtype=field.dtype)
-        stack[:, t, b] = np.array(encoding_matrix.data, dtype=field.dtype)[:, j]
-        self.generator_stack = stack.reshape(params.n * d, -1)
+        stack = np.zeros((n, d, params.total_symbols), dtype=field.dtype)
+        stack[:, t, b] = np.array(self.encoding_matrix.data, dtype=field.dtype)[:, j]
+        self.generator_stack = stack.reshape(n * d, -1)
 
     # -- generator matrices ----------------------------------------------
 
@@ -161,7 +170,7 @@ class InnerCode:
         fresh plain-list rows.
 
         Row t holds node's encoding row on the symbols of message-matrix
-        row t.  The entries come from the encoding matrix, which was
+        row t.  The entries come from the Cauchy stack, whose points were
         validated when it was built, so they are not checked again.
         """
         self.params.check_node(node)

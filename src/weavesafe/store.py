@@ -52,6 +52,8 @@ from .weaksec import make_codec
 MAGIC = b"WSRC"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sBBBBBBHI")
+# The header holds n, k, d and the node index in one byte each.
+_MAX_NODES = 255
 
 
 # -- plaintext <-> symbols ---------------------------------------------------
@@ -146,7 +148,7 @@ class SymbolSource:
         self.mask = (1 << m) - 1
         if seed is None:
             self._key = None
-        elif isinstance(seed, int):
+        elif type(seed) is int:  # a bool is not a seed
             if seed < 0:
                 raise ValueError("seed must be nonnegative")
             self._key = seed.to_bytes(max((seed.bit_length() + 7) // 8, 1), "big")
@@ -353,14 +355,21 @@ class Cluster:
 
 
 def cluster_store(data: bytes, params: CodeParams, root, seed=None) -> Manifest:
-    """Encode data across n simulated nodes under root; returns the manifest."""
+    """Encode data across n simulated nodes under root; returns the manifest.
+
+    An n the share header cannot hold and a bad seed are refused before
+    anything is written.
+    """
+    if params.n > _MAX_NODES:
+        raise ParameterError(f"n={params.n} too large: share files hold at most {_MAX_NODES} nodes")
+    source = SymbolSource(params.m, seed)
     codec = make_codec(params)
     cluster = Cluster(root)
     cluster.root.mkdir(parents=True, exist_ok=True)
     with _ClusterLock(cluster.root):
         chunks = chunk_plaintext(data, params)
         n_chunks = chunks.shape[0]
-        randomness = SymbolSource(params.m, seed).symbols(2 * n_chunks).reshape(n_chunks, 2)
+        randomness = source.symbols(2 * n_chunks).reshape(n_chunks, 2)
         codewords = codec.outer.coset_encode_bulk(chunks.T, randomness.T)
         del chunks  # the plaintext symbols are not needed past the coset layer
         node_shares = encode_bulk(codec.inner, codewords)

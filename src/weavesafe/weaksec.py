@@ -5,8 +5,9 @@ storage-node row patterns ("types"): a row of type i is nonzero exactly
 on the symbol positions of row i of the message matrix, and its values
 come from one row of a d x d coefficient matrix.  Stacking the node
 encoding matrix on top of the coefficient matrix must give a matrix all
-of whose square submatrices are nonsingular; drawing the whole stack as
-one Cauchy matrix on 2^m >= n + 2d distinct points achieves that.
+of whose square submatrices are nonsingular; ``CodeParams.cauchy_stack``,
+one Cauchy matrix on 2^m >= n + 2d distinct points, achieves that, and
+both codes are cut from it.
 
 Encoding a message of B-2 symbols picks the coset member selected by
 two fresh random symbols: the parity-check matrix extended by two more
@@ -20,15 +21,16 @@ that the extension is invertible, and the same steps are the encoder;
 no B x B inverse is ever formed.  Decoding is a single syndrome
 computation.
 
-Everything but the data is fixed by (n, k, d, m), so ``_codes`` derives
-it once per process for each parameter set: the Cauchy stack, the inner
-code (its encoding matrix and n*d generator rows) and the outer code (its
-coefficient matrix, H and H_ext, and the solve steps, each step's inverse
-and coupling as native-dtype arrays).  Both codes are cut from the stack
-and take its Field.  The memo is keyed on ``CodeParams`` and keeps the
-last ``_CODEC_MEMO`` (8) parameter sets.  Each ``SecureCodec`` builds its
-own Field and shares the memoized codes as they are.  Nothing derived
-from a message, from randomness or from a share is kept.
+Everything but the data is fixed by (n, k, d, m), so ``_codes`` builds
+the two codes from the params once per process for each parameter set:
+the inner code (its encoding matrix and n*d generator rows) and the outer
+code (its coefficient matrix, H and H_ext, and the solve steps, each
+step's inverse and coupling as native-dtype arrays).  The memo is keyed
+on ``CodeParams`` and keeps the last ``_CODEC_MEMO`` (8) parameter sets;
+an equal parameter object met later never builds its own stack.  Each
+``SecureCodec`` builds its own Field and shares the memoized codes as
+they are.  Nothing derived from a message, from randomness or from a
+share is kept.
 """
 
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularMatrixError
 from .gf2m import Field
-from .linalg import Matrix, cauchy, invert, submatrix
+from .linalg import Matrix, invert, submatrix
 from .pm_mbr import CodeParams, InnerCode, message_cells, type_positions
 
 # Most parameter sets whose derived matrices a process keeps.
@@ -71,18 +73,6 @@ def index_sets(k: int, d: int) -> tuple:
     return tuple(
         tuple(b + 1 for b, _ in type_positions(k, d, t)) for t in range(d)
     )
-
-
-def build_cauchy_stack(params: CodeParams) -> Matrix:
-    """The canonical (n+d) x d Cauchy stack of encoding and coefficient
-    rows, over GF(2^m).
-
-    Row points are the field elements 0..n+d-1 and column points
-    n+d..n+2d-1 (CodeParams guarantees 2^m >= n + 2d), so any build of
-    the same parameters produces the same matrix bit for bit.
-    """
-    span = params.n + params.d
-    return cauchy(Field(params.m), list(range(span)), list(range(span, span + params.d)))
 
 
 def make_type_row(k: int, d: int, type_index: int, coeffs: list[int]) -> list[int]:
@@ -154,32 +144,24 @@ def _solve_steps(params: CodeParams, ext: Matrix, ext_types: tuple) -> tuple:
 
 
 class OuterCode:
-    """Parity-check machinery for one parameter set, over the field of its
-    coefficient matrix.
+    """Parity-check machinery for one parameter set, over GF(2^m).
 
-    Derives from a d x d coefficient matrix the (B-2) x B parity-check
-    matrix, its per-row (type, coefficient-row) ledger, and the invertible
-    B x B extension used for uniform coset encoding, together with the
+    Derives from the d x d coefficient matrix, rows n..n+d-1 of
+    ``params.cauchy_stack``, the (B-2) x B parity-check matrix, its
+    per-row (type, coefficient-row) ledger, and the invertible B x B
+    extension used for uniform coset encoding, together with the
     type-ordered solve steps that invert it.  Nonsingular steps prove H_ext
     invertible, hence H of full row rank; a non-square or singular step
     raises ParameterError.  Immutable after construction; encoding consumes
     caller-supplied randomness and is otherwise deterministic.
     """
 
-    def __init__(self, params: CodeParams, coeff_matrix: Matrix):
-        k, d = params.k, params.d
-        if coeff_matrix.field.m != params.m:
-            raise ParameterError(
-                f"field degree {coeff_matrix.field.m} does not match params m={params.m}"
-            )
-        if (coeff_matrix.rows, coeff_matrix.cols) != (d, d):
-            raise ParameterError(
-                f"coefficient matrix must be {d}x{d}, got {coeff_matrix.rows}x{coeff_matrix.cols}"
-            )
+    def __init__(self, params: CodeParams):
+        n, k, d = params.n, params.k, params.d
         self.params = params
-        self.field = field = coeff_matrix.field
-        self.coeff_matrix = coeff_matrix
-        coeffs = coeff_matrix.data
+        self.coeff_matrix = submatrix(params.cauchy_stack, range(n, n + d), range(d))
+        self.field = field = self.coeff_matrix.field
+        coeffs = self.coeff_matrix.data
         counts = type_cardinalities(k, d)
         rows = []
         ledger = []
@@ -230,35 +212,32 @@ class OuterCode:
 
 @lru_cache(maxsize=_CODEC_MEMO)
 def _codes(params: CodeParams) -> tuple:
-    """(Cauchy stack, inner code, outer code) of one parameter set over
-    the stack's Field, memoized per process.
+    """(inner code, outer code) of one parameter set, both cut from its
+    Cauchy stack, memoized per process.
 
     Every codec of the parameter set shares them, so their arrays are made
     read-only.
     """
-    stack = build_cauchy_stack(params)
-    n, d = params.n, params.d
-    inner = InnerCode(params, submatrix(stack, range(n), range(d)))
-    outer = OuterCode(params, submatrix(stack, range(n, n + d), range(d)))
+    inner, outer = InnerCode(params), OuterCode(params)
     shared = [inner.generator_stack, outer.parity_array]
     shared += [a for s in outer.solve_steps for a in (s.inverse, s.coupling)]
     for array in shared:
         array.flags.writeable = False
-    return stack, inner, outer
+    return inner, outer
 
 
 class SecureCodec:
-    """Inner MBR code and outer coset code bound over one Cauchy stack.
+    """Inner MBR code and outer coset code of one parameter set.
 
-    The stack and both codes come from ``_codes`` and are shared by every
-    codec of the parameter set; each codec builds its own Field, equal to
+    ``_codes`` builds both codes from the params, and every codec of the
+    parameter set shares them; each codec builds its own Field, equal to
     theirs.
     """
 
     def __init__(self, params: CodeParams):
         self.params = params
         self.field = Field(params.m)
-        self.cauchy_stack, self.inner, self.outer = _codes(params)
+        self.inner, self.outer = _codes(params)
 
     def __repr__(self) -> str:
         p = self.params

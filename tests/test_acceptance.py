@@ -155,7 +155,7 @@ def test_criterion_6_completion_coverage():
             codec = make_codec(grid_params(k, d))
             p = codec.params
             bound = d + k - 3
-            assert all_square_submatrices_nonsingular(codec.cauchy_stack, p.d) is True
+            assert all_square_submatrices_nonsingular(p.cauchy_stack, p.d) is True
 
             subsets = [
                 subset

@@ -86,6 +86,16 @@ def test_encode_invalid_params_exits_3(tmp_path):
     assert run("encode", "-n", 5, "-k", 3, "-d", 4, "-m", 3, src, tmp_path / "c") == 3
 
 
+def test_encode_more_nodes_than_a_share_holds_exits_3(tmp_path, capsys):
+    """n = 300 does not fit the share header's node byte: a parameter
+    error before anything is written, not a traceback after encoding."""
+    src = tmp_path / "f.txt"
+    src.write_bytes(b"never stored" * 10)
+    assert run("encode", "-n", 300, "-k", 3, "-d", 4, src, tmp_path / "c") == 3
+    assert "weavesafe: parameter error: n=300 too large" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_audit_passes_at_default_guesses(capsys):
     assert run("audit", "-n", 5, "-k", 3, "-d", 4) == 0
     out = capsys.readouterr().out

@@ -261,6 +261,8 @@ def test_codec_build_checks_only_the_cauchy_points(monkeypatch):
     del checks[:]
     make_codec(p)
     assert checks == []
+    make_codec(params_new(20, 10, 16, 8))  # an equal object, as each operation parses
+    assert checks == []
 
 
 # -- quotient reduction and the prefix walk ------------------------------------

@@ -6,8 +6,7 @@ import pytest
 
 from conftest import grid_params
 from weavesafe.errors import InsufficientNodesError, ParameterError
-from weavesafe.gf2m import Field
-from weavesafe.linalg import cauchy, invert, mat_vec, rank, submatrix
+from weavesafe.linalg import invert, mat_vec, rank, submatrix
 from weavesafe.pm_mbr import (
     CodeParams,
     InnerCode,
@@ -112,15 +111,6 @@ def test_code_params_refuses_what_params_new_refuses(bad, match):
         params_new(*bad)
     assert str(direct.value) == str(checked.value)
     assert direct.match(match)
-
-
-def test_inner_code_refuses_a_matrix_over_another_field():
-    """The inner code takes its field from the encoding matrix, which must
-    be over GF(2^m) of the parameters."""
-    p = params_new(5, 3, 4, 4)
-    encoding = cauchy(Field(5), list(range(p.n)), list(range(p.n, p.n + p.d)))
-    with pytest.raises(ParameterError, match="field degree 5 does not match params m=4"):
-        InnerCode(p, encoding)
 
 
 # -- message matrix layout -------------------------------------------------
@@ -419,7 +409,7 @@ def test_bulk_kernel_calls_keep_their_symbol_counts(monkeypatch):
 
 def test_codec_uses_top_rows_of_stack():
     codec = make_codec(params_new(5, 3, 4, 4))
-    stack = codec.cauchy_stack
+    stack = codec.params.cauchy_stack
     assert codec.inner.encoding_matrix.data == [stack.row(i) for i in range(5)]
     assert codec.outer.coeff_matrix.data == [stack.row(i) for i in range(5, 9)]
 

@@ -151,7 +151,7 @@ def test_symbol_source_unseeded_is_fresh():
 def test_symbol_source_seed_types():
     with pytest.raises(ValueError):
         SymbolSource(8, -1)
-    for seed in (1.5, b"\x01", "phrase"):
+    for seed in (1.5, b"\x01", "phrase", True, False):
         with pytest.raises(TypeError):
             SymbolSource(8, seed)
 
@@ -379,6 +379,24 @@ def test_unchecked_params_cannot_reach_the_store(tmp_path):
     cluster no later read could open is never written."""
     with pytest.raises(ParameterError, match="n=4 too small"):
         cluster_store(b"never stored" * 10, CodeParams(4, 3, 4, 8), tmp_path / "c")
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize(
+    "point, seed, error, match",
+    [
+        ((256, 3, 4, 16), None, ParameterError, "n=256 too large"),
+        ((5, 3, 4, 4), 1.5, TypeError, "float"),
+        ((5, 3, 4, 4), True, TypeError, "bool"),
+    ],
+    ids=["n-256", "float-seed", "bool-seed"],
+)
+def test_store_refuses_before_writing(tmp_path, point, seed, error, match):
+    """n, k, d and the node index take one byte each in a share header, so
+    more than 255 nodes is refused; so is a seed that is not an int (True
+    is not seed 1).  Both before the cluster root or its lock exists."""
+    with pytest.raises(error, match=match):
+        cluster_store(b"never stored" * 10, params_new(*point), tmp_path / "c", seed=seed)
     assert not (tmp_path / "c").exists()
 
 

@@ -7,13 +7,12 @@ import pytest
 from conftest import grid_params
 from weavesafe.errors import ParameterError
 from weavesafe.gf2m import Field
-from weavesafe.linalg import Matrix, cauchy, invert, mat_vec, rank, submatrix
+from weavesafe.linalg import Matrix, invert, mat_vec, rank
 from weavesafe import weaksec
-from weavesafe.pm_mbr import CodeParams, InnerCode, params_new
+from weavesafe.pm_mbr import InnerCode, params_new
 from weavesafe.weaksec import (
     OuterCode,
     SecureCodec,
-    build_cauchy_stack,
     index_sets,
     make_codec,
     make_type_row,
@@ -90,7 +89,7 @@ def test_index_set_structure():
 
 def test_stack_running_example_dimensions():
     params = params_new(5, 3, 4, 4)
-    stack = build_cauchy_stack(params)
+    stack = params.cauchy_stack
     assert (stack.rows, stack.cols) == (9, 4) and stack.field == Field(4)
     assert all(v != 0 for row in stack.data for v in row)
 
@@ -98,6 +97,31 @@ def test_stack_running_example_dimensions():
 def test_stack_rejects_small_field():
     with pytest.raises(ParameterError, match="field too small"):
         params_new(5, 3, 4, 3)
+
+
+STORE_POINTS = ((5, 3, 4, 8), (12, 6, 10, 8), (20, 10, 16, 8), (12, 6, 10, 16))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [grid_params(k, d) for k in range(2, 6) for d in range(k, k + 3)]
+    + [params_new(*point) for point in STORE_POINTS],
+    ids=lambda p: f"{p.n}-{p.k}-{p.d}-{p.m}",
+)
+def test_codes_are_cut_from_the_params_stack(p):
+    """Each code is a function of the parameters: the inner code holds
+    rows 0..n-1 of the params' Cauchy stack, n x d, and the outer code rows
+    n..n+d-1, d x d, both over GF(2^m)."""
+    stack = p.cauchy_stack
+    inner, outer = InnerCode(p), OuterCode(p)
+    assert inner.encoding_matrix.data == [stack.row(i) for i in range(p.n)]
+    assert outer.coeff_matrix.data == [stack.row(i) for i in range(p.n, p.n + p.d)]
+    for code, matrix, shape in (
+        (inner, inner.encoding_matrix, (p.n, p.d)),
+        (outer, outer.coeff_matrix, (p.d, p.d)),
+    ):
+        assert code.field == matrix.field == Field(p.m)
+        assert (matrix.rows, matrix.cols) == shape
 
 
 # -- type rows ----------------------------------------------------------------
@@ -297,29 +321,12 @@ def test_capacity_formulas():
         perfect_capacity(3, 4, 3)
 
 
-def test_outer_code_rejects_wrong_coeff_shape(codec534):
-    params = codec534.params
-    bad = submatrix(codec534.outer.coeff_matrix, range(3), range(4))
-    with pytest.raises(ParameterError):
-        OuterCode(params, bad)
-
-
-def test_outer_code_rejects_a_field_of_another_degree():
-    """A GF(32) coefficient matrix for m = 4 params: its entries (23 among
-    them) are not GF(16) symbols, so the code is refused as InnerCode
-    refuses it."""
-    coeffs = cauchy(Field(5), [0, 1, 2, 3], [4, 5, 6, 7])
-    assert max(max(row) for row in coeffs.data) > 15
-    with pytest.raises(ParameterError, match="field degree 5 does not match params m=4"):
-        OuterCode(CodeParams(5, 3, 4, 4), coeffs)
-
-
 # -- per-process memo of derived matrices --------------------------------------
 
 
 def _assert_same_matrices(a, b):
     """Two codecs of one parameter set carry equal derived matrices."""
-    assert a.cauchy_stack == b.cauchy_stack
+    assert a.params.cauchy_stack == b.params.cauchy_stack
     assert a.inner.encoding_matrix == b.inner.encoding_matrix
     assert (a.inner.generator_stack == b.inner.generator_stack).all()
     for name in ("coeff_matrix", "parity_check", "parity_check_ext"):
@@ -338,10 +345,10 @@ def test_codecs_share_derived_data_over_their_own_fields():
     p = params_new(7, 4, 6, 5)
     a, b = make_codec(p), make_codec(p)
     assert a is not b and a.field is not b.field and a.field == b.field
-    assert a.cauchy_stack is b.cauchy_stack and a.inner is b.inner and a.outer is b.outer
+    assert a.inner is b.inner and a.outer is b.outer
     for codec in (a, b):
         assert codec.inner.field == codec.field and codec.outer.field == codec.field
-        for matrix in (codec.cauchy_stack, codec.inner.encoding_matrix, codec.outer.parity_check):
+        for matrix in (codec.params.cauchy_stack, codec.inner.encoding_matrix, codec.outer.parity_check):
             assert matrix.field == codec.field
     for step in a.outer.solve_steps:
         assert step.inverse.dtype == step.coupling.dtype == a.field.dtype
@@ -349,11 +356,12 @@ def test_codecs_share_derived_data_over_their_own_fields():
         with pytest.raises(ValueError):
             shared[0, 0] ^= 1  # shared, so read-only
 
-    stack = build_cauchy_stack(p)
+    q = params_new(7, 4, 6, 5)
+    assert q == p and q is not p
     fresh = SecureCodec.__new__(SecureCodec)
-    fresh.cauchy_stack = stack
-    fresh.inner = InnerCode(p, submatrix(stack, range(p.n), range(p.d)))
-    fresh.outer = OuterCode(p, submatrix(stack, range(p.n, p.n + p.d), range(p.d)))
+    fresh.params = q
+    fresh.inner = InnerCode(q)
+    fresh.outer = OuterCode(q)
     _assert_same_matrices(a, fresh)
 
 
