@@ -35,9 +35,9 @@ prefix is already known independent and a leaking subset leaks exactly
 one symbol; the walk asserts this rather than assuming it.
 
 ``leakage`` re-derives the verdict's witness as an oracle.  It stays on
-the scalar elimination behind ``linalg.rank``, which neither the
-engine's batched row update nor the kernel shares, so the two
-computations can only agree by both being right.
+the scalar forward sweep of ``linalg.rank``, which neither the engine's
+batched row update nor the kernel shares, so the two computations can
+only agree by both being right.
 """
 
 import math
@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ParameterError
 from .linalg import (
     Matrix,
     first_dependent_subset,
@@ -153,7 +153,7 @@ def verify_weak_secrecy(
     check_matrix = _message_matrix(codec, baseline)
     width = check_matrix.rows
     if not 0 <= guesses <= width - 1:
-        raise ValueError(f"guesses {guesses} out of range 0..{width - 1}")
+        raise ParameterError(f"guesses {guesses} out of range 0..{width - 1}")
     total = sum(math.comb(width, s) for s in range(1, guesses + 2)) * p.n
     if total > max_checks:
         raise CapExceededError(f"{total} rank checks exceed cap {max_checks}")

@@ -35,6 +35,14 @@ def default_degree(n: int, d: int) -> int:
     raise ParameterError(f"no supported field fits n + 2d = {n + 2 * d}")
 
 
+def non_negative_int(text: str) -> int:
+    """A non-negative int option; argparse turns a refusal into exit 2."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _add_param_flags(parser, required=True):
     parser.add_argument("-n", type=int, required=required, help="number of storage nodes")
     parser.add_argument("-k", type=int, required=required, help="nodes needed to reconstruct")
@@ -87,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", type=int, default=None, help="guesses to verify (default: the guaranteed maximum)")
     p.add_argument("--baseline", action="store_true", help="audit the inner code without the outer layer")
     p.add_argument(
-        "--cap", type=int, default=DEFAULT_VERIFY_CAP,
+        "--cap", type=non_negative_int, default=DEFAULT_VERIFY_CAP,
         help="max (subset, node) rank checks (default: %(default)s)",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -6,11 +6,14 @@ entry in column order, so results are deterministic.  Matrices are
 value-semantic; operations return fresh objects and never mutate their
 inputs.
 
-The module has two eliminations that share no code.  ``rank`` and
-``invert`` run the scalar ``_eliminate`` on Python lists, which updates
-each target row only at the pivot row's nonzeros; the codec build, the
-audit's rank-formula oracle (``audit.leakage``) and its certificates are
-built on these.  The audit engine runs on numpy instead, in two parts.
+The scalar side runs on Python lists.  ``rank`` runs a forward sweep:
+each column's first remaining nonzero row pivots, and only the remaining
+rows nonzero in that column are cleared, at the pivot row's nonzeros; no
+row is scaled and none above a pivot is touched.  ``invert`` alone runs
+the Gauss-Jordan ``_eliminate``, which scales each pivot row to 1 and
+clears its column from every other row.  The codec build, the audit's
+rank-formula oracle (``audit.leakage``) and its certificates are built on
+these.  The audit engine runs on numpy instead, in two parts.
 ``quotient_stack`` eliminates every node's rows, as one (nodes x depth x
 width) array, and then reduces the check rows modulo each node's basis
 with one ``Field.mat_mul_cols`` product per pattern of pivot columns: the
@@ -19,8 +22,8 @@ walks index subsets as prefixes, so that each prefix's elimination is
 shared by all of its extensions.  Both eliminate with one row update,
 ``_clear``, on whole arrays: a pivot's first nonzero column is cleared
 from many vectors with one gather from the exp table, indexed by sums of
-logs.  Both eliminations index the tables that ``gf2m._tables`` builds
-and the Field holds, ``_eliminate`` as lists and the engine as numpy
+logs.  Both sides index the tables that ``gf2m._tables`` builds
+and the Field holds, the scalar side as lists and the engine as numpy
 arrays; they share no elimination code.  Keeping the oracle on the
 separate scalar path means that a fault in the batched update or in the
 kernel cannot hide itself: the engine's verdicts are re-derived by code
@@ -36,7 +39,7 @@ products are as large as its output, and the kernel bounds its own
 planes (``gf2m._PLANE_BYTES``).
 """
 
-from itertools import combinations
+from itertools import combinations, compress, islice
 
 import numpy as np
 
@@ -188,8 +191,40 @@ def _eliminate(field: Field, data: list[list[int]], col_limit: int | None = None
 
 
 def rank(a: Matrix) -> int:
-    data = [list(row) for row in a.data]
-    return len(_eliminate(a.field, data))
+    """The rank of a, by a forward sweep over its columns.
+
+    A column's pivot is the first remaining row that is nonzero there; it
+    leaves the remaining rows and counts one.  Only when other remaining
+    rows are nonzero in that column is the pivot row listed as (column,
+    log) pairs, and those rows are cleared at its nonzeros.  No row is
+    scaled to 1 and no row above a pivot is updated: a rank needs neither.
+    A row is copied when it is updated, so a's rows are never changed.
+    """
+    log, exp = a.field.log_table, a.field.exp_table
+    order = a.field.order - 1
+    width = a.cols
+    rows = [row for row in a.data if any(row)]
+    found = 0
+    for c in range(width):
+        if not rows:
+            break
+        hits = [i for i, row in enumerate(rows) if row[c]]
+        if not hits:
+            continue
+        found += 1
+        prow = rows[hits[0]]
+        if len(hits) > 1:
+            lp = log[prow[c]]
+            # Every remaining row is zero before c, so the pivot row is too.
+            nonzero = [(j, log[prow[j]]) for j in compress(range(c, width), islice(prow, c, None))]
+            for i in hits[1:]:
+                irow = list(rows[i])
+                lf = (log[irow[c]] - lp) % order
+                for j, lv in nonzero:
+                    irow[j] ^= exp[lf + lv]
+                rows[i] = irow
+        del rows[hits[0]]
+    return found
 
 
 # Most symbols one ``_clear`` updates: a block of walk states, or of the

@@ -120,11 +120,18 @@ def symbols_to_plaintext(symbols: np.ndarray, m: int, byte_length: int) -> bytes
     return raw.reshape(-1)[:byte_length].tobytes()
 
 
+def _chunks_for(byte_length: int, params: CodeParams) -> int:
+    """Chunks of B-2 symbols that byte_length bytes fill at m bits a
+    symbol: ceil(ceil(8 * byte_length / m) / (B-2)), 0 for no bytes."""
+    symbols = -(-byte_length * 8 // params.m)
+    return -(-symbols // params.secure_symbols)
+
+
 def chunk_plaintext(data: bytes, params: CodeParams) -> np.ndarray:
     """Chunk rows of B-2 symbols each; the final chunk is zero-padded."""
     symbols = plaintext_to_symbols(data, params.m)
     width = params.secure_symbols
-    count = -(-len(symbols) // width) if len(symbols) else 0
+    count = _chunks_for(len(data), params)
     padded = np.zeros(count * width, dtype=symbols.dtype)
     padded[: len(symbols)] = symbols
     return padded.reshape(count, width)
@@ -198,8 +205,9 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
-        """Parse a manifest, refusing wrong types, other format versions
-        and any share map but the one n fixes."""
+        """Parse a manifest, refusing wrong types, other format versions,
+        a chunk count that the length and params do not fix, and any share
+        map but the one n fixes."""
         try:
             doc = json.loads(text)
             p = doc["params"]
@@ -210,6 +218,12 @@ class Manifest:
             for key in ("original_length", "chunk_count"):
                 if type(doc[key]) is not int or doc[key] < 0:
                     raise ShareFormatError(f"malformed manifest: {key} must be a non-negative int")
+            expected = _chunks_for(doc["original_length"], params)
+            if doc["chunk_count"] != expected:
+                raise ShareFormatError(
+                    f"malformed manifest: chunk_count {doc['chunk_count']} disagrees with "
+                    f"original_length {doc['original_length']}, which fills {expected} chunks"
+                )
             if doc["shares"] != _share_map(params.n):
                 raise ShareFormatError("malformed manifest: shares must map node e to node_e/share.wsrc")
             if not isinstance(doc["digest_sha256"], str):

@@ -17,7 +17,9 @@ from weavesafe.audit import (
     replay_certificate,
     verify_weak_secrecy,
 )
-from weavesafe.errors import CapExceededError
+from weavesafe import linalg
+from weavesafe.errors import CapExceededError, ParameterError
+from weavesafe.gf2m import Field
 from weavesafe.linalg import Matrix, submatrix
 from weavesafe.pm_mbr import params_new
 from weavesafe.weaksec import make_codec
@@ -151,10 +153,41 @@ def test_verify_beyond_guarantee_reports_without_crashing(codec534):
 def test_verify_cap_and_range(codec534):
     with pytest.raises(CapExceededError):
         verify_weak_secrecy(codec534, 3, max_checks=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         verify_weak_secrecy(codec534, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         verify_weak_secrecy(codec534, -1)
+
+
+def test_oracle_uses_no_engine_code(monkeypatch):
+    """The rank-formula oracle and the certificate re-derive the engine's
+    verdicts with code the engine does not use: with the engine's row
+    update, quotient, walk and the GF kernel made to raise, leakage and
+    certify_extended_parity still return the verdicts they gave before,
+    while the engine itself cannot run."""
+    codec = make_codec(params_new(5, 3, 4, 8))
+    cases = [
+        (parity_rows(codec, subset), codec.inner.generator_matrix(e))
+        for subset in [(1,), (2, 5), (1, 4, 7), (1, 2, 3, 4, 5, 6, 7)]
+        for e in (1, 3, 5)
+    ]
+    cases += [(identity_rows(codec, (1, 2)), codec.inner.generator_matrix(2))]
+    expected = [leakage(rows, g) for rows, g in cases]
+    assert 0 in expected and max(expected) > 0
+    cert = certify_extended_parity(codec)
+    assert cert.success
+
+    def engine(*args, **kwargs):
+        raise AssertionError("the oracle reached engine code")
+
+    for name in ("_clear", "quotient_stack", "first_dependent_subset"):
+        monkeypatch.setattr(linalg, name, engine)
+    monkeypatch.setattr(Field, "mat_mul_cols", engine)
+    assert [leakage(rows, g) for rows, g in cases] == expected
+    again = certify_extended_parity(codec)
+    assert (again.success, again.steps, again.failure) == (cert.success, cert.steps, cert.failure)
+    with pytest.raises(AssertionError, match="engine code"):
+        verify_weak_secrecy(codec, 0)
 
 
 # -- extension certificate ---------------------------------------------------

@@ -157,6 +157,19 @@ def test_audit_cap_exceeded_exits_6():
     assert run("audit", "-n", 5, "-k", 3, "-d", 4, "--cap", 10) == 6
 
 
+@pytest.mark.parametrize("guesses", [-1, 999])
+def test_audit_guesses_out_of_range_exits_3(capsys, guesses):
+    assert run("audit", "-n", 5, "-k", 3, "-d", 4, "-g", guesses) == 3
+    assert f"guesses {guesses} out of range" in capsys.readouterr().err
+
+
+def test_audit_negative_cap_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run("audit", "-n", 5, "-k", 3, "-d", 4, "--cap", -5)
+    assert excinfo.value.code == 2
+    assert "--cap: -5 is negative" in capsys.readouterr().err
+
+
 def test_audit_requires_params_or_root():
     assert run("audit") == 3
 

@@ -152,6 +152,51 @@ def test_eliminate_matches_reference(m):
         assert got == expected
 
 
+def rank_case(field, rng, rows, cols, density, deficient):
+    """A rows x cols matrix with entries nonzero at the given density; when
+    deficient, each row after the first few is a combination of earlier rows."""
+    def entry():
+        return rng.randrange(1, field.order) if rng.random() < density else 0
+
+    data = []
+    for i in range(rows):
+        if deficient and i >= 2 and rng.random() < 0.6:
+            row = [0] * cols
+            for src in rng.sample(data, rng.randrange(1, min(i, 3) + 1)):
+                coeff = rng.randrange(1, field.order)
+                row = [v ^ field.mul(coeff, s) for v, s in zip(row, src)]
+            data.append(row)
+        else:
+            data.append([entry() for _ in range(cols)])
+    return data
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 16])
+def test_rank_matches_gauss_jordan_count(m):
+    """rank's forward sweep counts the pivots that the Gauss-Jordan
+    _eliminate finds, and leaves its argument's rows as they were: on
+    random, sparse and rank-deficient matrices, all-zero ones, one row,
+    one column, and wide and tall shapes."""
+    field = Field(m)
+    rng = random.Random(70 + m)
+    shapes = [(1, 1), (1, 9), (9, 1), (0, 0)] + [(3, 40), (40, 3), (17, 115), (16, 16)]
+    shapes += [(rng.randrange(1, 10), rng.randrange(1, 10)) for _ in range(150)]
+    short = 0  # nonzero matrices of less than full rank
+    for rows, cols in shapes:
+        for density in (0.0, 0.15, 0.5, 1.0):
+            for deficient in (False, True):
+                data = rank_case(field, rng, rows, cols, density, deficient)
+                a = Matrix(field, data) if data else Matrix.derived(field, [])
+                before = [list(row) for row in a.data]
+                expected = len(linalg._eliminate(field, [list(row) for row in data]))
+                assert rank(a) == expected, (rows, cols, density, deficient, data)
+                assert a.data == before
+                if density == 0.0:
+                    assert expected == 0
+                short += 0 < expected < min(rows, cols)
+    assert short >= 100
+
+
 def test_solve_identity(gf16):
     """Solving a square system means applying its inverse, as
     reconstruct and repair do."""

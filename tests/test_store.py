@@ -244,7 +244,7 @@ def test_read_share_returns_fresh_writable_symbols(tmp_path):
 
 
 def test_manifest_roundtrip():
-    manifest = Manifest(P534, 100, 15, "ab" * 32)
+    manifest = Manifest(P534, 100, 29, "ab" * 32)  # 200 symbols fill 29 chunks of 7
     back = Manifest.from_json(manifest.to_json())
     assert back == manifest
     with pytest.raises(ShareFormatError):
@@ -275,12 +275,19 @@ def test_manifest_roundtrip():
         pytest.param(
             "shares", {str(e): f"node_{e}/share.wsrc" for e in range(1, 5)}, id="shares-missing-node-5"
         ),
+        # 1024 bytes at (5,3,4,8) fill 147 chunks of 7 symbols.
+        ("original_length", 999),
+        ("original_length", 0),
+        ("original_length", 5000),
+        ("chunk_count", 300),
+        ("chunk_count", 0),
     ],
 )
 def test_manifest_rejects_bad_values(tmp_path, key, value):
-    """A value of the wrong type, a negative count, another format version
-    or a share map other than the one n fixes, planted into a real
-    manifest, is refused before any share is read."""
+    """A value of the wrong type, a negative count, a length and chunk
+    count that disagree, another format version or a share map other than
+    the one n fixes, planted into a real manifest, is refused before any
+    share is read."""
     cluster_store(bytes(range(256)) * 4, P534_BYTE, tmp_path / "c", seed=3)
     cluster = Cluster(tmp_path / "c")
     doc = json.loads(cluster.manifest_path.read_text())
