@@ -45,7 +45,6 @@ from .weaksec import (
     SecureCodec,
     index_sets,
     make_codec,
-    make_type_row,
     perfect_capacity,
     type_cardinalities,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "index_sets",
     "leakage",
     "make_codec",
-    "make_type_row",
     "params_new",
     "perfect_capacity",
     "rank",

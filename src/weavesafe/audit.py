@@ -60,7 +60,7 @@ from .linalg import (
 )
 from .pm_mbr import CodeParams, encode_bulk, message_cells, reconstruct_bulk
 from .store import Cluster
-from .weaksec import SecureCodec, index_sets, make_type_row, perfect_capacity
+from .weaksec import SecureCodec, index_sets, perfect_capacity
 
 DEFAULT_VERIFY_CAP = 5_000_000
 DEFAULT_ORACLE_CAP = 1 << 24
@@ -430,21 +430,22 @@ def certify_completion(codec: SecureCodec, subset: tuple, node: int) -> DecodeCe
     Mirrors the planner's row budget exactly; a declared failure is
     surfaced in the certificate rather than retried differently.
     """
-    p = codec.params
     outer = codec.outer
+    p = outer.params  # the codes' own, whose typed rows are built already
     for i in subset:
         if not 1 <= i <= p.secure_symbols:
             raise ValueError(f"message index {i} out of range 1..{p.secure_symbols}")
+    p.check_node(node)
     row_types = tuple(outer.row_types[i - 1] for i in subset)
     plan = plan_completion(p.k, p.d, row_types)
 
-    rows = [outer.parity_check.row(i - 1) for i in subset]
-    rows.extend(codec.inner.generator_matrix(node).data)
-    appended_at = {}
-    for t, hat in plan.appended:
-        appended_at[(t, hat)] = len(rows)
-        rows.append(make_type_row(p.k, p.d, t, outer.coeff_matrix.row(hat - 1)))
-    matrix = Matrix.derived(codec.field, rows)
+    # Every row is a typed row: the subset's check rows, the node's d rows
+    # (its Cauchy row on each type) and the appended coefficient rows.
+    at = [(p.n + hat - 1, t - 1) for t, hat in row_types]
+    at += [(node - 1, t) for t in range(p.d)]
+    at += [(p.n + hat - 1, t - 1) for t, hat in plan.appended]
+    matrix = Matrix.derived(codec.field, p.typed_rows[tuple(zip(*at))].tolist())
+    appended_at = {a: len(subset) + p.d + i for i, a in enumerate(plan.appended)}
 
     if not plan.success:
         return DecodeCertificate(

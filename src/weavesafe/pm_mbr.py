@@ -13,10 +13,11 @@ mirrored below the diagonal.  Symbol indices and node indices are
 1-based at this module's boundary, matching how operators and reports
 count them.
 
-``CodeParams`` owns the point budget 2^m >= n + 2d, the Cauchy points
-and the (n+d) x d Cauchy stack on them (every square submatrix
-nonsingular), which both codes are cut from: a code is a function of
-(n, k, d, m) alone.
+``CodeParams`` owns the point budget 2^m >= n + 2d, the (n+d) x d Cauchy
+stack on those points (every square submatrix nonsingular) and its typed
+rows, each Cauchy row on each message-matrix row's symbols: every row of
+both codes and of the audit's certificates is one, so a code is a
+function of (n, k, d, m) alone.
 """
 
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ class CodeParams:
     def __post_init__(self):
         n, k, d, m = self.n, self.k, self.d, self.m
         for name, v in (("n", n), ("k", k), ("d", d), ("m", m)):
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise ParameterError(f"{name} must be an integer, got {v!r}")
         if k == 1:
             raise ParameterError(
@@ -88,6 +89,21 @@ class CodeParams:
         """
         span = self.n + self.d
         return cauchy(Field(self.m), list(range(span)), list(range(span, span + self.d)))
+
+    @cached_property
+    def typed_rows(self) -> np.ndarray:
+        """The read-only (n+d) x d x B array of typed rows: entry (r, t) is
+        Cauchy row r on the symbols of message-matrix row t (0-based), zero
+        elsewhere.  Rows 0..n-1 are the nodes' generator rows; rows n.. hold
+        the outer code's check rows, a type-t row at t-1.
+        """
+        k, d = self.k, self.d
+        t, b, j = zip(*((t, b, j) for t in range(d) for b, j in type_positions(k, d, t)))
+        dtype = self.cauchy_stack.field.dtype
+        rows = np.zeros((self.n + d, d, self.total_symbols), dtype=dtype)
+        rows[:, t, b] = np.array(self.cauchy_stack.data, dtype=dtype)[:, j]
+        rows.flags.writeable = False
+        return rows
 
     def check_node(self, node: int):
         """Refuse anything but a node index in 1..n (an int, not a bool)."""
@@ -150,18 +166,13 @@ class InnerCode:
     """
 
     def __init__(self, params: CodeParams):
-        n, k, d = params.n, params.k, params.d
+        n, d = params.n, params.d
         self.params = params
         self.encoding_matrix = submatrix(params.cauchy_stack, range(n), range(d))
-        self.field = field = self.encoding_matrix.field
-        # All n*d generator rows as one (n*d) x B array, node after node:
-        # row (e-1)*d + t holds node e's encoding row on the symbols of
-        # message-matrix row t, so node e's d stored symbols are rows
-        # (e-1)*d .. e*d-1 applied to the codeword.
-        t, b, j = zip(*((t, b, j) for t in range(d) for b, j in type_positions(k, d, t)))
-        stack = np.zeros((n, d, params.total_symbols), dtype=field.dtype)
-        stack[:, t, b] = np.array(self.encoding_matrix.data, dtype=field.dtype)[:, j]
-        self.generator_stack = stack.reshape(n * d, -1)
+        self.field = self.encoding_matrix.field
+        # Node e's d stored symbols are generator rows (e-1)*d .. e*d-1, its
+        # typed rows, applied to the codeword.
+        self.generator_stack = params.typed_rows[:n].reshape(n * d, -1)
 
     # -- generator matrices ----------------------------------------------
 
@@ -174,8 +185,7 @@ class InnerCode:
         validated when it was built, so they are not checked again.
         """
         self.params.check_node(node)
-        d = self.params.d
-        return Matrix.derived(self.field, self.generator_stack[(node - 1) * d : node * d].tolist())
+        return Matrix.derived(self.field, self.params.typed_rows[node - 1].tolist())
 
     def _check_shares(self, share_cols: dict):
         """Every node index in range and every share d rows tall."""

@@ -3,7 +3,7 @@
 Layout under a cluster root:
 
     root/manifest.json
-    root/node_<i>/share.wsrc      one file per node, i = 1..n
+    root/node_<i>/share.wsrc      one file per node, i = 1..n; a store removes any above n
 
 Share file format (bit-exact):
 
@@ -397,6 +397,11 @@ def cluster_store(data: bytes, params: CodeParams, root, seed=None) -> Manifest:
             path = cluster.share_path(e)
             path.parent.mkdir(exist_ok=True)
             write_share(path, params, e, node_shares[e].T)
+        # A share above n, left by an earlier store, would still hold its file.
+        for entry in os.scandir(cluster.root):
+            e = entry.name.removeprefix("node_")
+            if e != entry.name and e.isdecimal() and int(e) > params.n:
+                cluster.share_path(int(e)).unlink(missing_ok=True)
         cluster.manifest_path.write_text(manifest.to_json())
     return manifest
 

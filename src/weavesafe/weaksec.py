@@ -6,8 +6,9 @@ on the symbol positions of row i of the message matrix, and its values
 come from one row of a d x d coefficient matrix.  Stacking the node
 encoding matrix on top of the coefficient matrix must give a matrix all
 of whose square submatrices are nonsingular; ``CodeParams.cauchy_stack``,
-one Cauchy matrix on 2^m >= n + 2d distinct points, achieves that, and
-both codes are cut from it.
+one Cauchy matrix on 2^m >= n + 2d distinct points, achieves that.  A
+check row is thus the typed row (``CodeParams.typed_rows``) that a node
+holding that coefficient row would store as its symbol of that type.
 
 Encoding a message of B-2 symbols picks the coset member selected by
 two fresh random symbols: the parity-check matrix extended by two more
@@ -24,13 +25,12 @@ computation.
 Everything but the data is fixed by (n, k, d, m), so ``_codes`` builds
 the two codes from the params once per process for each parameter set:
 the inner code (its encoding matrix and n*d generator rows) and the outer
-code (its coefficient matrix, H and H_ext, and the solve steps, each
-step's inverse and coupling as native-dtype arrays).  The memo is keyed
-on ``CodeParams`` and keeps the last ``_CODEC_MEMO`` (8) parameter sets;
-an equal parameter object met later never builds its own stack.  Each
-``SecureCodec`` builds its own Field and shares the memoized codes as
-they are.  Nothing derived from a message, from randomness or from a
-share is kept.
+code (H and H_ext, and the solve steps, each step's inverse and coupling
+as native-dtype arrays).  The memo is keyed on ``CodeParams`` and keeps
+the last ``_CODEC_MEMO`` (8) parameter sets; an equal parameter object
+met later never builds its own typed rows.  Each ``SecureCodec`` builds
+its own Field and shares the memoized codes as they are.  Nothing derived
+from a message, from randomness or from a share is kept.
 """
 
 from dataclasses import dataclass
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ParameterError, SingularMatrixError
 from .gf2m import Field
 from .linalg import Matrix, invert, submatrix
-from .pm_mbr import CodeParams, InnerCode, message_cells, type_positions
+from .pm_mbr import CodeParams, InnerCode, type_positions
 
 # Most parameter sets whose derived matrices a process keeps.
 _CODEC_MEMO = 8
@@ -73,24 +73,6 @@ def index_sets(k: int, d: int) -> tuple:
     return tuple(
         tuple(b + 1 for b, _ in type_positions(k, d, t)) for t in range(d)
     )
-
-
-def make_type_row(k: int, d: int, type_index: int, coeffs: list[int]) -> list[int]:
-    """Length-B row supported exactly on the index set of the given type.
-
-    coeffs is read in message-matrix column order; entries past the k-th
-    are ignored for types above k (their rows stop at column k).
-    """
-    if not 1 <= type_index <= d:
-        raise ValueError(f"type index {type_index} out of range 1..{d}")
-    if len(coeffs) != d:
-        raise ValueError(f"need {d} coefficients, got {len(coeffs)}")
-    row = [0] * len(message_cells(k, d))
-    for b, j in type_positions(k, d, type_index - 1):
-        if coeffs[j] == 0:
-            raise ValueError(f"zero coefficient at column {j + 1} would break the type-{type_index} support")
-        row[b] = coeffs[j]
-    return row
 
 
 @dataclass(frozen=True)
@@ -146,41 +128,30 @@ def _solve_steps(params: CodeParams, ext: Matrix, ext_types: tuple) -> tuple:
 class OuterCode:
     """Parity-check machinery for one parameter set, over GF(2^m).
 
-    Derives from the d x d coefficient matrix, rows n..n+d-1 of
-    ``params.cauchy_stack``, the (B-2) x B parity-check matrix, its
-    per-row (type, coefficient-row) ledger, and the invertible B x B
-    extension used for uniform coset encoding, together with the
-    type-ordered solve steps that invert it.  Nonsingular steps prove H_ext
-    invertible, hence H of full row rank; a non-square or singular step
-    raises ParameterError.  Immutable after construction; encoding consumes
-    caller-supplied randomness and is otherwise deterministic.
+    Reads from the params' typed rows the (B-2) x B parity-check matrix,
+    whose row of ledger entry (type t, coefficient row p) is typed row
+    (n+p-1, t-1), and the invertible B x B extension used for uniform
+    coset encoding, together with the type-ordered solve steps that invert
+    it.  Nonsingular steps prove H_ext invertible, hence H of full row
+    rank; a non-square or singular step raises ParameterError.  Immutable
+    after construction; encoding consumes caller-supplied randomness and
+    is otherwise deterministic.
     """
 
     def __init__(self, params: CodeParams):
         n, k, d = params.n, params.k, params.d
         self.params = params
-        self.coeff_matrix = submatrix(params.cauchy_stack, range(n, n + d), range(d))
-        self.field = field = self.coeff_matrix.field
-        coeffs = self.coeff_matrix.data
+        self.field = field = params.cauchy_stack.field
         counts = type_cardinalities(k, d)
-        rows = []
-        ledger = []
-        for type_i in range(2, d + 1):
-            for p in range(1, counts[type_i - 1] + 1):
-                rows.append(make_type_row(k, d, type_i, coeffs[p - 1]))
-                ledger.append((type_i, p))
-        if len(rows) != params.secure_symbols:
-            raise ParameterError(
-                f"type cardinalities sum to {len(rows)}, expected B-2 = {params.secure_symbols}"
-            )
-        self.parity_check = Matrix.derived(field, rows)
-        self.parity_array = np.array(rows, dtype=field.dtype)  # H, the coset decoder's map
-        self.row_types = tuple(ledger)
-        # The extension appends a type-k row (last coefficient row) and a
-        # type-1 row (first coefficient row); the result is square.
-        ext = [make_type_row(k, d, k, coeffs[d - 1]), make_type_row(k, d, 1, coeffs[0])]
-        self.parity_check_ext = Matrix.derived(field, rows + ext)
+        self.row_types = tuple((t, p) for t in range(2, d + 1) for p in range(1, counts[t - 1] + 1))
+        # The extension appends a type-k row (last coefficient row) and a type-1
+        # row (first); the solve steps check that the result is square.
         self.ext_row_types = self.row_types + ((k, d), (1, 1))
+        at = [(n + p - 1, t - 1) for t, p in self.ext_row_types]
+        ext = params.typed_rows[tuple(zip(*at))]
+        self.parity_array = ext[:-2]  # H, the coset decoder's map
+        self.parity_check = Matrix.derived(field, self.parity_array.tolist())
+        self.parity_check_ext = Matrix.derived(field, ext.tolist())
         self.solve_steps = _solve_steps(params, self.parity_check_ext, self.ext_row_types)
 
     # -- coset encode / decode, one column per chunk ----------------------
@@ -213,15 +184,14 @@ class OuterCode:
 @lru_cache(maxsize=_CODEC_MEMO)
 def _codes(params: CodeParams) -> tuple:
     """(inner code, outer code) of one parameter set, both cut from its
-    Cauchy stack, memoized per process.
+    typed rows, memoized per process.
 
-    Every codec of the parameter set shares them, so their arrays are made
-    read-only.
+    Every codec of the parameter set shares them, so the outer code's
+    arrays are made read-only; the generator stack is already a view of
+    the read-only typed rows.
     """
     inner, outer = InnerCode(params), OuterCode(params)
-    shared = [inner.generator_stack, outer.parity_array]
-    shared += [a for s in outer.solve_steps for a in (s.inverse, s.coupling)]
-    for array in shared:
+    for array in [outer.parity_array] + [a for s in outer.solve_steps for a in (s.inverse, s.coupling)]:
         array.flags.writeable = False
     return inner, outer
 

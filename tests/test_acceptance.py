@@ -60,7 +60,7 @@ def test_criterion_1_running_example_fidelity(codec534):
         (3, 6, 8, 9),
         (4, 7, 9),
     ]
-    coeff = codec534.outer.coeff_matrix
+    coeff = submatrix(codec534.params.cauchy_stack, range(5, 9), range(4))  # coefficient rows
     for r, (type_i, source_row) in enumerate(codec534.outer.row_types):
         values = [v for v in h.row(r) if v]
         width = 4 if type_i <= 3 else 3

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ import pytest
 from conftest import grid_params
 from weavesafe.audit import (
     _check_steps,
+    _plan_skeleton,
     audit_report,
     certify_completion,
     certify_extended_parity,
@@ -252,6 +254,21 @@ def test_extension_certificate_grid():
     for params, steps in (((6, 3, 5, 4), 5), ((7, 4, 6, 5), 6), ((20, 10, 16, 8), 16)):
         cert = certify_extended_parity(make_codec(params_new(*params)))
         assert cert.success and len(cert.steps) == steps, params
+
+
+def test_completion_planner_decodes_in_the_encoder_order():
+    """Handed H_ext's per-type row counts, less the node row it adds per
+    type, the completion planner takes the coset encoder's solve steps:
+    the same types and variables in the same order, with no row appended
+    and no failure."""
+    for k in range(2, 9):
+        for d in range(k, 13):
+            outer = make_codec(grid_params(k, d)).outer
+            rows = Counter(t for t, _ in outer.ext_row_types)
+            steps, failure = _plan_skeleton(k, d, (0,) + tuple(rows[t] - 1 for t in range(1, d + 1)))
+            assert failure is None, (k, d)
+            assert [(t, v) for t, _, v in steps] == [(s.type_index, s.variables) for s in outer.solve_steps]
+            assert not any(extra for _, extra, _ in steps), (k, d)
 
 
 # -- completion certificates -------------------------------------------------

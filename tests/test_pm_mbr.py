@@ -92,6 +92,9 @@ REJECTED = [
     ((5, 3, 4, 2), "m=2 out of range"),
     ((5, 3, 4, 17), "m=17 out of range"),
     ((5, 3, 4, 3), "field too small"),
+    ((5, 3, 4, 8.0), "m must be an integer"),
+    ((5, True, 4, 8), "k must be an integer"),
+    ((5, 3, 4, True), "m must be an integer"),
 ]
 
 
@@ -411,7 +414,8 @@ def test_codec_uses_top_rows_of_stack():
     codec = make_codec(params_new(5, 3, 4, 4))
     stack = codec.params.cauchy_stack
     assert codec.inner.encoding_matrix.data == [stack.row(i) for i in range(5)]
-    assert codec.outer.coeff_matrix.data == [stack.row(i) for i in range(5, 9)]
+    for row, (t, c) in zip(codec.outer.parity_check_ext.data, codec.outer.ext_row_types, strict=True):
+        assert [v for v in row if v] == stack.row(4 + c)[: 4 if t <= 3 else 3]  # coefficient rows 5..8
 
 
 def full_product_reconstruct(code, share_cols):

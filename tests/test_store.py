@@ -281,6 +281,8 @@ def test_manifest_roundtrip():
         ("original_length", 5000),
         ("chunk_count", 300),
         ("chunk_count", 0),
+        # A boolean parameter is refused as a parameter, not read as 1.
+        pytest.param("params", {"n": 5, "k": True, "d": 4, "m": 8}, id="params-bool-k"),
     ],
 )
 def test_manifest_rejects_bad_values(tmp_path, key, value):
@@ -293,9 +295,10 @@ def test_manifest_rejects_bad_values(tmp_path, key, value):
     doc = json.loads(cluster.manifest_path.read_text())
     doc[key] = value
     cluster.manifest_path.write_text(json.dumps(doc))
-    with pytest.raises(ShareFormatError, match=key):
+    error, match = (ParameterError, "k must be an integer") if key == "params" else (ShareFormatError, key)
+    with pytest.raises(error, match=match):
         cluster.manifest()
-    with pytest.raises(ShareFormatError, match=key):
+    with pytest.raises(error, match=match):
         cluster_reconstruct(tmp_path / "c")
 
 
@@ -337,6 +340,23 @@ def test_store_matches_scalar_pipeline(tmp_path):
     for e in range(1, 6):
         symbols = read_share(cluster.share_path(e), P534, e, n_chunks)
         assert symbols.tolist() == expected_shares[e]
+
+
+def test_restore_with_fewer_nodes_removes_the_old_shares(tmp_path):
+    """A store over a cluster of more nodes removes every share above its
+    n: those shares hold the earlier file, and any k of them would rebuild
+    it.  Nothing else under the root is touched."""
+    root = tmp_path / "c"
+    old = bytes(random.Random(4).randrange(256) for _ in range(5000))
+    cluster_store(old, params_new(12, 6, 10, 8), root, seed=1)
+    (root / "node_x").mkdir()
+    (root / "node_x" / "share.wsrc").write_bytes(b"not a node")
+    new = b"the second file" * 20
+    cluster_store(new, P534_BYTE, root, seed=2)
+    cluster = Cluster(root)
+    assert [e for e in range(1, 13) if cluster.share_path(e).exists()] == [1, 2, 3, 4, 5]
+    assert (root / "node_x" / "share.wsrc").read_bytes() == b"not a node"
+    assert cluster_reconstruct(root) == new
 
 
 def test_fail_repair_cycle_bit_identical(tmp_path):

@@ -7,15 +7,15 @@ import pytest
 from conftest import grid_params
 from weavesafe.errors import ParameterError
 from weavesafe.gf2m import Field
-from weavesafe.linalg import Matrix, invert, mat_vec, rank
+from weavesafe.audit import certify_completion
+from weavesafe.linalg import Matrix, invert, mat_vec, rank, submatrix
 from weavesafe import weaksec
-from weavesafe.pm_mbr import InnerCode, params_new
+from weavesafe.pm_mbr import InnerCode, params_new, type_positions
 from weavesafe.weaksec import (
     OuterCode,
     SecureCodec,
     index_sets,
     make_codec,
-    make_type_row,
     perfect_capacity,
     type_cardinalities,
 )
@@ -110,15 +110,19 @@ STORE_POINTS = ((5, 3, 4, 8), (12, 6, 10, 8), (20, 10, 16, 8), (12, 6, 10, 16))
 )
 def test_codes_are_cut_from_the_params_stack(p):
     """Each code is a function of the parameters: the inner code holds
-    rows 0..n-1 of the params' Cauchy stack, n x d, and the outer code rows
-    n..n+d-1, d x d, both over GF(2^m)."""
+    rows 0..n-1 of the params' Cauchy stack, n x d, and the outer code's
+    check rows take their values from rows n..n+d-1, d x d, both over
+    GF(2^m)."""
     stack = p.cauchy_stack
     inner, outer = InnerCode(p), OuterCode(p)
+    coeffs = submatrix(stack, range(p.n, p.n + p.d), range(p.d))
     assert inner.encoding_matrix.data == [stack.row(i) for i in range(p.n)]
-    assert outer.coeff_matrix.data == [stack.row(i) for i in range(p.n, p.n + p.d)]
+    sets = index_sets(p.k, p.d)
+    for row, (t, c) in zip(outer.parity_check_ext.data, outer.ext_row_types, strict=True):
+        assert [v for v in row if v] == coeffs.row(c - 1)[: len(sets[t - 1])]
     for code, matrix, shape in (
         (inner, inner.encoding_matrix, (p.n, p.d)),
-        (outer, outer.coeff_matrix, (p.d, p.d)),
+        (outer, coeffs, (p.d, p.d)),
     ):
         assert code.field == matrix.field == Field(p.m)
         assert (matrix.rows, matrix.cols) == shape
@@ -127,27 +131,56 @@ def test_codes_are_cut_from_the_params_stack(p):
 # -- type rows ----------------------------------------------------------------
 
 
-def test_make_type_row_group_two():
-    f = Field(4)
-    g = 7
-    g2, g3 = f.mul(g, g), f.mul(g, f.mul(g, g))
-    coeffs = [g, g2, g3, 0]  # 4th entry unused for type 4
-    row = make_type_row(3, 4, 4, coeffs)
-    assert row == [0, 0, 0, g, 0, 0, g2, 0, g3]
+def scalar_type_row(k: int, d: int, t: int, coeffs: list) -> list:
+    """The type-t row (1-based) written one symbol at a time: coeffs[j] on
+    each symbol (b, j) of message-matrix row t, zero elsewhere."""
+    row = [0] * (k * (k + 1) // 2 + k * (d - k))
+    for b, j in type_positions(k, d, t - 1):
+        row[b] = coeffs[j]
+    return row
 
 
-def test_make_type_row_group_one_support():
-    row = make_type_row(3, 4, 1, [1, 2, 3, 4])
-    assert [i + 1 for i, v in enumerate(row) if v] == [1, 2, 3, 4]
+def test_typed_row_group_two():
+    p = params_new(5, 3, 4, 4)
+    for r in range(p.n + p.d):
+        g, g2, g3, _ = p.cauchy_stack.row(r)  # 4th entry unused for type 4
+        assert p.typed_rows[r, 3].tolist() == [0, 0, 0, g, 0, 0, g2, 0, g3]
 
 
-def test_make_type_row_errors():
-    with pytest.raises(ValueError, match="type index"):
-        make_type_row(3, 4, 5, [1, 2, 3, 4])
-    with pytest.raises(ValueError, match="zero coefficient"):
-        make_type_row(3, 4, 1, [1, 0, 3, 4])
-    with pytest.raises(ValueError, match="coefficients"):
-        make_type_row(3, 4, 1, [1, 2, 3])
+def test_typed_row_group_one_support():
+    p = params_new(5, 3, 4, 4)
+    for r in range(p.n + p.d):
+        row = p.typed_rows[r, 0]
+        assert [i + 1 for i, v in enumerate(row) if v] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("point", STORE_POINTS + ((6, 3, 5, 4), (7, 4, 6, 5)), ids=str)
+def test_typed_rows_are_every_row_of_the_codes(point):
+    """Every (r, t) of the typed rows is Cauchy row r written onto type t's
+    positions by a scalar loop, and the generator stack, H, H_ext and the
+    completion certificates' matrices are typed rows at their addresses:
+    (e-1, t-1) for node e, (n+c-1, t-1) for ledger entry (t, c)."""
+    p = params_new(*point)
+    typed = p.typed_rows
+    assert typed.shape == (p.n + p.d, p.d, p.total_symbols) and typed.dtype == Field(p.m).dtype
+    assert not typed.flags.writeable
+    for r in range(p.n + p.d):
+        for t in range(1, p.d + 1):
+            assert typed[r, t - 1].tolist() == scalar_type_row(p.k, p.d, t, p.cauchy_stack.row(r)), (r, t)
+
+    def at(ledger):
+        return [typed[p.n + c - 1, t - 1].tolist() for t, c in ledger]
+
+    codec = make_codec(p)
+    outer = codec.outer
+    assert codec.inner.generator_stack.tolist() == [typed[e, t].tolist() for e in range(p.n) for t in range(p.d)]
+    assert outer.parity_check.data == at(outer.row_types) == outer.parity_array.tolist()
+    assert outer.parity_check_ext.data == at(outer.ext_row_types)
+    for subset in [(), tuple(range(1, p.k + 1)), tuple(range(p.secure_symbols - p.d, p.secure_symbols + 1))]:
+        for node in (1, p.n):
+            cert = certify_completion(codec, subset, node)
+            own = [typed[node - 1, t].tolist() for t in range(p.d)]
+            assert cert.matrix.data == at(outer.row_types[i - 1] for i in subset) + own + at(cert.appended)
 
 
 # -- parity-check construction ---------------------------------------------
@@ -163,7 +196,7 @@ REFERENCE_POSITIONS = {  # (type, coefficient column j) per symbol, k=3 d=4
 def test_parity_check_matches_reference_pattern(codec534):
     outer = codec534.outer
     h = outer.parity_check
-    coeff = outer.coeff_matrix
+    coeff = submatrix(codec534.params.cauchy_stack, range(5, 9), range(4))
     assert (h.rows, h.cols) == (7, 9)
     assert outer.row_types == ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1))
     for r, (type_i, p) in enumerate(outer.row_types):
@@ -184,9 +217,9 @@ def test_extension_top_block_is_parity_check(codec534):
     assert [ext.row(i) for i in range(7)] == [outer.parity_check.row(i) for i in range(7)]
     # appended rows: a type-3 row drawing the last coefficient row, then a
     # type-1 row drawing the first
-    coeff = outer.coeff_matrix
-    assert ext.row(7) == make_type_row(3, 4, 3, coeff.row(3))
-    assert ext.row(8) == make_type_row(3, 4, 1, coeff.row(0))
+    coeff = submatrix(codec534.params.cauchy_stack, range(5, 9), range(4))
+    assert ext.row(7) == scalar_type_row(3, 4, 3, coeff.row(3))
+    assert ext.row(8) == scalar_type_row(3, 4, 1, coeff.row(0))
 
 
 def test_extension_invertible_on_grid():
@@ -327,9 +360,10 @@ def test_capacity_formulas():
 def _assert_same_matrices(a, b):
     """Two codecs of one parameter set carry equal derived matrices."""
     assert a.params.cauchy_stack == b.params.cauchy_stack
+    assert (a.params.typed_rows == b.params.typed_rows).all()
     assert a.inner.encoding_matrix == b.inner.encoding_matrix
     assert (a.inner.generator_stack == b.inner.generator_stack).all()
-    for name in ("coeff_matrix", "parity_check", "parity_check_ext"):
+    for name in ("parity_check", "parity_check_ext"):
         assert getattr(a.outer, name) == getattr(b.outer, name), name
     assert (a.outer.parity_array == b.outer.parity_array).all()
     assert a.outer.ext_row_types == b.outer.ext_row_types
@@ -352,7 +386,7 @@ def test_codecs_share_derived_data_over_their_own_fields():
             assert matrix.field == codec.field
     for step in a.outer.solve_steps:
         assert step.inverse.dtype == step.coupling.dtype == a.field.dtype
-    for shared in (a.inner.generator_stack, a.outer.parity_array, a.outer.solve_steps[0].inverse):
+    for shared in (a.params.typed_rows, a.inner.generator_stack, a.outer.parity_array, a.outer.solve_steps[0].inverse):
         with pytest.raises(ValueError):
             shared[0, 0] ^= 1  # shared, so read-only
 
