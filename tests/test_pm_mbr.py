@@ -92,19 +92,21 @@ REJECTED = [
     ((5, 3, 4, 2), "m=2 out of range"),
     ((5, 3, 4, 17), "m=17 out of range"),
     ((5, 3, 4, 3), "field too small"),
+]
+NOT_INTEGERS = [
     ((5, 3, 4, 8.0), "m must be an integer"),
     ((5, True, 4, 8), "k must be an integer"),
     ((5, 3, 4, True), "m must be an integer"),
 ]
 
 
-@pytest.mark.parametrize("bad, match", REJECTED)
+@pytest.mark.parametrize("bad, match", REJECTED + NOT_INTEGERS)
 def test_params_rejections(bad, match):
     with pytest.raises(ParameterError, match=match):
         params_new(*bad)
 
 
-@pytest.mark.parametrize("bad, match", REJECTED + [((4, 3, 4, 8), "n=4 too small")])
+@pytest.mark.parametrize("bad, match", REJECTED + [((4, 3, 4, 8), "n=4 too small")] + NOT_INTEGERS)
 def test_code_params_refuses_what_params_new_refuses(bad, match):
     """A CodeParams built directly runs the same checks, with the same
     message, so no unchecked parameter set exists."""
