@@ -430,8 +430,7 @@ def certify_completion(codec: SecureCodec, subset: tuple, node: int) -> DecodeCe
     Mirrors the planner's row budget exactly; a declared failure is
     surfaced in the certificate rather than retried differently.
     """
-    outer = codec.outer
-    p = outer.params  # the codes' own, whose typed rows are built already
+    outer, p = codec.outer, codec.params
     for i in subset:
         if not 1 <= i <= p.secure_symbols:
             raise ValueError(f"message index {i} out of range 1..{p.secure_symbols}")

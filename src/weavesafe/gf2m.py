@@ -70,12 +70,11 @@ for m = 9..16.  It was calibrated on dense f x 4 and f x 16 maps over
 which on the bit-sliced path was not slower, rounded up where the two
 paths were within noise; at f = 16 it is about 2 times as fast for
 m = 8 and 1.2 to 1.6 times for m = 16.  At (20,10,16,8) and (7,4,6,5)
-inner encode (f = 38 and 12), coset decode, the solve steps of types 2
-to k with their couplings, the repair inverse, and the reconstruct
-inverse on the wing and on the core columns past the first few (column
-j of the core has fan-out j + 1) take the bit-sliced path, and the
-one-row solve steps (f = 1) stay on tables; at (5,3,4,8) and at
-(12,6,10,16) only inner encode (f = 8 and 22) is bit-sliced.
+inner encode (f = 38 and 12), the read map (f = 11.8 and 4.6) and its
+wing solve, the solve steps of types 2 to k with their couplings and
+the repair inverse take the bit-sliced path, and the one-row solve steps
+(f = 1) stay on tables; at (5,3,4,8) and at (12,6,10,16) only inner
+encode (f = 8 and 22) is bit-sliced.
 
 What depends on the degree or on a map alone is derived once per
 process and shared by every Field of the degree.  The exp/log tables are

@@ -13,6 +13,15 @@ mirrored below the diagonal.  Symbol indices and node indices are
 1-based at this module's boundary, matching how operators and reports
 count them.
 
+A read returns virtual nodes' symbols.  Split the read nodes' encoding
+rows Psi = [Psi1 | Psi2] after column k and M = [[S, T], [T', 0]]: their
+shares are Y = Psi M = [Psi1 S + Psi2 T' | Psi1 T], so the wing is
+T = Psi1^-1 Y[:, k:], column t < k of M is [Psi1^-1 (Y[:, t] + Psi2 T[t]');
+T[t]'] and column t >= k is [T[:, t-k]; 0].  A node with coefficient row
+phi would store phi M[:, t] as its type-t symbol, so any such symbols
+(unit rows at the message cells give the codeword) are one kernel map
+on the shares and the wing.
+
 ``CodeParams`` owns the point budget 2^m >= n + 2d, the (n+d) x d Cauchy
 stack on those points (every square submatrix nonsingular) and its typed
 rows, each Cauchy row on each message-matrix row's symbols: every row of
@@ -22,6 +31,7 @@ function of (n, k, d, m) alone.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,11 +134,7 @@ def params_new(n: int, k: int, d: int, m: int) -> CodeParams:
 @lru_cache(maxsize=None)
 def message_cells(k: int, d: int) -> tuple:
     """Cell (i, j), i <= j, occupied by each codeword symbol in turn."""
-    cells = []
-    for i in range(k):
-        for j in range(i, d):
-            cells.append((i, j))
-    return tuple(cells)
+    return tuple((i, j) for i in range(k) for j in range(i, d))
 
 
 @lru_cache(maxsize=None)
@@ -136,8 +142,7 @@ def cell_index(k: int, d: int):
     """Map (i, j) -> 0-based symbol index, None on the structural zeros."""
     idx = {}
     for b, (i, j) in enumerate(message_cells(k, d)):
-        idx[(i, j)] = b
-        idx[(j, i)] = b
+        idx[(i, j)] = idx[(j, i)] = b
     return idx
 
 
@@ -150,12 +155,16 @@ def type_positions(k: int, d: int, t: int) -> tuple:
     here.  Rows t < k touch d symbols, the rest touch k.
     """
     idx = cell_index(k, d)
-    out = []
-    for j in range(d):
-        b = idx.get((t, j) if t <= j else (j, t))
-        if b is not None:
-            out.append((b, j))
-    return tuple(out)
+    return tuple((idx[(t, j)], j) for j in range(d) if (t, j) in idx)
+
+
+class VirtualRows(NamedTuple):
+    """Rows of a read: row r is the symbol of message-matrix column
+    types[r] (0-based) that a node with coefficient row coefficients[r]
+    would store."""
+
+    types: np.ndarray
+    coefficients: np.ndarray  # one d-long row per read row, field dtype
 
 
 class InnerCode:
@@ -173,6 +182,9 @@ class InnerCode:
         # Node e's d stored symbols are generator rows (e-1)*d .. e*d-1, its
         # typed rows, applied to the codeword.
         self.generator_stack = params.typed_rows[:n].reshape(n * d, -1)
+        # Codeword symbol (i, j), i <= j, is a unit row e_i's type-j symbol.
+        cells = np.array(message_cells(params.k, d)).reshape(-1, 2)
+        self.codeword_rows = VirtualRows(cells[:, 1], np.eye(d, dtype=self.field.dtype)[cells[:, 0]])
 
     # -- generator matrices ----------------------------------------------
 
@@ -188,13 +200,14 @@ class InnerCode:
         return Matrix.derived(self.field, self.params.typed_rows[node - 1].tolist())
 
     def _check_shares(self, share_cols: dict):
-        """Every node index in range and every share d rows tall."""
+        """Every node index in range and every share d rows tall, all of
+        one chunk count."""
         for node, cols in share_cols.items():
             self.params.check_node(node)
             if len(cols) != self.params.d:
-                raise ValueError(
-                    f"share for node {node} has {len(cols)} rows, expected {self.params.d}"
-                )
+                raise ValueError(f"share for node {node} has {len(cols)} rows, expected {self.params.d}")
+        if len({cols.shape[1:] for cols in share_cols.values()}) > 1:
+            raise ValueError("shares differ in chunk count")
 
 
 # -- encode, reconstruct and repair -------------------------------------------
@@ -214,43 +227,47 @@ def encode_bulk(code: InnerCode, codeword_cols):
     return {e: out[(e - 1) * d : e * d] for e in range(1, code.params.n + 1)}
 
 
-def reconstruct_bulk(code: InnerCode, share_cols: dict):
-    """Vectorized reconstruction; share_cols maps node -> d x N array.
-
-    The core message block is symmetric, so only its upper triangle is
-    computed: column j of the core needs rows 0..j of the selector
-    inverse applied to column j of the right-hand side.
+def reconstruct_bulk(code: InnerCode, share_cols: dict, rows: VirtualRows | None = None):
+    """The read map of the module docstring: the symbols ``rows`` names, by
+    default the codeword, of every chunk, from the first k shares (node ->
+    d x N array, copied once: a transposed view is fine).  Block t < k of
+    its input is [Y[:, t]; T[t]'], which a type-t row reads with weights
+    [phi1 Psi1^-1 | phi1 Psi1^-1 Psi2 + phi2]; a row of type t >= k reads
+    phi1 on column t of every block, where T[:, t-k] sits.  The weights
+    come from the field's log/exp tables, not the kernel.
     """
-    p = code.params
-    if len(share_cols) < p.k:
-        raise InsufficientNodesError(f"need at least k={p.k} shares, got {len(share_cols)}")
+    k, d = code.params.k, code.params.d
+    if len(share_cols) < k:
+        raise InsufficientNodesError(f"need at least k={k} shares, got {len(share_cols)}")
     code._check_shares(share_cols)
-    nodes = sorted(share_cols)[: p.k]
-    n_chunks = share_cols[nodes[0]].shape[1]
+    types, phi = code.codeword_rows if rows is None else rows
+    nodes = sorted(share_cols)[:k]
     f = code.field
-    node_rows = [n - 1 for n in nodes]
-    sel_inv = np.array(invert(submatrix(code.encoding_matrix, node_rows, range(p.k))).data, f.dtype)
+    node_rows = [e - 1 for e in nodes]
+    psi1_inv = np.array(invert(submatrix(code.encoding_matrix, node_rows, range(k))).data, f.dtype)
+    psi2 = np.array(submatrix(code.encoding_matrix, node_rows, range(k, d)).data, f.dtype)
 
-    # Row i of left (right) is node i's first k (last d-k) share rows, chunk
-    # after chunk, so that each block is one kernel input.
-    left = np.stack([share_cols[n][: p.k].reshape(-1) for n in nodes])
-    if p.d > p.k:  # d == k leaves no off-diagonal wing at all
-        right = np.stack([share_cols[n][p.k :].reshape(-1) for n in nodes])
-        wing = f.mat_mul_cols(sel_inv, right).reshape(p.k, p.d - p.k, n_chunks)
-        del right  # each block is freed once used, to keep the peak memory down
-        mixer = submatrix(code.encoding_matrix, node_rows, range(p.k, p.d))
-        wing_t = wing.transpose(1, 0, 2).reshape(p.d - p.k, -1)
-        left ^= f.mat_mul_cols(mixer.data, wing_t)
-        del wing_t
-    left = left.reshape(p.k, p.k, n_chunks)
+    n_chunks = share_cols[nodes[0]].shape[1]
+    inputs = np.empty((k, d, n_chunks), f.dtype)  # block t, then position
+    for i, e in enumerate(nodes):
+        inputs[:, i] = share_cols[e][:k]
+    if d > k:  # d == k leaves no wing; the solve's operands go before the map runs
+        wing = f.mat_mul_cols(psi1_inv, np.stack([share_cols[e][k:] for e in nodes]).reshape(k, -1))
+        inputs[:, k:] = wing.reshape(k, d - k, n_chunks)
+        del wing
 
-    out = np.empty((p.total_symbols, n_chunks), dtype=f.dtype)
-    idx = cell_index(p.k, p.d)
-    for j in range(p.k):
-        out[[idx[(i, j)] for i in range(j + 1)]] = f.mat_mul_cols(sel_inv[: j + 1], left[:, j])
-    for j in range(p.k, p.d):
-        out[[idx[(i, j)] for i in range(p.k)]] = wing[:, j - p.k]
-    return out
+    read = np.zeros((len(types), k, d), f.dtype)
+    low, high = types < k, np.flatnonzero(types >= k)
+    g1 = _product(f, phi[low, :k], psi1_inv)
+    read[low, types[low]] = np.hstack([g1, _product(f, g1, psi2) ^ phi[low, k:]])
+    read[high[:, None], np.arange(k), types[high, None]] = phi[high, :k]
+    return f.mat_mul_cols(read.reshape(len(read), -1), inputs.reshape(k * d, -1))
+
+
+def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The small matrix product a b, gathered from the field's log/exp tables."""
+    terms = field.exp_array[field.log_array[a][:, :, None] + field.log_array[b]]
+    return np.bitwise_xor.reduce(terms, axis=1)
 
 
 def repair_bulk(code: InnerCode, failed: int, helper_share_cols: dict):

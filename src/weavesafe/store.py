@@ -46,7 +46,7 @@ from .errors import (
     ShareFormatError,
 )
 from .gf2m import native_dtype
-from .pm_mbr import CodeParams, encode_bulk, params_new, reconstruct_bulk, repair_bulk
+from .pm_mbr import CodeParams, encode_bulk, params_new, repair_bulk
 from .weaksec import make_codec
 
 MAGIC = b"WSRC"
@@ -415,11 +415,9 @@ def cluster_reconstruct(root) -> bytes:
     if len(live) < p.k:
         raise InsufficientNodesError(f"only {len(live)} live nodes, need k={p.k}")
     codec = make_codec(p)
-    codewords = reconstruct_bulk(
-        codec.inner, {e: cluster.read_share_columns(e, manifest) for e in live[: p.k]}
-    )
-    chunks = codec.outer.coset_decode_bulk(codewords)
-    del codewords  # freed before the plaintext bytes are assembled
+    shares = {e: read_share(cluster.share_path(e), p, e, manifest.chunk_count).T for e in live[: p.k]}
+    chunks = codec.outer.coset_decode_bulk(codec.inner, shares)
+    del shares  # freed before the plaintext bytes are assembled
     data = unchunk_plaintext(chunks.T, manifest.original_length, p)
     digest = hashlib.sha256(data).hexdigest()
     if digest != manifest.digest_sha256:

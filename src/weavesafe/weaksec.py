@@ -19,17 +19,23 @@ to 2, then the types above k, then type 1): each step is a small square
 solve with a precomputed inverse, after the symbols fixed by earlier
 steps are cancelled from its rows.  The nonsingular steps are the proof
 that the extension is invertible, and the same steps are the encoder;
-no B x B inverse is ever formed.  Decoding is a single syndrome
-computation.
+no B x B inverse is ever formed.
+
+Decoding reads the message straight from k shares, as virtual nodes'
+symbols.  A type-t check row with coefficient row phi weights the symbol
+at cell (t, j) of the symmetric message matrix M by phi[j], so on a
+codeword it is phi * M[:, t]: it reads column t of M and nothing else,
+which is the type-t symbol that a node with encoding row phi would
+store.  ``pm_mbr.reconstruct_bulk`` gives such symbols from any k shares
+with one wing solve and one map of H's sparsity; neither the codeword
+nor the core block of M is formed.
 
 Everything but the data is fixed by (n, k, d, m), so ``_codes`` builds
-the two codes from the params once per process for each parameter set:
-the inner code (its encoding matrix and n*d generator rows) and the outer
-code (H and H_ext, and the solve steps, each step's inverse and coupling
-as native-dtype arrays).  The memo is keyed on ``CodeParams`` and keeps
-the last ``_CODEC_MEMO`` (8) parameter sets; an equal parameter object
-met later never builds its own typed rows.  Each ``SecureCodec`` builds
-its own Field and shares the memoized codes as they are.  Nothing derived
+the inner and the outer code from the params once per process for each
+parameter set, keyed on ``CodeParams``, for the last ``_CODEC_MEMO`` (8)
+sets.  A codec's params is the memoized object, so an equal parameter
+object met later never builds its own typed rows; each ``SecureCodec``
+builds its own Field and shares the codes as they are.  Nothing derived
 from a message, from randomness or from a share is kept.
 """
 
@@ -41,7 +47,7 @@ import numpy as np
 from .errors import ParameterError, SingularMatrixError
 from .gf2m import Field
 from .linalg import Matrix, invert, submatrix
-from .pm_mbr import CodeParams, InnerCode, type_positions
+from .pm_mbr import CodeParams, InnerCode, VirtualRows, reconstruct_bulk, type_positions
 
 # Most parameter sets whose derived matrices a process keeps.
 _CODEC_MEMO = 8
@@ -149,9 +155,11 @@ class OuterCode:
         self.ext_row_types = self.row_types + ((k, d), (1, 1))
         at = [(n + p - 1, t - 1) for t, p in self.ext_row_types]
         ext = params.typed_rows[tuple(zip(*at))]
-        self.parity_array = ext[:-2]  # H, the coset decoder's map
-        self.parity_check = Matrix.derived(field, self.parity_array.tolist())
+        self.parity_check = Matrix.derived(field, ext[:-2].tolist())
         self.parity_check_ext = Matrix.derived(field, ext.tolist())
+        stack_rows, types = zip(*at[:-2])  # H's rows as reads: the coset decoder's map
+        stack = np.array(params.cauchy_stack.data, field.dtype)
+        self.check_rows = VirtualRows(np.array(types), stack[list(stack_rows)])
         self.solve_steps = _solve_steps(params, self.parity_check_ext, self.ext_row_types)
 
     # -- coset encode / decode, one column per chunk ----------------------
@@ -173,12 +181,10 @@ class OuterCode:
             out[[b - 1 for b in step.variables]] = f.mat_mul_cols(step.inverse, rhs)
         return out
 
-    def coset_decode_bulk(self, codeword_cols):
-        """The syndrome H * c of every column: the message it carries."""
-        p = self.params
-        if len(codeword_cols) != p.total_symbols:
-            raise ValueError(f"codeword must have {p.total_symbols} rows, got {len(codeword_cols)}")
-        return self.field.mat_mul_cols(self.parity_array, codeword_cols)
+    def coset_decode_bulk(self, inner: InnerCode, share_cols: dict):
+        """The message of every chunk, H * c, read from k shares of the
+        inner code (node -> d x N array) as virtual nodes' symbols."""
+        return reconstruct_bulk(inner, share_cols, self.check_rows)
 
 
 @lru_cache(maxsize=_CODEC_MEMO)
@@ -186,12 +192,13 @@ def _codes(params: CodeParams) -> tuple:
     """(inner code, outer code) of one parameter set, both cut from its
     typed rows, memoized per process.
 
-    Every codec of the parameter set shares them, so the outer code's
-    arrays are made read-only; the generator stack is already a view of
-    the read-only typed rows.
+    Every codec of the parameter set shares them, so their read rows and
+    solve steps are made read-only; the generator stack is already a view
+    of the read-only typed rows.
     """
     inner, outer = InnerCode(params), OuterCode(params)
-    for array in [outer.parity_array] + [a for s in outer.solve_steps for a in (s.inverse, s.coupling)]:
+    steps = [a for s in outer.solve_steps for a in (s.inverse, s.coupling)]
+    for array in [*inner.codeword_rows, *outer.check_rows, *steps]:
         array.flags.writeable = False
     return inner, outer
 
@@ -205,9 +212,9 @@ class SecureCodec:
     """
 
     def __init__(self, params: CodeParams):
-        self.params = params
         self.field = Field(params.m)
         self.inner, self.outer = _codes(params)
+        self.params = self.inner.params  # the memoized object, never rebuilt
 
     def __repr__(self) -> str:
         p = self.params

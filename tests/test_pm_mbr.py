@@ -267,6 +267,9 @@ def test_reconstruct_errors(code534):
         reconstruct_one(code534, {1: [0] * 4, 2: [0] * 4, 9: [0] * 4})
     with pytest.raises(ValueError, match="out of range"):  # would read node 5's encoding row
         reconstruct_one(code534, {0: [0] * 4, 1: [0] * 4, 2: [0] * 4})
+    widths = {1: 2, 2: 2, 3: 1}  # one column would otherwise broadcast over two
+    with pytest.raises(ValueError, match="chunk count"):
+        reconstruct_bulk(code534, {e: np.zeros((4, w), code534.field.dtype) for e, w in widths.items()})
 
 
 # -- repair --------------------------------------------------------------------
@@ -443,9 +446,10 @@ def full_product_reconstruct(code, share_cols):
 
 
 def test_reconstruct_upper_triangle_matches_full_product(monkeypatch):
-    """Only the upper triangle of the symmetric core is computed: the result
-    equals the full product over the grid, d == k included, on fewer
-    multiplies by exactly k^2 (k-1) / 2 per chunk."""
+    """The read map returns the codeword: the result equals the full core
+    product over the grid, d == k included, on exactly the wing solve's
+    k^2 (d-k) multiplies per chunk plus the map's nonzeros, d for each of
+    the k(k+1)/2 core symbols and one for each of the k(d-k) wing ones."""
     from weavesafe.gf2m import Field
 
     mults = []
@@ -469,7 +473,6 @@ def test_reconstruct_upper_triangle_matches_full_product(monkeypatch):
                 chosen = {e: shares[e] for e in subset}
                 del mults[:]
                 got = reconstruct_bulk(code, chosen)
-                fewer = sum(mults)
-                del mults[:]
+                wing = k * (d - k)
+                assert sum(mults) == (k * wing + k * (k + 1) // 2 * d + wing) * 23, (k, d, subset)
                 assert got.tolist() == full_product_reconstruct(code, chosen).tolist() == cols.tolist()
-                assert sum(mults) - fewer == k * k * (k - 1) // 2 * 23, (k, d, subset)

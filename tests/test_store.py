@@ -463,6 +463,32 @@ def test_reconstruct_detects_tampering(tmp_path):
         cluster_reconstruct(tmp_path / "c")
 
 
+def test_every_flipped_read_symbol_is_refused_or_harmless(tmp_path):
+    """Flipping any one symbol of one chunk of any read node ends in
+    IntegrityError or in the exact bytes, never in other bytes.  Symbol 1
+    is message-matrix column 1, which no check row reads, so only a flip
+    there may go unseen."""
+    p = P534_BYTE
+    root = tmp_path / "c"
+    data = bytes(range(256)) * 4
+    cluster_store(data, p, root, seed=5)
+    cluster = Cluster(root)
+    chunk = 3  # a full chunk: every message symbol it carries is file data
+    for node in range(1, p.k + 1):  # the read set: the first k live nodes
+        path = cluster.share_path(node)
+        clean = path.read_bytes()
+        for position in range(p.d):
+            raw = bytearray(clean)
+            raw[16 + chunk * p.d + position] ^= 0x5A  # after the 16-byte header
+            path.write_bytes(bytes(raw))
+            try:
+                out = cluster_reconstruct(root)
+            except IntegrityError:
+                continue
+            assert out == data and position == 0, (node, position)
+        path.write_bytes(clean)
+
+
 def test_eavesdrop_matches_generator_model(tmp_path):
     data = b"observed payload" * 3
     cluster_store(data, P534, tmp_path / "c", seed=11)

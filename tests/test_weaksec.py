@@ -1,16 +1,16 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from conftest import grid_params
-from weavesafe.errors import ParameterError
+from weavesafe.errors import InsufficientNodesError, ParameterError
 from weavesafe.gf2m import Field
 from weavesafe.audit import certify_completion
 from weavesafe.linalg import Matrix, invert, mat_vec, rank, submatrix
 from weavesafe import weaksec
-from weavesafe.pm_mbr import InnerCode, params_new, type_positions
+from weavesafe.pm_mbr import InnerCode, encode_bulk, params_new, type_positions
 from weavesafe.weaksec import (
     OuterCode,
     SecureCodec,
@@ -30,9 +30,11 @@ def coset_encode(outer, message, randomness) -> list:
     return cols[:, 0].tolist()
 
 
-def coset_decode(outer, codeword) -> list:
-    """One chunk through coset_decode_bulk: a one-column call."""
-    cols = outer.coset_decode_bulk(np.array(codeword, dtype=outer.field.dtype).reshape(-1, 1))
+def coset_decode(codec, codeword) -> list:
+    """One chunk through coset_decode_bulk: a one-column call on the
+    shares of the first k nodes, made with encode_bulk."""
+    shares = encode_bulk(codec.inner, np.array(codeword, dtype=codec.field.dtype).reshape(-1, 1))
+    cols = codec.outer.coset_decode_bulk(codec.inner, {e: shares[e] for e in range(1, codec.params.k + 1)})
     return cols[:, 0].tolist()
 
 
@@ -174,7 +176,9 @@ def test_typed_rows_are_every_row_of_the_codes(point):
     codec = make_codec(p)
     outer = codec.outer
     assert codec.inner.generator_stack.tolist() == [typed[e, t].tolist() for e in range(p.n) for t in range(p.d)]
-    assert outer.parity_check.data == at(outer.row_types) == outer.parity_array.tolist()
+    assert outer.parity_check.data == at(outer.row_types)
+    assert outer.check_rows.types.tolist() == [t - 1 for t, _ in outer.row_types]
+    assert outer.check_rows.coefficients.tolist() == [p.cauchy_stack.row(p.n + c - 1) for _, c in outer.row_types]
     assert outer.parity_check_ext.data == at(outer.ext_row_types)
     for subset in [(), tuple(range(1, p.k + 1)), tuple(range(p.secure_symbols - p.d, p.secure_symbols + 1))]:
         for node in (1, p.n):
@@ -242,7 +246,7 @@ def test_coset_roundtrip(codec534):
         rnd = [rng.randrange(16) for _ in range(2)]
         codeword = coset_encode(outer, msg, rnd)
         assert len(codeword) == 9
-        assert coset_decode(outer, codeword) == msg
+        assert coset_decode(codec534, codeword) == msg
 
 
 def test_coset_encode_is_injective_in_randomness(codec534):
@@ -253,7 +257,7 @@ def test_coset_encode_is_injective_in_randomness(codec534):
         codeword = tuple(coset_encode(outer, msg, [r1, r2]))
         assert codeword not in seen
         seen.add(codeword)
-        assert coset_decode(outer, list(codeword)) == msg
+        assert coset_decode(codec534, list(codeword)) == msg
 
 
 def test_coset_enumerates_whole_coset(codec322):
@@ -278,8 +282,8 @@ def test_coset_decode_matches_parity_product(codec534):
     outer = codec534.outer
     for _ in range(10):
         x = [rng.randrange(16) for _ in range(9)]
-        assert coset_decode(outer, x) == mat_vec(outer.parity_check, x)
-    assert coset_decode(outer, [0] * 9) == [0] * 7
+        assert coset_decode(codec534, x) == mat_vec(outer.parity_check, x)
+    assert coset_decode(codec534, [0] * 9) == [0] * 7
 
 
 def test_coset_decode_invariant_under_null_space(codec534):
@@ -293,10 +297,10 @@ def test_coset_decode_invariant_under_null_space(codec534):
     basis = [[a ^ b for a, b in zip(coset_encode(outer, msg, r), base)] for r in ([1, 0], [0, 1])]
     assert rank(Matrix(codec534.field, basis)) == 2
     x = [rng.randrange(16) for _ in range(9)]
-    syndrome = coset_decode(outer, x)
+    syndrome = coset_decode(codec534, x)
     for v in basis:
         shifted = [a ^ b for a, b in zip(x, v)]
-        assert coset_decode(outer, shifted) == syndrome
+        assert coset_decode(codec534, shifted) == syndrome
 
 
 def test_coset_length_validation(codec534):
@@ -305,8 +309,11 @@ def test_coset_length_validation(codec534):
         coset_encode(outer, [0] * 6, [0, 0])
     with pytest.raises(ValueError):
         coset_encode(outer, [0] * 7, [0])
-    with pytest.raises(ValueError):
-        coset_decode(outer, [0] * 8)
+    shares = encode_bulk(codec534.inner, np.zeros((9, 1), dtype=codec534.field.dtype))
+    with pytest.raises(ValueError, match="has 3 rows, expected 4"):
+        outer.coset_decode_bulk(codec534.inner, {1: shares[1], 2: shares[2], 3: shares[3][:3]})
+    with pytest.raises(InsufficientNodesError):
+        outer.coset_decode_bulk(codec534.inner, {1: shares[1], 2: shares[2]})
 
 
 def test_coset_bulk_matches_scalar(codec534):
@@ -315,10 +322,41 @@ def test_coset_bulk_matches_scalar(codec534):
     msgs = [[rng.randrange(16) for _ in range(7)] for _ in range(11)]
     rnds = [[rng.randrange(16) for _ in range(2)] for _ in range(11)]
     cols = outer.coset_encode_bulk(np.array(msgs, dtype=np.int32).T, np.array(rnds, dtype=np.int32).T)
-    decoded = outer.coset_decode_bulk(cols)
+    shares = encode_bulk(codec534.inner, cols)
+    decoded = outer.coset_decode_bulk(codec534.inner, {e: shares[e] for e in (2, 4, 5)})
     for t in range(11):
         assert cols[:, t].tolist() == coset_encode(outer, msgs[t], rnds[t])
         assert decoded[:, t].tolist() == msgs[t] == mat_vec(outer.parity_check, cols[:, t].tolist())
+
+
+@pytest.mark.parametrize("params", [params_new(5, 3, 4, 8), params_new(7, 4, 6, 5), grid_params(3, 3)], ids=str)
+def test_coset_decode_from_every_k_subset(params, monkeypatch):
+    """Every k-subset of nodes decodes the stored message, d == k included,
+    on exactly the wing solve's k^2 (d-k) multiplies per chunk plus H's
+    nonzeros: the read map has H's sparsity, whichever nodes serve."""
+    codec = make_codec(params)
+    p = codec.params
+    rng = np.random.default_rng(p.n)
+
+    def draw(rows):
+        return rng.integers(0, 1 << p.m, (rows, 17)).astype(codec.field.dtype)
+
+    message = draw(p.secure_symbols)
+    shares = encode_bulk(codec.inner, codec.outer.coset_encode_bulk(message, draw(2)))
+    mults = []
+    real = Field.mat_mul_cols
+
+    def spy(self, rows, cols):
+        mults.append(int(np.count_nonzero(np.asarray(rows))) * cols.shape[1])
+        return real(self, rows, cols)
+
+    monkeypatch.setattr(Field, "mat_mul_cols", spy)
+    nonzeros = sum(1 for row in codec.outer.parity_check.data for a in row if a)
+    for subset in combinations(range(1, p.n + 1), p.k):
+        del mults[:]
+        decoded = codec.outer.coset_decode_bulk(codec.inner, {e: shares[e] for e in subset})
+        assert sum(mults) == (p.k * p.k * (p.d - p.k) + nonzeros) * 17, subset
+        assert decoded.tolist() == message.tolist(), subset
 
 
 def test_coset_encode_bulk_matches_dense_inverse_on_grid():
@@ -365,7 +403,8 @@ def _assert_same_matrices(a, b):
     assert (a.inner.generator_stack == b.inner.generator_stack).all()
     for name in ("parity_check", "parity_check_ext"):
         assert getattr(a.outer, name) == getattr(b.outer, name), name
-    assert (a.outer.parity_array == b.outer.parity_array).all()
+    assert (a.outer.check_rows.types == b.outer.check_rows.types).all()
+    assert (a.outer.check_rows.coefficients == b.outer.check_rows.coefficients).all()
     assert a.outer.ext_row_types == b.outer.ext_row_types
     for s, t in zip(a.outer.solve_steps, b.outer.solve_steps, strict=True):
         assert (s.type_index, s.rows, s.variables, s.known) == (t.type_index, t.rows, t.variables, t.known)
@@ -386,7 +425,7 @@ def test_codecs_share_derived_data_over_their_own_fields():
             assert matrix.field == codec.field
     for step in a.outer.solve_steps:
         assert step.inverse.dtype == step.coupling.dtype == a.field.dtype
-    for shared in (a.params.typed_rows, a.inner.generator_stack, a.outer.parity_array, a.outer.solve_steps[0].inverse):
+    for shared in (a.params.typed_rows, a.inner.generator_stack, a.outer.check_rows.coefficients, a.outer.solve_steps[0].inverse):
         with pytest.raises(ValueError):
             shared[0, 0] ^= 1  # shared, so read-only
 
@@ -397,6 +436,18 @@ def test_codecs_share_derived_data_over_their_own_fields():
     fresh.inner = InnerCode(q)
     fresh.outer = OuterCode(q)
     _assert_same_matrices(a, fresh)
+
+
+def test_codec_params_is_the_memoized_object():
+    """A codec's params is the object its codes were built from, so codecs
+    of distinct but equal parameter objects read one Cauchy stack and one
+    typed-row array, never building their own."""
+    p, q = params_new(6, 3, 5, 4), params_new(6, 3, 5, 4)
+    assert p == q and p is not q
+    a, b = make_codec(p), make_codec(q)
+    assert a.params is a.inner.params is a.outer.params is b.params
+    assert a.params.typed_rows is b.params.typed_rows
+    assert a.params.cauchy_stack is b.params.cauchy_stack
 
 
 def test_codec_memo_stays_at_its_bound():
