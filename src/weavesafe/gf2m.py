@@ -51,9 +51,14 @@ Arithmetic Using Intel SIMD Instructions", FAST 2013):
   xor the reduction polynomial into the lanes whose top bit was set).
   Row r of the product is the xor of the planes picked by the set bits of
   its coefficients: one gather and one ``np.bitwise_xor.reduce`` per
-  window for every batch of up to eight rows.  Plane scratch is bounded
-  by ``_PLANE_BYTES`` (1 MiB) and the batch gather by half of that, so
-  neither grows with the input.
+  window for every batch of up to eight rows.  A window holds
+  ``_PLANE_BYTES`` of its N planes and ``_row_batches`` keeps a gather
+  within N planes, so the planes, carry, gather and reduce take at most
+  (2 + 9/N) ``_PLANE_BYTES``, at most 2.5 times from N = 18.  They are
+  cut from one workspace per thread, kept across calls and never an
+  output: allocated per call, glibc trimmed them after each store, read
+  and repair and the next faulted them in again, about 790, 1450 and 560
+  minor faults an op on the benchmark's ``audit`` workload.
 
 ``mat_mul_cols`` picks the path per map from the nonzeros per used
 column (the fan-out f: how many coefficients each expanded column feeds)
@@ -88,6 +93,8 @@ applied to files of any size shares one plan.  The bounds are fixed, and
 no memo holds any symbol of the data the maps are applied to.
 """
 
+import itertools
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -251,13 +258,7 @@ class Field:
 
     def _mat_mul_sliced(self, plan, cols, out):
         """out = coefficients * cols[plan.used], window by window on 64-bit
-        lane planes.
-
-        Each window of a used column is viewed as uint64 words of symbol
-        lanes and expanded once into its m planes x^i * column by a
-        lane-wise xtime; row r of the product is the xor of the planes
-        picked by the set bits of its coefficients.
-        """
+        lane planes (see the module docstring)."""
         m = self.m
         lane_bits = 8 * self.dtype.itemsize
         lanes = 64 // lane_bits
@@ -267,36 +268,39 @@ class Field:
         n_used = len(plan.used)
         n = cols.shape[1]
         words = max(min(_PLANE_BYTES // (8 * n_used * m), -(-n // lanes)), 1)
-
-        # All scratch is allocated once per call: the planes (the last one
-        # stays zero), the xtime carry, and a batch's gather and reduce.
-        flat = np.zeros((n_used * m + 1, words), dtype=np.uint64)
-        planes = flat[:-1].reshape(n_used, m, words)
-        carry = np.empty((n_used, words), dtype=np.uint64)
-        gather = np.empty(plan.most_picks * words, dtype=np.uint64)
-        acc = np.empty((_GROUP, words), dtype=np.uint64)
-        low = planes[:, 0].view(self.dtype)
-        every_row = plan.every_column and n_used == cols.shape[0]
+        # Workspace rows, k words wide in a window of k words so that each
+        # part is contiguous: the planes and a zero plane, a batch's gather
+        # (the xtime carry before it) and its reduce.  It only grows, per thread.
+        ends = list(itertools.accumulate((n_used * m + 1, max(n_used, plan.most_picks), _GROUP)))
+        spans = list(zip([0] + ends, ends))
+        scratch = getattr(_local, "scratch", None)
+        if scratch is None or scratch.size < ends[-1] * words:
+            scratch = _local.scratch = np.empty(ends[-1] * words, dtype=np.uint64)
         for start in range(0, n, words * lanes):
             stop = min(n, start + words * lanes)
             width = stop - start
             k = -(-width // lanes)
-            low[:, :width] = cols[:, start:stop] if every_row else cols[plan.used, start:stop]
-            low[:, width : k * lanes] = 0
+            flat, gather, acc = (scratch[a * k : b * k].reshape(-1, k) for a, b in spans)
+            carry = gather[:n_used]
+            flat[-1] = 0  # the zero plane: the workspace keeps what earlier calls left
+            planes = flat[:-1].reshape(m, n_used, k)  # x^i * column u is planes[i, u]
+            low = planes[0].view(self.dtype)
+            for u, c, count in plan.runs:
+                low[u : u + count, :width] = cols[c : c + count, start:stop]
+            low[:, width:] = 0
             for i in range(1, m):
-                prev, cur, c = planes[:, i - 1, :k], planes[:, i, :k], carry[:, :k]
-                np.right_shift(prev, m - 1, out=c)
-                c &= ones
-                c *= poly
+                prev, cur = planes[i - 1], planes[i]
+                np.right_shift(prev, m - 1, out=carry)
+                carry &= ones
+                carry *= poly
                 np.left_shift(prev, 1, out=cur)
                 cur &= keep
-                cur ^= c
-            view = flat[:, :k]
+                cur ^= carry
             for rows, index in plan.batches:
-                picked = gather[: index.size * k].reshape(index.shape + (k,))
-                view.take(index, axis=0, out=picked, mode="clip")
-                np.bitwise_xor.reduce(picked, axis=1, out=acc[: len(rows), :k])
-                out[rows, start:stop] = acc[: len(rows), :k].view(self.dtype)[:, :width]
+                picked = gather.reshape(-1)[: index.size * k].reshape(index.shape + (k,))
+                flat.take(index, axis=0, out=picked, mode="clip")
+                np.bitwise_xor.reduce(picked, axis=1, out=acc[: len(rows)])
+                out[rows, start:stop] = acc[: len(rows)].view(self.dtype)[:, :width]
 
 
 @dataclass(frozen=True)
@@ -304,7 +308,7 @@ class _SlicedPlan:
     """What the bit-sliced path needs of one map, whatever the column count."""
 
     used: np.ndarray  # the map's columns with a nonzero coefficient
-    every_column: bool  # used is every column of the map, in order
+    runs: tuple  # (u, c, count): used[u : u + count] are columns c .. c + count - 1
     batches: tuple  # (rows, plane index) pairs, see _row_batches
     most_picks: int  # size of the largest plane index
 
@@ -319,17 +323,17 @@ def _plan(m: int, shape: tuple, data: bytes):
     used = np.flatnonzero(np.bincount(col_of, minlength=shape[1]))
     if row_of.size and row_of.size >= _SLICED_FANOUT[m] * used.size:
         batches = _row_batches(coeffs[:, used], m)
-        return _SlicedPlan(
-            used, used.size == shape[1], batches, max(index.size for _, index in batches)
-        )
+        first = np.flatnonzero(np.diff(used, prepend=-2) != 1)
+        runs = tuple(zip(first.tolist(), used[first].tolist(), np.diff(first, append=used.size).tolist()))
+        return _SlicedPlan(used, runs, batches, max(index.size for _, index in batches))
     return tuple(zip(row_of.tolist(), col_of.tolist(), coeffs[row_of, col_of].tolist()))
 
 
 def _row_batches(coeffs, m: int) -> tuple:
     """The bit-sliced path's rows as (rows, index) batches.
 
-    Plane u*m + i is x^i times used column u, and the plane after the last
-    one is zero.  Row r xors the planes of its coefficients' set bits.
+    Plane i*U + u is x^i times used column u of U, and the plane after the
+    last one is zero.  Row r xors the planes of its coefficients' set bits.
     Rows in order of their number of picks go in batches of up to _GROUP
     that share one gather and one reduce: index[j] lists the planes of
     rows[j], padded with the zero plane.  A batch picks at most half as
@@ -341,7 +345,7 @@ def _row_batches(coeffs, m: int) -> tuple:
     values = coeffs[row_of, col_of]
     entry, bit = np.nonzero((values[:, None] >> np.arange(m, dtype=values.dtype)) & 1)
     counts = np.bincount(row_of[entry], minlength=coeffs.shape[0])
-    picks = np.split(col_of[entry] * m + bit, np.cumsum(counts)[:-1])
+    picks = np.split(bit * coeffs.shape[1] + col_of[entry], np.cumsum(counts)[:-1])
     live = sorted((r for r in range(len(counts)) if counts[r]), key=counts.__getitem__)
     zero_plane = coeffs.shape[1] * m
     group = max(min(_GROUP, zero_plane // 2 // int(counts.max())), 1)
@@ -355,10 +359,12 @@ def _row_batches(coeffs, m: int) -> tuple:
     return tuple(batches)
 
 
-# Plane scratch of one bit-sliced call, in bytes: a window holds as many
-# uint64 words per plane as fit, so scratch never grows with the input.
-_PLANE_BYTES = 1 << 20
+# Planes of one bit-sliced window, in bytes: a window holds as many uint64
+# words per plane as fit, so scratch never grows with the input.  Calibrated
+# under workspace reuse, between resident memory and page faults (CHANGES.md).
+_PLANE_BYTES = 768 << 10
 _GROUP = 8  # most rows in one batch
+_local = threading.local()  # .scratch: this thread's bit-sliced workspace
 
 
 def _lanes(value: int, lane_bits: int) -> np.uint64:

@@ -138,7 +138,12 @@ def chunk_plaintext(data: bytes, params: CodeParams) -> np.ndarray:
 
 
 def unchunk_plaintext(chunks: np.ndarray, byte_length: int, params: CodeParams) -> bytes:
-    return symbols_to_plaintext(chunks.reshape(-1), params.m, byte_length)
+    """Inverse of chunk_plaintext, refusing any nonzero bit past byte_length."""
+    symbols = chunks.reshape(-1)
+    q, r = divmod(8 * byte_length, params.m)  # bit 8 * byte_length is bit r of symbol q
+    if (symbols[q : q + 1] & ((1 << (params.m - r)) - 1)).any() or symbols[q + 1 :].any():
+        raise IntegrityError(f"nonzero data past original_length {byte_length} (cut length or corrupt share)")
+    return symbols_to_plaintext(symbols, params.m, byte_length)
 
 
 # -- randomness ----------------------------------------------------------------
@@ -255,15 +260,11 @@ def _symbol_dtype(m: int):
 
 
 def write_share(path, params: CodeParams, node: int, symbols: np.ndarray) -> None:
-    """symbols is (chunk_count, d); payload is chunk-major."""
-    chunk_count = symbols.shape[0]
-    header = _HEADER.pack(
-        MAGIC, FORMAT_VERSION, params.m, params.n, params.k, params.d, node, 0, chunk_count
-    )
-    payload = symbols.astype(_symbol_dtype(params.m)).tobytes()
+    """symbols is (chunk_count, d); payload is chunk-major, copied once."""
+    p = params
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, p.m, p.n, p.k, p.d, node, 0, len(symbols)))
+        fh.write(np.ascontiguousarray(symbols, dtype=_symbol_dtype(p.m)))
 
 
 def read_share(path, params: CodeParams, node: int, chunk_count: int) -> np.ndarray:

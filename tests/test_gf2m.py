@@ -352,6 +352,91 @@ def test_mat_mul_cols_window_edges(m, monkeypatch):
             assert out[:, edges].tolist() == _product_oracle(m, rows, cols[:, edges])
 
 
+@pytest.mark.parametrize("point", [(20, 10, 16, 8), (7, 4, 6, 5)])
+def test_warm_bit_sliced_call_allocates_no_scratch(point, monkeypatch):
+    """Once its thread has made one call, a bit-sliced mat_mul_cols call
+    allocates its output and under 64 KiB besides: planes, carry, gather
+    and reduce come from the thread's workspace.  The calls are those of a
+    256 KiB file's inner encode and read, among them (20,10,16,8)'s inner
+    encode and (7,4,6,5)'s read map."""
+    import tracemalloc
+
+    import numpy as np
+
+    from weavesafe import make_codec, params_new
+    from weavesafe.pm_mbr import encode_bulk
+
+    p = params_new(*point)
+    codec = make_codec(p)
+    f = codec.field
+    width = codec.inner.generator_stack.shape[1]
+    n_chunks = -(-(1 << 18) * 8 // p.m // p.secure_symbols)
+    codewords = np.random.default_rng(1).integers(0, f.order, (width, n_chunks)).astype(f.dtype)
+    maps, real = [], Field.mat_mul_cols
+    monkeypatch.setattr(Field, "mat_mul_cols", lambda self, rows, cols: maps.append((rows, cols)) or real(self, rows, cols))
+    shares = encode_bulk(codec.inner, codewords)
+    codec.outer.coset_decode_bulk(codec.inner, {e: shares[e] for e in range(1, p.k + 1)})
+    monkeypatch.undo()
+    calls = _spy_sliced(monkeypatch)
+    for rows, cols in maps:
+        del calls[:]
+        f.mat_mul_cols(rows, cols)
+        if not calls:
+            continue
+        tracemalloc.start()
+        try:
+            out = f.mat_mul_cols(rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 64 << 10, (point, out.shape, peak - out.nbytes)
+    assert calls, point
+    assert len(maps[0][0]) == p.n * p.d and len(maps[-1][0]) == p.secure_symbols
+
+
+def test_one_field_shared_by_threads(monkeypatch):
+    """Three threads share one Field and apply their own maps, one
+    bit-sliced and one on tables each, to inputs of their own widths, 200
+    times, over windows small enough and a switch interval short enough
+    that their calls interleave; every product equals the brute-force one."""
+    import sys
+    import threading
+
+    import numpy as np
+
+    f = Field(8)
+    py_rng = random.Random(8)
+    rng = np.random.default_rng(8)
+    monkeypatch.setattr(gf2m, "_PLANE_BYTES", 8 * 6 * 8 * 16)  # 128 symbols a window
+    calls = _spy_sliced(monkeypatch)
+    jobs = []
+    for width in (700, 900, 1100):
+        cols = rng.integers(0, f.order, (6, width)).astype(f.dtype)
+        maps = (_dense_rows(f, py_rng, gf2m._SLICED_FANOUT[8] + 3, 6), _dense_rows(f, py_rng, 2, 6))
+        jobs.append([(rows, cols, _product_oracle(8, rows, cols)) for rows in maps])
+    wrong = []
+
+    def work(job):
+        for _ in range(200):
+            for rows, cols, expected in job:
+                if f.mat_mul_cols(rows, cols).tolist() != expected:
+                    wrong.append(len(rows))
+
+    threads = [threading.Thread(target=work, args=(job,)) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    assert len(calls) == len(jobs) * 200  # the dense maps alone are bit-sliced
+
+
 # -- per-process memos of the kernel -------------------------------------------
 
 

@@ -302,6 +302,45 @@ def test_manifest_rejects_bad_values(tmp_path, key, value):
         cluster_reconstruct(tmp_path / "c")
 
 
+def _plant_length(root, length):
+    cluster = Cluster(root)
+    doc = json.loads(cluster.manifest_path.read_text())
+    doc["original_length"] = length
+    cluster.manifest_path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("length", [995, 996, 997, 998, 999])
+def test_length_cut_within_the_slack_is_refused_by_name(tmp_path, length):
+    """1000 bytes at (5,3,4,8) fill 143 chunks of 7 symbols, so a manifest
+    length of 995-999 still parses; the decoded bytes past it are not the
+    store's zero padding, and reconstruct names original_length, not the
+    digest."""
+    cluster_store(bytes(range(1, 251)) * 4, P534_BYTE, tmp_path / "c", seed=3)
+    _plant_length(tmp_path / "c", length)
+    assert Cluster(tmp_path / "c").manifest().chunk_count == 143
+    with pytest.raises(IntegrityError, match="original_length"):
+        cluster_reconstruct(tmp_path / "c")
+
+
+@pytest.mark.parametrize("point", [(7, 4, 6, 5), (5, 3, 4, 4), (12, 6, 10, 16)])
+def test_length_check_reads_bits_not_symbols(tmp_path, point):
+    """Every honest length reads back; a one-byte cut is refused when the
+    dropped byte has only its last bit set, which at m = 5 shares a symbol
+    with kept bits, and is left to the digest when the byte is zero."""
+    p = params_new(*point)
+    for length in range(1, 3 * p.secure_symbols):
+        data = bytes(range(length - 1)) + b"\x01"
+        cluster_store(data, p, tmp_path / f"c{length}", seed=length)
+        assert cluster_reconstruct(tmp_path / f"c{length}") == data
+    _plant_length(tmp_path / f"c{length}", length - 1)
+    with pytest.raises(IntegrityError, match="original_length"):
+        cluster_reconstruct(tmp_path / f"c{length}")
+    cluster_store(data[:-1] + b"\x00", p, tmp_path / "z", seed=1)
+    _plant_length(tmp_path / "z", length - 1)
+    with pytest.raises(IntegrityError, match="digest mismatch"):
+        cluster_reconstruct(tmp_path / "z")
+
+
 # -- cluster lifecycle -----------------------------------------------------------
 
 

@@ -10,8 +10,9 @@ Every (tree, point, repetition) runs in a fresh child process that imports
 weavesafe from the tree's src/, runs one small warm-up cycle, then
 ``--cycles`` cycles of store, reconstruct, fail and repair on a random
 file of ``--size`` bytes (unseeded store, as in production), checking the
-bytes and the repaired share.  Its result is the median seconds per op and
-the process's peak RSS (getrusage).
+bytes and the repaired share.  Its result is the median seconds per op,
+the median minor page faults per op (``ru_minflt`` deltas) and the
+process's peak RSS (getrusage).
 
 Audit mode measures ``verify_weak_secrecy`` at the audit points and at
 the store point (20,10,16,8):
@@ -77,6 +78,10 @@ def _peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def audit_child(src: str, point: tuple) -> dict:
     """One child's audit measurement; runs inside the child process."""
     ws = _import(src)
@@ -106,24 +111,25 @@ def child(src: str, point: tuple, size: int, cycles: int, seed: int) -> dict:
     params = ws.params_new(*point)
     rng = np.random.default_rng(seed)
     seconds = {op: [] for op in OPS}
+    faults = {op: [] for op in OPS}
     work = Path(tempfile.mkdtemp(prefix="fixed-points-"))
     try:
         for c in range(cycles + 1):
             data = rng.bytes(size if c else 4096)
             node = int(rng.integers(1, params.n + 1))
             root = work / f"c{c}"
-            t0 = time.perf_counter()
+            f0, t0 = _minor_faults(), time.perf_counter()
             ws.cluster_store(data, params, root)
-            t1 = time.perf_counter()
+            f1, t1 = _minor_faults(), time.perf_counter()
             if ws.cluster_reconstruct(root) != data:
                 raise SystemExit(f"{point}: reconstructed bytes differ")
-            t2 = time.perf_counter()
+            f2, t2 = _minor_faults(), time.perf_counter()
             share = ws.store.Cluster(root).share_path(node)
             original = share.read_bytes()
             ws.cluster_fail(root, node)
-            t3 = time.perf_counter()
+            f3, t3 = _minor_faults(), time.perf_counter()
             ws.cluster_repair(root, node)
-            t4 = time.perf_counter()
+            f4, t4 = _minor_faults(), time.perf_counter()
             if share.read_bytes() != original:
                 raise SystemExit(f"{point}: repaired share differs")
             shutil.rmtree(root)
@@ -131,9 +137,12 @@ def child(src: str, point: tuple, size: int, cycles: int, seed: int) -> dict:
                 seconds["store"].append(t1 - t0)
                 seconds["reconstruct"].append(t2 - t1)
                 seconds["repair"].append(t4 - t3)
+                for op, delta in zip(OPS, (f1 - f0, f2 - f1, f4 - f3)):
+                    faults[op].append(delta)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     out = {f"{op}_mbps": size / statistics.median(s) / 1e6 for op, s in seconds.items()}
+    out.update({f"{op}_faults_per_op": statistics.median(f) for op, f in faults.items()})
     out["peak_rss_mib"] = _peak_rss_mib()
     return out
 
@@ -221,8 +230,9 @@ def main(argv=None) -> int:
         entry = {label: summarize(runs[(point, label)]) for label in trees}
         for label in trees:
             if label != first:
-                entry[f"{label}/{first}"] = {
+                entry[f"{label}/{first}"] = {  # None where the first tree's median is 0
                     name: entry[label][name]["median"] / entry[first][name]["median"]
+                    if entry[first][name]["median"] else None
                     for name in entry[label]
                 }
         name = "(%d,%d,%d,%d)" % point
@@ -240,8 +250,8 @@ def main(argv=None) -> int:
     else:
         settings.update({
             "size_bytes": args.size, "cycles_per_child": args.cycles, "seed": args.seed,
-            "timing": "median seconds per op within a child, median over children; "
-                      "peak RSS of each child process from getrusage",
+            "timing": "median seconds and minor page faults (ru_minflt) per op within a child, "
+                      "median over children; peak RSS of each child process from getrusage",
         })
     doc = {"machine": machine(), "settings": settings, "points": results}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
