@@ -4,7 +4,8 @@ Everything here is exact: leakage is an integer count of symbols (in
 log-q units) obtained from a rank identity, the tiny-parameter oracle
 counts codewords and reports mutual information as an exact rational,
 and the decode certificates are explicit sequences of small nonsingular
-solves that witness full rank constructively.
+solves that witness full rank constructively.  No share file is read
+here: the CLI adds the store's check of a cluster to the report.
 
 A subset of message indices plays the role of the symbols an
 eavesdropper tries to pin down; all such subsets up to a target size
@@ -58,8 +59,7 @@ from .linalg import (
     submatrix,
     vstack,
 )
-from .pm_mbr import CodeParams, encode_bulk, message_cells, reconstruct_bulk
-from .store import Cluster
+from .pm_mbr import CodeParams, message_cells
 from .weaksec import SecureCodec, index_sets, perfect_capacity
 
 DEFAULT_VERIFY_CAP = 5_000_000
@@ -562,7 +562,6 @@ def audit_report(
     codec: SecureCodec,
     guesses: int | None = None,
     max_checks: int = DEFAULT_VERIFY_CAP,
-    cluster_root=None,
 ) -> AuditReport:
     """Run the standard battery and collect one structured report."""
     p = codec.params
@@ -571,9 +570,6 @@ def audit_report(
     base_fail = verify_weak_secrecy(codec, p.k - 1, baseline=True, max_checks=max_checks)
     base_pass = verify_weak_secrecy(codec, p.k - 2, baseline=True, max_checks=max_checks)
     cert = certify_extended_parity(codec)
-    demo = None
-    if cluster_root is not None:
-        demo = _cluster_observation_demo(codec, cluster_root)
     return AuditReport(
         params=p,
         weak_secrecy=weak,
@@ -581,21 +577,4 @@ def audit_report(
         baseline_pass=base_pass,
         certificate_steps=len(cert.steps),
         certificate_success=cert.success,
-        cluster_demo=demo,
     )
-
-
-def _cluster_observation_demo(codec: SecureCodec, root) -> dict:
-    """Check, on real share files, that each node stores exactly its
-    generator matrix applied to the codeword stream."""
-    cluster = Cluster(root)
-    manifest = cluster.manifest()
-    share_cols = {e: cluster.read_share_columns(e, manifest) for e in cluster.live_nodes(manifest)}
-    codeword_cols = reconstruct_bulk(codec.inner, share_cols)
-    expected = encode_bulk(codec.inner, codeword_cols)
-    ok = sum(1 for e, cols in share_cols.items() if (expected[e] == cols).all())
-    return {
-        "chunks": int(codeword_cols.shape[1]),
-        "nodes": len(share_cols),
-        "nodes_verified": ok,
-    }

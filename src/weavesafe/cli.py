@@ -141,7 +141,7 @@ def cmd_repair(args) -> int:
 def cmd_eavesdrop(args) -> int:
     cluster = store.Cluster(args.root)
     manifest = cluster.manifest()
-    observations = cluster.observe(args.node, manifest)
+    observations = cluster.read(args.node, manifest)
     params = manifest.params
     doc = {
         "node": args.node,
@@ -162,7 +162,9 @@ def cmd_eavesdrop(args) -> int:
 def cmd_audit(args) -> int:
     flags = (args.n, args.k, args.d, args.m)
     if args.root is not None and flags == (None,) * 4:
-        params = store.Cluster(args.root).manifest().params
+        cluster = store.Cluster(args.root)
+        manifest = cluster.manifest()
+        params = manifest.params
     elif args.root is None and None not in flags[:3]:
         params = _params_from_args(args)
     else:
@@ -178,7 +180,9 @@ def cmd_audit(args) -> int:
             print("\n".join(result.to_lines("baseline (no outer code)")))
         return EXIT_OK if result.passed else EXIT_SECRECY
 
-    report = audit_report(codec, guesses=g, max_checks=args.cap, cluster_root=args.root)
+    report = audit_report(codec, guesses=g, max_checks=args.cap)
+    if args.root is not None:
+        report.cluster_demo = store.cluster_observation_demo(cluster, manifest)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:

@@ -251,10 +251,10 @@ def reconstruct_bulk(code: InnerCode, share_cols: dict, rows: VirtualRows | None
     inputs = np.empty((k, d, n_chunks), f.dtype)  # block t, then position
     for i, e in enumerate(nodes):
         inputs[:, i] = share_cols[e][:k]
-    if d > k:  # d == k leaves no wing; the solve's operands go before the map runs
-        wing = f.mat_mul_cols(psi1_inv, np.stack([share_cols[e][k:] for e in nodes]).reshape(k, -1))
-        inputs[:, k:] = wing.reshape(k, d - k, n_chunks)
-        del wing
+    wing = np.stack([share_cols[e][k:] for e in nodes]).reshape(k, (d - k) * n_chunks)
+    wing = f.mat_mul_cols(psi1_inv, wing)  # solved before the map runs; empty if d == k
+    inputs[:, k:] = wing.reshape(k, d - k, n_chunks)
+    del wing
 
     read = np.zeros((len(types), k, d), f.dtype)
     low, high = types < k, np.flatnonzero(types >= k)

@@ -22,8 +22,10 @@ code fans it out to the nodes.  In memory, symbols are numpy arrays at
 native width from chunking to share files and back: uint8 for m <= 8,
 uint16 above (``gf2m.native_dtype``).  A failed node is simply a
 missing share file; repair rebuilds it bit-identically from d live
-helpers.  Store, fail and repair hold the single-writer lock (root/.lock)
-for the whole operation; reconstruct and eavesdrop read without it.
+helpers.  The store owns every share file: ``Cluster.read`` is the one
+way a share leaves the disk.  Store, fail and repair hold the
+single-writer lock (root/.lock) for the whole operation; reconstruct,
+eavesdrop and the audit command's cluster check read without it.
 
 Reusing a seed voids the uniformity that the coset layer's secrecy rests
 on: the seed flag exists for tests and reproducibility checks only.
@@ -46,7 +48,7 @@ from .errors import (
     ShareFormatError,
 )
 from .gf2m import native_dtype
-from .pm_mbr import CodeParams, encode_bulk, params_new, repair_bulk
+from .pm_mbr import CodeParams, encode_bulk, params_new, reconstruct_bulk, repair_bulk
 from .weaksec import make_codec
 
 MAGIC = b"WSRC"
@@ -271,7 +273,7 @@ def read_share(path, params: CodeParams, node: int, chunk_count: int) -> np.ndar
     """Node's share as a fresh writable (chunk_count x d) array of native
     dtype, after every check a share must pass: magic, version, reserved
     field, (m, n, k, d), node label, chunk count, payload length and symbol
-    range.
+    range.  Every refusal names both the node and the share file.
 
     The file is read into a bytearray, which the array then views: at
     m <= 8 the file's bytes are the symbols and nothing is copied.  Two-byte
@@ -282,29 +284,30 @@ def read_share(path, params: CodeParams, node: int, chunk_count: int) -> np.ndar
     with open(path, "rb") as fh:
         raw = bytearray(os.fstat(fh.fileno()).st_size)
         del raw[fh.readinto(raw) :]
+    share = f"node {node} share {path}"
     if len(raw) < _HEADER.size:
-        raise ShareFormatError(f"{path}: truncated header")
+        raise ShareFormatError(f"{share}: truncated header")
     magic, version, m, n, k, d, label, reserved, count = _HEADER.unpack_from(raw)
     if magic != MAGIC:
-        raise ShareFormatError(f"{path}: bad magic {magic!r}")
+        raise ShareFormatError(f"{share}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
-        raise ShareFormatError(f"{path}: unsupported version {version}")
+        raise ShareFormatError(f"{share}: unsupported version {version}")
     if reserved != 0:
-        raise ShareFormatError(f"{path}: nonzero reserved field")
+        raise ShareFormatError(f"{share}: nonzero reserved field")
     if (m, n, k, d) != (params.m, params.n, params.k, params.d):
-        raise ShareFormatError(f"share for node {node} disagrees with manifest parameters")
+        raise ShareFormatError(f"{share}: disagrees with manifest parameters")
     if label != node:
-        raise ShareFormatError(f"share at node {node} labels itself node {label}")
+        raise ShareFormatError(f"{share}: labels itself node {label}")
     if count != chunk_count:
-        raise ShareFormatError(f"share for node {node} has wrong chunk count")
+        raise ShareFormatError(f"{share}: wrong chunk count")
     dtype = _symbol_dtype(m)
     expected = count * d * dtype.itemsize
     payload = memoryview(raw)[_HEADER.size :]
     if len(payload) != expected:
-        raise ShareFormatError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
+        raise ShareFormatError(f"{share}: payload is {len(payload)} bytes, expected {expected}")
     symbols = np.frombuffer(payload, dtype=dtype).astype(native_dtype(m), copy=False)
     if m not in (8, 16) and symbols.size and int(symbols.max()) >= (1 << m):
-        raise ShareFormatError(f"{path}: symbol out of range for m={m}")
+        raise ShareFormatError(f"{share}: symbol out of range for m={m}")
     return symbols.reshape(count, d)
 
 
@@ -356,16 +359,12 @@ class Cluster:
         """Nodes whose share file exists, given the operation's manifest."""
         return [e for e in range(1, manifest.params.n + 1) if self.share_path(e).exists()]
 
-    def read_share_columns(self, node: int, manifest: Manifest) -> np.ndarray:
-        """Node's checked share as a (d, chunk_count) array."""
-        return read_share(self.share_path(node), manifest.params, node, manifest.chunk_count).T.copy()
-
-    def observe(self, node: int, manifest: Manifest) -> np.ndarray:
-        """Everything node stores against manifest: a length-d vector per chunk."""
+    def read(self, node: int, manifest: Manifest) -> np.ndarray:
+        """Node's checked share, a length-d vector per chunk: the one way a share leaves the disk."""
         manifest.params.check_node(node)
         path = self.share_path(node)
         if not path.exists():
-            raise InsufficientNodesError(f"node {node} is failed; nothing to observe")
+            raise InsufficientNodesError(f"node {node} is failed; nothing to read")
         return read_share(path, manifest.params, node, manifest.chunk_count)
 
 
@@ -416,7 +415,7 @@ def cluster_reconstruct(root) -> bytes:
     if len(live) < p.k:
         raise InsufficientNodesError(f"only {len(live)} live nodes, need k={p.k}")
     codec = make_codec(p)
-    shares = {e: read_share(cluster.share_path(e), p, e, manifest.chunk_count).T for e in live[: p.k]}
+    shares = {e: cluster.read(e, manifest).T for e in live[: p.k]}
     chunks = codec.outer.coset_decode_bulk(codec.inner, shares)
     del shares  # freed before the plaintext bytes are assembled
     data = unchunk_plaintext(chunks.T, manifest.original_length, p)
@@ -454,7 +453,8 @@ def cluster_repair(root, node: int) -> RepairStats:
             raise InsufficientNodesError(f"repair needs d={p.d} helpers, only {len(live)} live")
         helpers = live[: p.d]
         codec = make_codec(p)
-        helper_cols = {e: cluster.read_share_columns(e, manifest) for e in helpers}
+        # One helper's file buffer at a time: each is copied to d x N as read.
+        helper_cols = {e: cluster.read(e, manifest).T.copy() for e in helpers}
         repaired, downloaded = repair_bulk(codec.inner, node, helper_cols)
         path.parent.mkdir(exist_ok=True)
         write_share(path, p, node, repaired.T)
@@ -464,4 +464,14 @@ def cluster_repair(root, node: int) -> RepairStats:
 def cluster_eavesdrop(root, node: int) -> np.ndarray:
     """Everything node stores, one length-d observation vector per chunk."""
     cluster = Cluster(root)
-    return cluster.observe(node, cluster.manifest())
+    return cluster.read(node, cluster.manifest())
+
+
+def cluster_observation_demo(cluster: Cluster, manifest: Manifest) -> dict:
+    """Check that each live node's share is its generator matrix applied to the codewords."""
+    inner = make_codec(manifest.params).inner
+    share_cols = {e: cluster.read(e, manifest).T for e in cluster.live_nodes(manifest)}
+    codeword_cols = reconstruct_bulk(inner, share_cols)
+    expected = encode_bulk(inner, codeword_cols)
+    ok = sum(1 for e, cols in share_cols.items() if (expected[e] == cols).all())
+    return {"chunks": int(codeword_cols.shape[1]), "nodes": len(share_cols), "nodes_verified": ok}

@@ -401,7 +401,10 @@ def test_audit_report_cluster_demo(tmp_path):
     data = bytes(range(256)) * 4
     store.cluster_store(data, params, tmp_path / "c", seed=1)
     codec = make_codec(params)
-    report = audit_report(codec, cluster_root=tmp_path / "c")
+    report = audit_report(codec)
+    assert report.cluster_demo is None  # the audit reads no share file
+    cluster = store.Cluster(tmp_path / "c")
+    report.cluster_demo = store.cluster_observation_demo(cluster, cluster.manifest())
     demo = report.cluster_demo
     assert demo["nodes"] == 5
     assert demo["nodes_verified"] == 5

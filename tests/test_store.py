@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weavesafe.audit import audit_report
 from weavesafe.cli import main as cli_main
 from weavesafe.errors import (
     InsufficientNodesError,
@@ -27,6 +26,7 @@ from weavesafe.store import (
     chunk_plaintext,
     cluster_eavesdrop,
     cluster_fail,
+    cluster_observation_demo,
     cluster_reconstruct,
     cluster_repair,
     cluster_store,
@@ -201,8 +201,9 @@ def test_share_rejects_corruption(tmp_path):
         (lambda b: bytes(b) + b"\x00", "payload"),
     ]:
         (tmp_path / "bad.wsrc").write_bytes(mutate(raw))
-        with pytest.raises(ShareFormatError, match=message):
+        with pytest.raises(ShareFormatError, match=message) as excinfo:
             read_share(tmp_path / "bad.wsrc", P534, 1, 1)
+        assert str(excinfo.value).startswith(f"node 1 share {tmp_path / 'bad.wsrc'}: ")
 
 
 def test_share_rejects_out_of_range_symbol(tmp_path):
@@ -211,8 +212,9 @@ def test_share_rejects_out_of_range_symbol(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[16:18] = b"\xff\xff"  # 0xFFFF >= 2^12
     path.write_bytes(bytes(raw))
-    with pytest.raises(ShareFormatError, match="out of range"):
+    with pytest.raises(ShareFormatError, match="out of range") as excinfo:
         read_share(path, params_new(5, 3, 4, 12), 1, 1)
+    assert str(excinfo.value).startswith(f"node 1 share {path}: ")
 
 
 def test_share_rejects_out_of_range_one_byte_symbol(tmp_path):
@@ -221,8 +223,9 @@ def test_share_rejects_out_of_range_one_byte_symbol(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[17] = 0x20  # 32 >= 2^5
     path.write_bytes(bytes(raw))
-    with pytest.raises(ShareFormatError, match="out of range"):
+    with pytest.raises(ShareFormatError, match="out of range") as excinfo:
         read_share(path, params_new(5, 3, 4, 5), 1, 1)
+    assert str(excinfo.value).startswith(f"node 1 share {path}: ")
     raw[17] = 0x1F
     path.write_bytes(bytes(raw))
     assert read_share(path, params_new(5, 3, 4, 5), 1, 1).tolist() == [[0, 31, 0, 0]]
@@ -432,8 +435,9 @@ def test_each_operation_parses_the_manifest_once(tmp_path, monkeypatch):
         lambda: cluster_fail(tmp_path / "c", 2),
         lambda: cluster_repair(tmp_path / "c", 2),
         lambda: cluster_eavesdrop(tmp_path / "c", 1),
-        lambda: audit_report(make_codec(P534_BYTE), cluster_root=tmp_path / "c"),
+        lambda: cluster_observation_demo(Cluster(tmp_path / "c"), Cluster(tmp_path / "c").manifest()),
         lambda: cli_main(["eavesdrop", str(tmp_path / "c"), "1", "-o", str(tmp_path / "eve.json")]),
+        lambda: cli_main(["audit", str(tmp_path / "c")]),
     ):
         del parses[:]
         op()
@@ -534,7 +538,7 @@ def test_eavesdrop_matches_generator_model(tmp_path):
     codec = make_codec(P534)
     # recover the codeword stream from shares, then check the observation model
     cluster = Cluster(tmp_path / "c")
-    shares = {e: cluster.read_share_columns(e, cluster.manifest()) for e in (1, 2, 3)}
+    shares = {e: cluster.read(e, cluster.manifest()).T for e in (1, 2, 3)}
     from weavesafe.pm_mbr import reconstruct_bulk
 
     codewords = reconstruct_bulk(codec.inner, shares)
@@ -636,7 +640,7 @@ def test_share_manifest_cross_validation(tmp_path):
     cluster = Cluster(tmp_path / "c")
     write_share(cluster.share_path(1), other, 1, np.zeros((0, 4), dtype=np.int32))
     with pytest.raises(ShareFormatError):
-        cluster.read_share_columns(1, cluster.manifest())
+        cluster.read(1, cluster.manifest())
 
 
 # Seeded share files pinned across builds: SHA-256 of the manifest and of each
