@@ -33,9 +33,9 @@ Addition is xor; in characteristic 2 every element is its own negative,
 so a + b = 0 exactly when a = b.
 
 Bulk multiplication (``mul_vec``, ``mat_mul_cols``) works on numpy arrays
-of symbols at native width: uint8 for m <= 8, uint16 above.  It has two
-paths, both from Plank, Greenan and Miller ("Screaming Fast Galois Field
-Arithmetic Using Intel SIMD Instructions", FAST 2013):
+of symbols at native width: uint8 for m <= 8, uint16 above.  It has three
+paths, the first two from Plank, Greenan and Miller ("Screaming Fast
+Galois Field Arithmetic Using Intel SIMD Instructions", FAST 2013):
 
 * Table path: the coefficient's product tables, built on first use,
   are gathered from once per nonzero coefficient, xor-accumulated per
@@ -59,34 +59,67 @@ Arithmetic Using Intel SIMD Instructions", FAST 2013):
   output: allocated per call, glibc trimmed them after each store, read
   and repair and the next faulted them in again, about 790, 1450 and 560
   minor faults an op on the benchmark's ``audit`` workload.
+* Fan-in path: the bit-sliced path turned round, expanding the outputs.
+  The used columns are staged raw in the same window loop and workspace;
+  for each row r and bit i, S_{r,i} is the xor of the columns whose
+  coefficient in row r has bit i set, and the row is finished by Horner's
+  rule, acc = x * acc + S_{r,i} for i from m-1 down to 0, with the same
+  xtime.  So the m-1 xtimes are per row, not per column.  Each S is
+  xored up in place, one ufunc per column picked: a padded gather and
+  reduce copies m times the widest bit's picks (1 x 16 at m = 8 over 148k
+  columns: 2.6 against 1.1 ms).  A window holds ``_PLANE_BYTES`` of the
+  whole workspace: the staged columns, a zero plane, a carry and m sums.
 
 ``mat_mul_cols`` picks the path per map from the nonzeros per used
-column (the fan-out f: how many coefficients each expanded column feeds)
-and m.  The expansion costs m-1 xtimes per column and each coefficient
-about m/2 plane xors, against one gather (two above m = 8) per
-coefficient on the table path, so the bit-sliced path wins once f is
-large enough, later for larger m.  The rule is
+column (the fan-out f: how many coefficients each expanded column feeds),
+the nonzeros per row that has any (the width w) and m, and for fan-in
+maps per call from the column count n.  The expansion costs m-1 xtimes
+per column and each coefficient about m/2 plane xors, against one gather
+(two above m = 8) per coefficient on the table path, so the bit-sliced
+path wins once f is large enough, later for larger m; fan-in pays m-1
+xtimes per row instead, so it wins on few rows once w is large enough,
+but its fixed cost a call (m-1 Horner steps of seven ufuncs per row and
+one ufunc per picked column, per window) is only repaid over enough
+columns.  The rule is
 
     bit-sliced  iff  f >= max(m // 2 + 1, m - 4)
+    else fan-in iff  w >= 2, 2, 2, 3, 3, 4, 4, 4, 6, 8, 8, 8, 8, 12 for m = 3..16
+                     and n >= 40960 (``_FANIN_COLUMNS``)
+    else tables
 
 that is f >= 2, 3, 3, 4, 4, 5 for m = 3..8 and 5, 6, 7, 8, 9, 10, 11, 12
-for m = 9..16.  It was calibrated on dense f x 4 and f x 16 maps over
-40k-symbol columns (2-vCPU Xeon VM, numpy 2.4) as the smallest f from
-which on the bit-sliced path was not slower, rounded up where the two
-paths were within noise; at f = 16 it is about 2 times as fast for
-m = 8 and 1.2 to 1.6 times for m = 16.  At (20,10,16,8) and (7,4,6,5)
-inner encode (f = 38 and 12), the read map (f = 11.8 and 4.6) and its
-wing solve, the solve steps of types 2 to k with their couplings and
-the repair inverse take the bit-sliced path, and the one-row solve steps
-(f = 1) stay on tables; at (5,3,4,8) and at (12,6,10,16) only inner
-encode (f = 8 and 22) is bit-sliced.
+for m = 9..16.  f and w were calibrated over 40k-symbol columns (2-vCPU
+Xeon VM, numpy 2.4), the fan-out on dense f x 4 and f x 16 maps, the
+width on dense R x w maps for each R < f below the bit-sliced threshold
+up to 4, as the smallest value from which the faster path was not
+slower, rounded up where the two paths were within noise (10% for w:
+m = 6, 8, 11, 15, 16), w kept non-decreasing in m (m = 13 measured 7).
+The column count is the least from which fan-in at the threshold width,
+one row and up to four, was not slower than tables at any m (median of
+five best-of-seven rounds over 16k-48k columns): 16k to 24k sufficed at
+m = 3, 4, 6 and 9 to 14, 32k at m = 8 and 16, 40k at m = 5, 7 and 15;
+a row two nonzeros wider crossed at 6k-16k.  Below it a 1 x 2 map at
+m = 5 over 1k columns took fan-in 5 times as long as tables.  At f = 16
+the bit-sliced path is about 2 times as fast as tables for m = 8 and
+1.2 to 1.6 times for m = 16; fan-in at w = 16 is 2.1 to 2.6 times as
+fast for m = 8 and 1.2 to 1.3 times for m = 16.  At (20,10,16,8) and
+(7,4,6,5) inner encode (f = 38 and 12), the read map (f = 11.8 and 4.6)
+and its wing solve, the solve steps of types 2 to k with their couplings
+and the repair inverse take the bit-sliced path; repair's upload (w = d,
+over the d helpers' d N columns) and the one-row solve steps (over N
+columns) take fan-in on files large enough but those with one nonzero,
+which stay on tables.  At (5,3,4,8) inner encode is bit-sliced and the
+upload and the 4 x 4 maps (w = 4) fan-in; at (12,6,10,16) only inner
+encode (f = 22) is bit-sliced and no map is wide enough for fan-in.
 
 What depends on the degree or on a map alone is derived once per
 process and shared by every Field of the degree.  The exp/log tables are
 kept for each degree (at most 14), and the coefficient tables for the
 last ``_SPLIT_MEMO`` (4096) (degree, coefficient) pairs.  A map's plan
 (the nonzero entries for the table path; the used columns and the row
-batches with their plane indices for the bit-sliced path) is keyed on
+batches with their plane indices for the bit-sliced path, or each row's
+columns per bit for fan-in, with its nonzero entries for calls on fewer
+columns) is keyed on
 (m, shape, coefficient bytes) and kept for the last ``_PLAN_MEMO`` (256)
 distinct maps.  A plan does not depend on the column count, so one map
 applied to files of any size shares one plan.  The bounds are fixed, and
@@ -123,6 +156,14 @@ CANONICAL_POLYS = {
 # Least nonzeros per used column at which mat_mul_cols takes the
 # bit-sliced path (see the module docstring for the calibration).
 _SLICED_FANOUT = {m: max(m // 2 + 1, m - 4) for m in range(3, 17)}
+
+# Below it, least nonzeros per row with any at which it takes the fan-in
+# path rather than the tables (see the module docstring).
+_FANIN_WIDTH = dict(zip(range(3, 17), (2, 2, 2, 3, 3, 4, 4, 4, 6, 8, 8, 8, 8, 12)))
+
+# Least columns at which a fan-in map takes that path: below it the tables
+# are faster (see the module docstring).
+_FANIN_COLUMNS = 40960
 
 # Most kernel plans and m > 8 coefficient tables a process keeps.
 _PLAN_MEMO = 256
@@ -239,18 +280,23 @@ class Field:
 
         Returns a field-width array with one row per coefficient row.  Maps
         whose columns feed enough coefficients take the bit-sliced path,
-        the rest xor-accumulate one table gather per nonzero coefficient
-        (see the module docstring for the rule).  The map's plan is
-        memoized; callers that apply one map often pass it as an array of
-        the field's dtype, which is not converted again.
+        the rest with wide enough rows the fan-in path over enough columns,
+        and the others xor-accumulate one table gather per nonzero
+        coefficient (see the module docstring for the rule).  The map's
+        plan is memoized; callers that apply one map often pass it as an
+        array of the field's dtype, which is not converted again.
         """
         if not len(rows):
             return np.zeros((0, cols.shape[1]), dtype=self.dtype)
         coeffs = np.asarray(rows, dtype=self.dtype).reshape(len(rows), -1)
         out = np.zeros((coeffs.shape[0], cols.shape[1]), dtype=self.dtype)
         plan = _plan(self.m, coeffs.shape, coeffs.tobytes())
+        if isinstance(plan, _FanInPlan) and cols.shape[1] < _FANIN_COLUMNS:
+            plan = plan.entries  # below the crossover the tables are faster
         if isinstance(plan, _SlicedPlan):
             self._mat_mul_sliced(plan, cols, out)
+        elif isinstance(plan, _FanInPlan):
+            self._mat_mul_fan_in(plan, cols, out)
         else:
             for r, c, a in plan:
                 out[r] ^= self.mul_vec(a, cols[c])
@@ -258,20 +304,72 @@ class Field:
 
     def _mat_mul_sliced(self, plan, cols, out):
         """out = coefficients * cols[plan.used], window by window on 64-bit
-        lane planes (see the module docstring)."""
+        lane planes, the inputs expanded (see the module docstring)."""
+        m, n_used = self.m, len(plan.used)
+        xtime = self._xtime()
+        # Workspace rows: the planes and a zero plane, a batch's gather (the
+        # xtime carry before it) and its reduce.
+        parts = (n_used * m + 1, max(n_used, plan.most_picks), _GROUP)
+        for window, width, (flat, gather, acc) in self._windows(plan, cols, parts, n_used * m):
+            planes = flat[:-1].reshape(m, n_used, -1)  # x^i * column u is planes[i, u]
+            for i in range(1, m):
+                xtime(planes[i - 1], gather[:n_used], planes[i])
+            for rows, index in plan.batches:
+                picked = gather.reshape(-1)[: index.size * flat.shape[1]].reshape(index.shape + flat.shape[1:])
+                flat.take(index, axis=0, out=picked, mode="clip")
+                np.bitwise_xor.reduce(picked, axis=1, out=acc[: len(rows)])
+                out[rows, window] = acc[: len(rows)].view(self.dtype)[:, :width]
+
+    def _mat_mul_fan_in(self, plan, cols, out):
+        """out = coefficients * cols[plan.used], window by window on 64-bit
+        lane planes, the outputs expanded (see the module docstring)."""
         m = self.m
-        lane_bits = 8 * self.dtype.itemsize
-        lanes = 64 // lane_bits
+        xtime = self._xtime()
+        # Workspace rows: the staged columns and a zero plane, the xtime
+        # carry, and a row's m sums.
+        parts = (len(plan.used) + 1, 1, m)
+        for window, width, (flat, carry, acc) in self._windows(plan, cols, parts, sum(parts)):
+            for r, picks in plan.rows:
+                for total, pick in zip(acc, picks):  # S_i
+                    np.bitwise_xor(flat[pick[0]], flat[pick[1]], out=total)
+                    for p in pick[2:]:
+                        total ^= flat[p]
+                for i in range(m - 1, 0, -1):  # Horner's rule
+                    xtime(acc[i], carry[0], acc[i])
+                    acc[i - 1] ^= acc[i]
+                out[r, window] = acc[0].view(self.dtype)[:width]
+
+    def _xtime(self):
+        """The step cur = x * prev on 64-bit words of native-width lanes,
+        as a function of (prev, carry, cur), carry a scratch row of their
+        width; cur may be prev."""
+        m, lane_bits = self.m, 8 * self.dtype.itemsize
         ones = _lanes(1, lane_bits)
         keep = _lanes((1 << m) - 2, lane_bits)  # drops the bit shifted out of each lane
         poly = np.uint64(self.reduction_poly & ((1 << m) - 1))
-        n_used = len(plan.used)
-        n = cols.shape[1]
-        words = max(min(_PLANE_BYTES // (8 * n_used * m), -(-n // lanes)), 1)
-        # Workspace rows, k words wide in a window of k words so that each
-        # part is contiguous: the planes and a zero plane, a batch's gather
-        # (the xtime carry before it) and its reduce.  It only grows, per thread.
-        ends = list(itertools.accumulate((n_used * m + 1, max(n_used, plan.most_picks), _GROUP)))
+
+        def xtime(prev, carry, cur):
+            np.right_shift(prev, m - 1, out=carry)
+            carry &= ones
+            carry *= poly
+            np.left_shift(prev, 1, out=cur)
+            cur &= keep
+            cur ^= carry
+
+        return xtime
+
+    def _windows(self, plan, cols, parts, budget_rows):
+        """The column windows of a bit-sliced call, each as (its columns, its
+        width, the workspace parts).  A window holds as many 64-bit words as
+        fit _PLANE_BYTES over ``budget_rows`` rows.  Each part, ``parts[j]``
+        rows of the thread's workspace, is cut k words wide in a window of k
+        words, so that it is contiguous; the first holds the used columns
+        staged raw and, in its last row, the zero plane.  The workspace only
+        grows, per thread."""
+        lanes = 8 // self.dtype.itemsize
+        n, n_used = cols.shape[1], len(plan.used)
+        words = max(min(_PLANE_BYTES // (8 * budget_rows), -(-n // lanes)), 1)
+        ends = list(itertools.accumulate(parts))
         spans = list(zip([0] + ends, ends))
         scratch = getattr(_local, "scratch", None)
         if scratch is None or scratch.size < ends[-1] * words:
@@ -280,27 +378,13 @@ class Field:
             stop = min(n, start + words * lanes)
             width = stop - start
             k = -(-width // lanes)
-            flat, gather, acc = (scratch[a * k : b * k].reshape(-1, k) for a, b in spans)
-            carry = gather[:n_used]
-            flat[-1] = 0  # the zero plane: the workspace keeps what earlier calls left
-            planes = flat[:-1].reshape(m, n_used, k)  # x^i * column u is planes[i, u]
-            low = planes[0].view(self.dtype)
+            views = [scratch[a * k : b * k].reshape(-1, k) for a, b in spans]
+            views[0][-1] = 0  # the zero plane: the workspace keeps what earlier calls left
+            low = views[0][:n_used].view(self.dtype)
             for u, c, count in plan.runs:
                 low[u : u + count, :width] = cols[c : c + count, start:stop]
             low[:, width:] = 0
-            for i in range(1, m):
-                prev, cur = planes[i - 1], planes[i]
-                np.right_shift(prev, m - 1, out=carry)
-                carry &= ones
-                carry *= poly
-                np.left_shift(prev, 1, out=cur)
-                cur &= keep
-                cur ^= carry
-            for rows, index in plan.batches:
-                picked = gather.reshape(-1)[: index.size * k].reshape(index.shape + (k,))
-                flat.take(index, axis=0, out=picked, mode="clip")
-                np.bitwise_xor.reduce(picked, axis=1, out=acc[: len(rows)])
-                out[rows, start:stop] = acc[: len(rows)].view(self.dtype)[:, :width]
+            yield slice(start, stop), width, views
 
 
 @dataclass(frozen=True)
@@ -313,20 +397,36 @@ class _SlicedPlan:
     most_picks: int  # size of the largest plane index
 
 
+@dataclass(frozen=True)
+class _FanInPlan:
+    """What the fan-in path needs of one map, whatever the column count,
+    and the table path's entries, which serve it below _FANIN_COLUMNS."""
+
+    used: np.ndarray  # as in _SlicedPlan
+    runs: tuple
+    rows: tuple  # (row, picks) pairs, see _row_sums
+    entries: tuple  # (row, column, coefficient) of each nonzero
+
+
 @lru_cache(maxsize=_PLAN_MEMO)
 def _plan(m: int, shape: tuple, data: bytes):
     """The memoized analysis of one map of shape ``shape`` over GF(2^m),
     whose coefficients are ``data`` (C order, field dtype): a _SlicedPlan,
-    or for the table path its nonzero entries as (row, column, coefficient)."""
+    a _FanInPlan, or for the table path its nonzero entries as (row,
+    column, coefficient)."""
     coeffs = np.frombuffer(data, dtype=native_dtype(m)).reshape(shape)
     row_of, col_of = np.nonzero(coeffs)
     used = np.flatnonzero(np.bincount(col_of, minlength=shape[1]))
+    live = np.flatnonzero(np.bincount(row_of, minlength=shape[0]))
+    first = np.flatnonzero(np.diff(used, prepend=-2) != 1)
+    runs = tuple(zip(first.tolist(), used[first].tolist(), np.diff(first, append=used.size).tolist()))
     if row_of.size and row_of.size >= _SLICED_FANOUT[m] * used.size:
         batches = _row_batches(coeffs[:, used], m)
-        first = np.flatnonzero(np.diff(used, prepend=-2) != 1)
-        runs = tuple(zip(first.tolist(), used[first].tolist(), np.diff(first, append=used.size).tolist()))
         return _SlicedPlan(used, runs, batches, max(index.size for _, index in batches))
-    return tuple(zip(row_of.tolist(), col_of.tolist(), coeffs[row_of, col_of].tolist()))
+    entries = tuple(zip(row_of.tolist(), col_of.tolist(), coeffs[row_of, col_of].tolist()))
+    if row_of.size and row_of.size >= _FANIN_WIDTH[m] * live.size:
+        return _FanInPlan(used, runs, _row_sums(coeffs[:, used], m, live), entries)
+    return entries
 
 
 def _row_batches(coeffs, m: int) -> tuple:
@@ -357,6 +457,18 @@ def _row_batches(coeffs, m: int) -> tuple:
             index[j, : counts[r]] = picks[r]
         batches.append((np.array(rows), index))
     return tuple(batches)
+
+
+def _row_sums(coeffs, m: int, live) -> tuple:
+    """The fan-in path's rows as (row, picks) pairs: picks[i] lists the
+    used columns whose coefficient in the row has bit i set, padded to two
+    with the zero plane after them."""
+    zero = coeffs.shape[1]
+    rows = []
+    for r in live.tolist():
+        picks = (np.flatnonzero(coeffs[r] >> i & 1).tolist() for i in range(m))
+        rows.append((r, tuple(tuple(p + [zero] * (2 - len(p))) for p in picks)))
+    return tuple(rows)
 
 
 # Planes of one bit-sliced window, in bytes: a window holds as many uint64

@@ -270,23 +270,41 @@ def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(terms, axis=1)
 
 
-def repair_bulk(code: InnerCode, failed: int, helper_share_cols: dict):
-    """Vectorized exact repair; returns (repaired d x N array, symbols downloaded)."""
+def repair_bulk(code: InnerCode, failed: int, helper_shares):
+    """Vectorized exact repair; returns (repaired d x N array, symbols downloaded).
+
+    ``helper_shares`` yields the d helpers as (node, d x N share) pairs.
+    Each share is checked and copied into its slot of one d x (d N) block,
+    the helpers' shares side by side, before the next is drawn, so a
+    caller that reads them lazily, as ``cluster_repair`` does, holds one
+    at a time.  Helper h uploads psi_f s_h per chunk, its share dotted with
+    the failed node's encoding row psi_f, so one kernel call applies psi_f
+    to the block: a single-row map, which takes the kernel's fan-in path
+    where its row has enough nonzeros for the degree and the block enough
+    columns.  The repaired share is the helpers' encoding rows inverted on
+    those d symbols per chunk alone.
+    """
     p = code.params
     p.check_node(failed)
-    if failed in helper_share_cols:
-        raise ValueError(f"failed node {failed} cannot appear among its helpers")
-    if len(helper_share_cols) != p.d:
-        raise InsufficientNodesError(
-            f"repair needs exactly d={p.d} helpers, got {len(helper_share_cols)}"
-        )
-    code._check_shares(helper_share_cols)
-    helpers = sorted(helper_share_cols)
+    helpers, block = [], None
+    for node, cols in helper_shares:
+        if node == failed:
+            raise ValueError(f"failed node {failed} cannot appear among its helpers")
+        if len(helpers) == p.d:
+            raise InsufficientNodesError(f"repair needs exactly d={p.d} helpers, got more")
+        code._check_shares({node: cols})
+        if block is None:
+            block = np.empty((p.d, p.d, cols.shape[1]), code.field.dtype)
+        elif cols.shape[1:] != block.shape[2:]:
+            raise ValueError("shares differ in chunk count")
+        block[:, len(helpers)] = cols
+        helpers.append(node)
+        del cols  # before the next share is drawn
+    if len(helpers) != p.d:
+        raise InsufficientNodesError(f"repair needs exactly d={p.d} helpers, got {len(helpers)}")
     f = code.field
-    # Row h of uploads is helper h's symbol per chunk: its share dotted
-    # with the failed node's encoding row, one kernel call per helper.
     target_row = np.array(code.encoding_matrix.data[failed - 1 : failed], f.dtype)
-    uploads = np.concatenate([f.mat_mul_cols(target_row, helper_share_cols[h]) for h in helpers])
+    uploads = f.mat_mul_cols(target_row, block.reshape(p.d, -1)).reshape(p.d, -1)  # row i: helper i
     stack = submatrix(code.encoding_matrix, [h - 1 for h in helpers], range(p.d))
     repaired = f.mat_mul_cols(invert(stack).data, uploads)
     return repaired, uploads.size  # one symbol per helper per chunk

@@ -453,9 +453,10 @@ def cluster_repair(root, node: int) -> RepairStats:
             raise InsufficientNodesError(f"repair needs d={p.d} helpers, only {len(live)} live")
         helpers = live[: p.d]
         codec = make_codec(p)
-        # One helper's file buffer at a time: each is copied to d x N as read.
-        helper_cols = {e: cluster.read(e, manifest).T.copy() for e in helpers}
-        repaired, downloaded = repair_bulk(codec.inner, node, helper_cols)
+        # One helper's file buffer at a time: repair_bulk copies each share
+        # into its slot of the helpers' block before the next is read.
+        shares = ((e, cluster.read(e, manifest).T) for e in helpers)
+        repaired, downloaded = repair_bulk(codec.inner, node, shares)
         path.parent.mkdir(exist_ok=True)
         write_share(path, p, node, repaired.T)
     return RepairStats(node, tuple(helpers), manifest.chunk_count, downloaded)

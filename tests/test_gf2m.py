@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -248,17 +249,34 @@ def _xor_all(values):
     return acc
 
 
-def _spy_sliced(monkeypatch):
-    """Record every bit-sliced call mat_mul_cols makes."""
+def _spy_paths(monkeypatch, fan_in_columns=0):
+    """Record the path of every mat_mul_cols call, in each thread: "sliced",
+    "fan-in" or "table".  Fan-in maps take that path from
+    ``fan_in_columns`` columns on: 0 by default, so that the small inputs
+    of these tests reach it; None keeps the shipped column count."""
+    import threading
 
-    calls = []
-    real = Field._mat_mul_sliced
+    from weavesafe import gf2m
 
-    def spy(self, *args):
-        calls.append(self.m)
-        return real(self, *args)
+    if fan_in_columns is not None:
+        monkeypatch.setattr(gf2m, "_FANIN_COLUMNS", fan_in_columns)
+    calls, local = [], threading.local()
+    real_mul = Field.mat_mul_cols
 
-    monkeypatch.setattr(Field, "_mat_mul_sliced", spy)
+    def mul(self, rows, cols):
+        local.path = "table"
+        out = real_mul(self, rows, cols)
+        calls.append(local.path)
+        return out
+
+    monkeypatch.setattr(Field, "mat_mul_cols", mul)
+    for path, name in (("sliced", "_mat_mul_sliced"), ("fan-in", "_mat_mul_fan_in")):
+
+        def spy(self, *args, path=path, real=getattr(Field, name)):
+            local.path = path
+            return real(self, *args)
+
+        monkeypatch.setattr(Field, name, spy)
     return calls
 
 
@@ -266,24 +284,65 @@ def _dense_rows(f, rng, fanout, width):
     return [[rng.randrange(1, f.order) for _ in range(width)] for _ in range(fanout)]
 
 
+def _three_path_maps(f, rng, width):
+    """(rows, path) over ``width`` columns, dense on their first columns: at
+    the bit-sliced threshold fan-out, one row fewer on three columns, and a
+    single row and a below-threshold batch of rows at the fan-in width,
+    then one nonzero fewer.  Every map has the path the rule gives it."""
+    from weavesafe.gf2m import _FANIN_WIDTH, _SLICED_FANOUT
+
+    sliced, fan_in = _SLICED_FANOUT[f.m], _FANIN_WIDTH[f.m]
+    assert width >= max(3, fan_in)
+    pad = lambda rows: [row + [0] * (width - len(row)) for row in rows]
+    return [
+        (pad(_dense_rows(f, rng, sliced, 3)), "sliced"),
+        (pad(_dense_rows(f, rng, sliced - 1, 3)), "fan-in" if 3 >= fan_in else "table"),
+        (pad(_dense_rows(f, rng, 1, fan_in)), "fan-in"),
+        (pad(_dense_rows(f, rng, sliced - 1, fan_in)), "fan-in"),
+        (pad(_dense_rows(f, rng, 1, fan_in - 1)), "table"),
+    ]
+
+
+def _table_product(f, rows, cols):
+    """rows times cols through mul_vec, the table path, one coefficient at a time."""
+    import numpy as np
+
+    out = np.zeros((len(rows), cols.shape[1]), dtype=f.dtype)
+    for r, row in enumerate(rows):
+        for c, a in enumerate(row):
+            if a:
+                out[r] ^= f.mul_vec(a, cols[c])
+    return out
+
+
+def _window(f, rows, path, budget):
+    """Columns of one window of a map with these rows (see Field._windows):
+    the budget holds the m planes of each used column, or fan-in the staged
+    columns, the zero plane, the carry and the m row sums."""
+    used = sum(1 for c in range(len(rows[0])) if any(row[c] for row in rows))
+    rows_per_window = used * f.m if path == "sliced" else used + 2 + f.m
+    return budget // (8 * rows_per_window) * (8 // f.dtype.itemsize)
+
+
 @pytest.mark.parametrize("m", range(3, 17))
 def test_mat_mul_cols_both_paths_match_bruteforce(m, monkeypatch):
     """A dense map at the threshold fan-out takes the bit-sliced path, one
-    row fewer the table path; both equal the brute-force product and the
-    scalar Field.mul, on every input width, with field-width output."""
+    row fewer fan-in or the table path by its row width; rows at the
+    fan-in width take the fan-in path, one nonzero fewer the table path.
+    All equal the brute-force product and the scalar Field.mul, on every
+    input width, with field-width output."""
     import numpy as np
 
-    from weavesafe.gf2m import _SLICED_FANOUT
+    from weavesafe.gf2m import _FANIN_WIDTH
 
     f = Field(m)
     rng = random.Random(100 + m)
     lanes = 8 // f.dtype.itemsize
-    calls = _spy_sliced(monkeypatch)
-    threshold = _SLICED_FANOUT[m]
+    calls = _spy_paths(monkeypatch)
+    width = max(3, _FANIN_WIDTH[m])
     for n in (0, 1, lanes - 1, lanes + 1, 3 * lanes + 5):
-        cols = np.array([[rng.randrange(f.order) for _ in range(n)] for _ in range(3)]).reshape(3, n)
-        for fanout, sliced in ((threshold, True), (threshold - 1, False)):
-            rows = _dense_rows(f, rng, fanout, 3)
+        cols = np.array([[rng.randrange(f.order) for _ in range(n)] for _ in range(width)]).reshape(width, n)
+        for rows, path in _three_path_maps(f, rng, width):
             expected = _product_oracle(m, rows, cols)
             for t in range(min(n, 2)):
                 for r, row in enumerate(rows):
@@ -291,42 +350,50 @@ def test_mat_mul_cols_both_paths_match_bruteforce(m, monkeypatch):
             for dtype in (np.uint8, np.uint16, np.int32) if m <= 8 else (np.uint16, np.int32):
                 del calls[:]
                 out = f.mat_mul_cols(rows, cols.astype(dtype))
-                assert out.dtype == f.dtype and out.shape == (fanout, n)
-                assert out.tolist() == expected, (m, n, fanout, dtype)
-                assert bool(calls) == sliced, (m, n, fanout)
+                assert out.dtype == f.dtype and out.shape == (len(rows), n)
+                assert out.tolist() == expected, (m, n, path, dtype)
+                assert calls == [path], (m, n, len(rows), path)
 
 
-@pytest.mark.parametrize("m", [3, 5, 8, 11, 16])
+@pytest.mark.parametrize("m", range(3, 17))
 def test_mat_mul_cols_zero_rows_and_columns(m, monkeypatch):
+    """An all-zero row and a column no row uses, on each path."""
     import numpy as np
 
-    from weavesafe.gf2m import _SLICED_FANOUT
+    from weavesafe.gf2m import _FANIN_WIDTH, _SLICED_FANOUT
 
     f = Field(m)
     rng = random.Random(200 + m)
-    calls = _spy_sliced(monkeypatch)
-    cols = np.array([[rng.randrange(f.order) for _ in range(21)] for _ in range(4)])
-    for fanout in (_SLICED_FANOUT[m] + 1, 1):
+    calls = _spy_paths(monkeypatch)
+    width = max(3, _FANIN_WIDTH[m]) + 1
+    cols = np.array([[rng.randrange(f.order) for _ in range(21)] for _ in range(width)])
+    for fanout, row_width, path in (
+        (_SLICED_FANOUT[m] + 1, 3, "sliced"),
+        (1, 3, "fan-in" if 3 >= _FANIN_WIDTH[m] else "table"),
+        (min(2, _SLICED_FANOUT[m] - 1), _FANIN_WIDTH[m], "fan-in"),
+        (1, _FANIN_WIDTH[m] - 1, "table"),
+    ):
         # column 1 is never used and row 0 is all zero
-        rows = [[0, 0, 0, 0]] + [
-            [rng.randrange(1, f.order), 0, rng.randrange(1, f.order), rng.randrange(1, f.order)]
+        rows = [[0] * width] + [
+            [rng.randrange(1, f.order), 0] + [rng.randrange(1, f.order) for _ in range(row_width - 1)]
+            + [0] * (width - row_width - 1)
             for _ in range(fanout)
         ]
         del calls[:]
         out = f.mat_mul_cols(rows, cols)
-        assert bool(calls) == (fanout > 1)
+        assert calls == [path], (m, fanout, row_width)
         assert out.tolist() == _product_oracle(m, rows, cols)
-    assert f.mat_mul_cols([[0] * 4] * 3, cols).tolist() == [[0] * 21] * 3
+    assert f.mat_mul_cols([[0] * width] * 3, cols).tolist() == [[0] * 21] * 3
     assert f.mat_mul_cols([], cols).shape == (0, 21)
     assert f.mat_mul_cols([[], []], cols[:0]).tolist() == [[0] * 21] * 2
 
 
-@pytest.mark.parametrize("m", [4, 8, 9, 16])
+@pytest.mark.parametrize("m", range(3, 17))
 def test_mat_mul_cols_window_edges(m, monkeypatch):
-    """Column counts one below, at and one above the bit-sliced window,
-    under the shipped plane budget and under one that forces many windows;
-    every column is checked against the table path and the boundary
-    columns against the brute-force product."""
+    """Column counts one below, at and one above the bit-sliced window of
+    each orientation, under the shipped plane budget and under one that
+    forces many windows; every column is checked against the table path
+    and the boundary columns against the brute-force product."""
     import numpy as np
 
     from weavesafe import gf2m
@@ -334,37 +401,66 @@ def test_mat_mul_cols_window_edges(m, monkeypatch):
     f = Field(m)
     rng = np.random.default_rng(m)
     py_rng = random.Random(m)
-    lanes = 8 // f.dtype.itemsize
-    calls = _spy_sliced(monkeypatch)
-    rows = _dense_rows(f, py_rng, gf2m._SLICED_FANOUT[m] + 2, 3)
+    calls = _spy_paths(monkeypatch)
+    width = gf2m._FANIN_WIDTH[m] + 1
+    maps = (
+        (_dense_rows(f, py_rng, gf2m._SLICED_FANOUT[m] + 2, 3), "sliced"),
+        ([row[:-1] + [0] for row in _dense_rows(f, py_rng, min(2, gf2m._SLICED_FANOUT[m] - 1), width)], "fan-in"),
+    )
     for budget in (gf2m._PLANE_BYTES, 8 * 3 * m * 5):
         monkeypatch.setattr(gf2m, "_PLANE_BYTES", budget)
-        window = budget // (8 * 3 * m) * lanes
-        for n in (window - 1, window, window + 1, 2 * window + 3):
-            cols = rng.integers(0, f.order, (3, n)).astype(f.dtype)
+        for rows, path in maps:
+            window = _window(f, rows, path, budget)
+            for n in (window - 1, window, window + 1, 2 * window + 3):
+                cols = rng.integers(0, f.order, (len(rows[0]), n)).astype(f.dtype)
+                del calls[:]
+                out = f.mat_mul_cols(rows, cols)
+                assert calls == [path], (m, budget, n)
+                assert (out == _table_product(f, rows, cols)).all(), (m, budget, n, path)
+                edges = sorted({0, 1, window - 1, window, n - 1} & set(range(n)))
+                assert out[:, edges].tolist() == _product_oracle(m, rows, cols[:, edges])
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_fan_in_maps_take_tables_below_the_column_count(m, monkeypatch):
+    """A fan-in map, one row and up to four at the fan-in width, takes the
+    table path on one column fewer than _FANIN_COLUMNS and the fan-in path
+    from it on, from one plan, with the same product."""
+    import numpy as np
+
+    from weavesafe import gf2m
+
+    f = Field(m)
+    py_rng = random.Random(400 + m)
+    rng = np.random.default_rng(400 + m)
+    calls = _spy_paths(monkeypatch, fan_in_columns=None)
+    width = gf2m._FANIN_WIDTH[m]
+    for fanout in sorted({1, min(4, gf2m._SLICED_FANOUT[m] - 1)}):
+        rows = _dense_rows(f, py_rng, fanout, width)
+        gf2m._plan.cache_clear()
+        for n, path in ((gf2m._FANIN_COLUMNS - 1, "table"), (gf2m._FANIN_COLUMNS, "fan-in")):
+            cols = rng.integers(0, f.order, (width, n)).astype(f.dtype)
             del calls[:]
             out = f.mat_mul_cols(rows, cols)
-            assert calls, (m, budget, n)
-            table = np.vstack([f.mat_mul_cols(rows[i : i + 2], cols) for i in range(0, len(rows), 2)])
-            assert len(calls) == 1  # pairs of rows stay below the threshold
-            assert (out == table).all(), (m, budget, n)
-            edges = sorted({0, 1, window - 1, window, n - 1} & set(range(n)))
-            assert out[:, edges].tolist() == _product_oracle(m, rows, cols[:, edges])
+            assert calls == [path], (m, fanout, n)
+            assert (out == _table_product(f, rows, cols)).all(), (m, fanout, n)
+        assert gf2m._plan.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("point", [(20, 10, 16, 8), (7, 4, 6, 5)])
 def test_warm_bit_sliced_call_allocates_no_scratch(point, monkeypatch):
-    """Once its thread has made one call, a bit-sliced mat_mul_cols call
-    allocates its output and under 64 KiB besides: planes, carry, gather
-    and reduce come from the thread's workspace.  The calls are those of a
-    256 KiB file's inner encode and read, among them (20,10,16,8)'s inner
-    encode and (7,4,6,5)'s read map."""
+    """Once its thread has made one call, a bit-sliced mat_mul_cols call,
+    either orientation, allocates its output and under 64 KiB besides:
+    planes, carry, gather and sums come from the thread's workspace.  The
+    calls are those of a 256 KiB file's inner encode, read and repair,
+    among them (20,10,16,8)'s inner encode, (7,4,6,5)'s read map and both
+    points' repair upload, on the fan-in path at any column count."""
     import tracemalloc
 
     import numpy as np
 
     from weavesafe import make_codec, params_new
-    from weavesafe.pm_mbr import encode_bulk
+    from weavesafe.pm_mbr import encode_bulk, repair_bulk
 
     p = params_new(*point)
     codec = make_codec(p)
@@ -376,29 +472,33 @@ def test_warm_bit_sliced_call_allocates_no_scratch(point, monkeypatch):
     monkeypatch.setattr(Field, "mat_mul_cols", lambda self, rows, cols: maps.append((rows, cols)) or real(self, rows, cols))
     shares = encode_bulk(codec.inner, codewords)
     codec.outer.coset_decode_bulk(codec.inner, {e: shares[e] for e in range(1, p.k + 1)})
+    repair_bulk(codec.inner, 1, ((e, shares[e]) for e in range(2, p.d + 2)))
     monkeypatch.undo()
-    calls = _spy_sliced(monkeypatch)
+    calls = _spy_paths(monkeypatch)
+    checked = set()
     for rows, cols in maps:
         del calls[:]
         f.mat_mul_cols(rows, cols)
-        if not calls:
+        if calls == ["table"]:
             continue
+        checked.update(calls)
         tracemalloc.start()
         try:
             out = f.mat_mul_cols(rows, cols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes < 64 << 10, (point, out.shape, peak - out.nbytes)
-    assert calls, point
-    assert len(maps[0][0]) == p.n * p.d and len(maps[-1][0]) == p.secure_symbols
+        assert peak - out.nbytes < 64 << 10, (point, calls, out.shape, peak - out.nbytes)
+    assert checked == {"sliced", "fan-in"}, point
+    assert len(maps[0][0]) == p.n * p.d and len(maps[-3][0]) == p.secure_symbols and len(maps[-2][0]) == 1
 
 
 def test_one_field_shared_by_threads(monkeypatch):
     """Three threads share one Field and apply their own maps, one
-    bit-sliced and one on tables each, to inputs of their own widths, 200
-    times, over windows small enough and a switch interval short enough
-    that their calls interleave; every product equals the brute-force one."""
+    bit-sliced, one fan-in and one on tables each, to inputs of their own
+    widths, 200 times, over windows small enough and a switch interval
+    short enough that their calls interleave; every product equals the
+    brute-force one."""
     import sys
     import threading
 
@@ -407,12 +507,16 @@ def test_one_field_shared_by_threads(monkeypatch):
     f = Field(8)
     py_rng = random.Random(8)
     rng = np.random.default_rng(8)
-    monkeypatch.setattr(gf2m, "_PLANE_BYTES", 8 * 6 * 8 * 16)  # 128 symbols a window
-    calls = _spy_sliced(monkeypatch)
+    monkeypatch.setattr(gf2m, "_PLANE_BYTES", 8 * 6 * 8 * 16)  # 128 symbols a window, 384 fan-in
+    calls = _spy_paths(monkeypatch)
     jobs = []
     for width in (700, 900, 1100):
         cols = rng.integers(0, f.order, (6, width)).astype(f.dtype)
-        maps = (_dense_rows(f, py_rng, gf2m._SLICED_FANOUT[8] + 3, 6), _dense_rows(f, py_rng, 2, 6))
+        maps = (
+            _dense_rows(f, py_rng, gf2m._SLICED_FANOUT[8] + 3, 6),
+            _dense_rows(f, py_rng, 2, 6),
+            [row[:3] + [0] * 3 for row in _dense_rows(f, py_rng, 1, 6)],
+        )
         jobs.append([(rows, cols, _product_oracle(8, rows, cols)) for rows in maps])
     wrong = []
 
@@ -434,15 +538,15 @@ def test_one_field_shared_by_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not wrong
-    assert len(calls) == len(jobs) * 200  # the dense maps alone are bit-sliced
+    assert sorted(collections.Counter(calls).items()) == [(path, len(jobs) * 200) for path in ("fan-in", "sliced", "table")]
 
 
 # -- per-process memos of the kernel -------------------------------------------
 
 
-@pytest.mark.parametrize("m", [5, 8, 12, 16])
+@pytest.mark.parametrize("m", range(3, 17))
 def test_one_plan_per_map_whatever_the_column_count(m, monkeypatch):
-    """A map builds one plan on either path, whatever the column count and
+    """A map builds one plan on every path, whatever the column count and
     the input dtype, and every result equals the brute-force product."""
     import numpy as np
 
@@ -452,24 +556,24 @@ def test_one_plan_per_map_whatever_the_column_count(m, monkeypatch):
     rng = random.Random(300 + m)
     np_rng = np.random.default_rng(300 + m)
     lanes = 8 // f.dtype.itemsize
-    calls = _spy_sliced(monkeypatch)
-    threshold = gf2m._SLICED_FANOUT[m]
-    for fanout, sliced in ((threshold + 1, True), (threshold - 1, False)):
-        rows = np.array(_dense_rows(f, rng, fanout, 3), dtype=f.dtype)
-        window = gf2m._PLANE_BYTES // (8 * 3 * m) * lanes
+    calls = _spy_paths(monkeypatch)
+    width = max(3, gf2m._FANIN_WIDTH[m])
+    for rows, path in _three_path_maps(f, rng, width):
+        rows = np.array(rows, dtype=f.dtype)
+        window = _window(f, rows.tolist(), path, gf2m._PLANE_BYTES) if path != "table" else 64
         gf2m._plan.cache_clear()
         for n in (0, 1, lanes - 1, lanes + 1, window - 1, window + 1, 2 * window + 3):
-            cols = np_rng.integers(0, f.order, (3, n)).astype(f.dtype)
+            cols = np_rng.integers(0, f.order, (width, n)).astype(f.dtype)
             del calls[:]
             out = f.mat_mul_cols(rows, cols)
-            assert bool(calls) == sliced, (m, n, fanout)
+            assert calls == [path], (m, n, len(rows), path)
             edges = sorted({0, 1, lanes, window - 1, window, n - 1} & set(range(n)))
             assert out[:, edges].tolist() == _product_oracle(m, rows.tolist(), cols[:, edges])
             if n <= 2 * lanes:
                 assert out.tolist() == _product_oracle(m, rows.tolist(), cols)
             assert (f.mat_mul_cols(rows.tolist(), cols.astype(np.int32)) == out).all()
         info = gf2m._plan.cache_info()
-        assert (info.misses, info.currsize) == (1, 1), (m, fanout, info)
+        assert (info.misses, info.currsize) == (1, 1), (m, path, info)
 
 
 def test_plan_memo_stays_at_its_bound():

@@ -59,7 +59,7 @@ def reconstruct_one(code, shares: dict) -> list:
 
 def repair_one(code, failed, shares: dict) -> list:
     cols = {e: column(code, share) for e, share in shares.items()}
-    repaired, downloaded = repair_bulk(code, failed, cols)
+    repaired, downloaded = repair_bulk(code, failed, cols.items())
     assert downloaded == len(shares)  # one symbol per helper
     return repaired[:, 0].tolist()
 
@@ -370,16 +370,16 @@ def test_bulk_repair_matches_scalar(code534):
     chunks = [random_codeword(code534, rng) for _ in range(13)]
     cols = np.array(chunks, dtype=np.int32).T
     shares = encode_bulk(code534, cols)
-    repaired, downloaded = repair_bulk(code534, 3, {e: shares[e] for e in (1, 2, 4, 5)})
+    repaired, downloaded = repair_bulk(code534, 3, ((e, shares[e]) for e in (1, 2, 4, 5)))
     assert repaired.tolist() == shares[3].tolist()
     assert downloaded == 4 * 13
 
 
 def test_bulk_kernel_calls_keep_their_symbol_counts(monkeypatch):
     """encode_bulk applies all n*d generator rows in one kernel call, and
-    repair_bulk applies the failed node's 1 x d encoding row to each
-    helper's d x N share in one kernel call per helper: the same symbol
-    multiplications as per-node and per-coefficient calls."""
+    repair_bulk applies the failed node's 1 x d encoding row once, to the
+    d helpers' d x N shares side by side: the same symbol multiplications
+    (nonzero coefficients times columns) as per-node and per-helper calls."""
     from weavesafe.gf2m import Field
 
     code = inner(7, 4, 6, 5)
@@ -405,13 +405,16 @@ def test_bulk_kernel_calls_keep_their_symbol_counts(monkeypatch):
         assert shares[e].tolist() == code.field.mat_mul_cols(code.generator_matrix(e).data, cols).tolist()
 
     del calls[:]
-    helpers = {e: shares[e] for e in range(2, p.d + 2)}
-    repaired, downloaded = repair_bulk(code, 1, helpers)
+    repaired, downloaded = repair_bulk(code, 1, ((e, shares[e]) for e in range(2, p.d + 2)))
     uploads = [c for c in calls if c[0] == "mat_mul_cols" and len(c[1]) == 1]
-    assert [np.asarray(c[1]).tolist() for c in uploads] == [[code.encoding_matrix.data[0]]] * p.d
-    assert all(c[2] == (p.d, 19) for c in uploads)
-    nonzero = [a for a in code.encoding_matrix.row(0) if a]  # table path: one mul_vec each
-    assert [c[1] for c in calls if c[0] == "mul_vec"][: p.d * len(nonzero)] == nonzero * p.d
+    assert [np.asarray(c[1]).tolist() for c in uploads] == [[code.encoding_matrix.data[0]]]
+    assert uploads[0][2] == (p.d, p.d * 19)
+    # 6 * 19 columns are below the fan-in column count, so the upload is on
+    # tables: one gather per nonzero coefficient over every helper's chunks,
+    # the d * 19 multiplications of each that d per-helper calls made.
+    nonzero = [a for a in code.encoding_matrix.row(0) if a]
+    gathers = [c[1:] for c in calls if c[0] == "mul_vec"][: len(nonzero)]
+    assert gathers == [(a, (p.d * 19,)) for a in nonzero]
     assert repaired.tolist() == shares[1].tolist() and downloaded == p.d * 19
 
 

@@ -759,3 +759,154 @@ def test_v1_corpus_reconstructs_and_repairs(tmp_path, name):
     repaired = Cluster(root).share_path(1).read_bytes()
     assert repaired == (committed / "node_1" / "share.wsrc").read_bytes()
     assert cluster_reconstruct(root) == GOLDEN_DATA
+
+
+# -- repair through one upload map ------------------------------------------------
+
+
+@pytest.mark.parametrize("point", [(5, 3, 4, 8), (7, 4, 6, 5), (4, 3, 3, 4)], ids=str)
+def test_repair_from_every_helper_set(tmp_path, point):
+    """For every failed node and every d-subset of the other nodes, the
+    repaired share equals the stored one and the download is d symbols per
+    chunk: in memory from each subset, and on disk, where the cluster
+    repairs from the first d live nodes."""
+    from itertools import combinations
+
+    from weavesafe.pm_mbr import repair_bulk
+
+    p = params_new(*point)
+    inner = make_codec(p).inner
+    root = tmp_path / "c"
+    data = bytes(random.Random(sum(point)).randrange(256) for _ in range(3000))
+    manifest = cluster_store(data, p, root, seed=3)
+    cluster = Cluster(root)
+    shares = {e: cluster.read(e, manifest).T.copy() for e in range(1, p.n + 1)}
+    n_chunks = manifest.chunk_count
+    for failed in range(1, p.n + 1):
+        others = [e for e in range(1, p.n + 1) if e != failed]
+        for helpers in combinations(others, p.d):
+            repaired, downloaded = repair_bulk(inner, failed, ((h, shares[h]) for h in helpers))
+            assert (repaired == shares[failed]).all(), (point, failed, helpers)
+            assert downloaded == p.d * n_chunks
+        stored = cluster.share_path(failed).read_bytes()
+        cluster_fail(root, failed)
+        stats = cluster_repair(root, failed)
+        assert cluster.share_path(failed).read_bytes() == stored, (point, failed)
+        assert stats.helpers == tuple(others[: p.d])
+        assert stats.symbols_downloaded == p.d * n_chunks and stats.symbols_per_chunk == p.d
+
+
+def test_repair_peak_memory_stays_at_the_helpers_block(tmp_path):
+    """A warm repair of a 1 MiB file at (20,10,16,8) allocates at most
+    2.62 MiB above what it enters with, where the copy of each helper to
+    d x N as read held it before: the d x (d N) block of the helpers'
+    shares (2.27 MiB), the uploads and the repaired share."""
+    import tracemalloc
+
+    p = params_new(20, 10, 16, 8)
+    root = tmp_path / "c"
+    cluster_store(bytes(np.random.default_rng(1).integers(0, 256, 1 << 20, dtype=np.uint8)), p, root, seed=1)
+    cluster_fail(root, 1)
+    cluster_repair(root, 1)  # plans, inverse and the thread's kernel workspace
+    cluster_fail(root, 1)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        cluster_repair(root, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 2.62 * 2**20, (peak - entry) / 2**20
+
+
+def _kernel_paths(monkeypatch, run):
+    """Run ``run`` and return, for each mat_mul_cols call it makes, the map's
+    shape, its column count, its path, the path the fan-out rule alone gave
+    before the fan-in path (bit-sliced iff nonzeros >= _SLICED_FANOUT[m] *
+    used columns) and whether the width rule makes it a fan-in map (not
+    bit-sliced, and nonzeros >= _FANIN_WIDTH[m] * rows with any)."""
+    from weavesafe import gf2m
+    from weavesafe.gf2m import Field
+
+    maps, path = [], []
+    real_mul = Field.mat_mul_cols
+
+    def mul(self, rows, cols):
+        path.append("table")
+        out = real_mul(self, rows, cols)
+        coeffs = np.asarray(rows, dtype=self.dtype).reshape(len(rows), -1)
+        nonzero, used = np.count_nonzero(coeffs), np.count_nonzero(coeffs.any(axis=0))
+        before = "sliced" if nonzero and nonzero >= gf2m._SLICED_FANOUT[self.m] * used else "table"
+        wide = before == "table" and nonzero and nonzero >= gf2m._FANIN_WIDTH[self.m] * coeffs.any(axis=1).sum()
+        maps.append((coeffs.shape, cols.shape[1], path.pop(), before, bool(wide)))
+        return out
+
+    monkeypatch.setattr(Field, "mat_mul_cols", mul)
+    for name, kind in (("_mat_mul_sliced", "sliced"), ("_mat_mul_fan_in", "fan-in")):
+
+        def spy(self, *args, kind=kind, real=getattr(Field, name)):
+            path[-1] = kind
+            return real(self, *args)
+
+        monkeypatch.setattr(Field, name, spy)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return maps
+
+
+# Maps of one store, read and repair cycle that the width rule makes fan-in
+# maps: (shape, count).  Every one has a single row (the repair upload over
+# the d helpers' d N columns, the others coset solve steps over N) but
+# (5,3,4,8)'s 4 x 4 maps (a coset solve step and the repair inverse), whose
+# rows hold four nonzeros, the fan-in width at m = 8.
+FAN_IN_MAPS = {
+    (5, 3, 4, 8): [((1, 4), 1), ((4, 4), 2)],
+    (12, 6, 10, 8): [((1, 5), 4), ((1, 9), 1), ((1, 10), 1)],
+    (20, 10, 16, 8): [((1, 9), 6), ((1, 15), 1), ((1, 16), 1)],
+    (12, 6, 10, 16): [],
+    (7, 4, 6, 5): [((1, 3), 2), ((1, 5), 1), ((1, 6), 1)],
+    (6, 3, 5, 4): [((1, 2), 2), ((1, 4), 1), ((1, 5), 1)],
+}
+
+
+@pytest.mark.parametrize("point", sorted(FAN_IN_MAPS), ids=str)
+def test_fan_in_moves_only_the_listed_maps(tmp_path, monkeypatch, point):
+    """In a store, read and repair cycle of a 1 MiB file, the fan-in maps
+    are the listed ones; they take the fan-in path on _FANIN_COLUMNS
+    columns or more and stay on tables below, and every other map keeps
+    the path the fan-out rule gave it.  At (20,10,16,8) and (12,6,10,8)
+    the upload moves and the coset steps, over N columns, stay."""
+    from collections import Counter
+
+    from weavesafe import gf2m
+
+    p = params_new(*point)
+    root = tmp_path / "c"
+    data = np.random.default_rng(1).integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
+
+    def cycle():
+        cluster_store(data, p, root, seed=1)
+        assert cluster_reconstruct(root) == data
+        cluster_fail(root, 1)
+        cluster_repair(root, 1)
+
+    maps = _kernel_paths(monkeypatch, cycle)
+    assert sorted(Counter(shape for shape, _, _, _, wide in maps if wide).items()) == FAN_IN_MAPS[point]
+    for shape, columns, path, before, wide in maps:
+        assert path == ("fan-in" if wide and columns >= gf2m._FANIN_COLUMNS else before), (shape, columns)
+    assert any(path == "sliced" for _, _, path, _, _ in maps)
+    if point in ((20, 10, 16, 8), (12, 6, 10, 8)):
+        assert {path for _, _, path, _, wide in maps if wide} == {"fan-in", "table"}
+
+
+@pytest.mark.parametrize("point, guesses", [((6, 3, 5, 4), 4), ((7, 4, 6, 5), 3)], ids=str)
+def test_fan_in_moves_no_audit_map(monkeypatch, point, guesses):
+    """The audit's kernel maps (the quotient's products, one nonzero a row)
+    all keep the path the fan-out rule gave them."""
+    from weavesafe.audit import audit_report
+
+    codec = make_codec(params_new(*point))
+    maps = _kernel_paths(monkeypatch, lambda: audit_report(codec, guesses=guesses))
+    assert maps and all(path == before and not wide for _, _, path, before, wide in maps)
