@@ -13,14 +13,21 @@ mirrored below the diagonal.  Symbol indices and node indices are
 1-based at this module's boundary, matching how operators and reports
 count them.
 
+Reconstruct and repair take (node, d x N share) pairs through one
+intake, one pair at a time: it checks the pair (node in 1..n, neither the
+failed node nor drawn before, d rows, the first share's chunk count),
+copies the share to block[:, i] of one d x d x N block, i its draw index,
+and drops it before drawing the next, so a lazy caller holds one share at
+a time.  A read draws k pairs and no more, a repair exactly d.
+
 A read returns virtual nodes' symbols.  Split the read nodes' encoding
 rows Psi = [Psi1 | Psi2] after column k and M = [[S, T], [T', 0]]: their
 shares are Y = Psi M = [Psi1 S + Psi2 T' | Psi1 T], so the wing is
-T = Psi1^-1 Y[:, k:], column t < k of M is [Psi1^-1 (Y[:, t] + Psi2 T[t]');
-T[t]'] and column t >= k is [T[:, t-k]; 0].  A node with coefficient row
-phi would store phi M[:, t] as its type-t symbol, so any such symbols
-(unit rows at the message cells give the codeword) are one kernel map
-on the shares and the wing.
+T = Psi1^-1 Y[:, k:], solved into the block's free slots block[:k, k:];
+column t < k of M is then [Psi1^-1 (Y[:, t] + Psi2 T[t]'); T[t]'] and
+column t >= k is [T[:, t-k]; 0].  A node with coefficient row phi would
+store phi M[:, t] as its type-t symbol, so any such symbols (unit rows at
+the message cells give the codeword) are one kernel map on block[:k].
 
 ``CodeParams`` owns the point budget 2^m >= n + 2d, the (n+d) x d Cauchy
 stack on those points (every square submatrix nonsingular) and its typed
@@ -31,6 +38,7 @@ function of (n, k, d, m) alone.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -199,16 +207,6 @@ class InnerCode:
         self.params.check_node(node)
         return Matrix.derived(self.field, self.params.typed_rows[node - 1].tolist())
 
-    def _check_shares(self, share_cols: dict):
-        """Every node index in range and every share d rows tall, all of
-        one chunk count."""
-        for node, cols in share_cols.items():
-            self.params.check_node(node)
-            if len(cols) != self.params.d:
-                raise ValueError(f"share for node {node} has {len(cols)} rows, expected {self.params.d}")
-        if len({cols.shape[1:] for cols in share_cols.values()}) > 1:
-            raise ValueError("shares differ in chunk count")
-
 
 # -- encode, reconstruct and repair -------------------------------------------
 # Each map works on numpy arrays holding one column per chunk; a single
@@ -227,41 +225,60 @@ def encode_bulk(code: InnerCode, codeword_cols):
     return {e: out[(e - 1) * d : e * d] for e in range(1, code.params.n + 1)}
 
 
-def reconstruct_bulk(code: InnerCode, share_cols: dict, rows: VirtualRows | None = None):
+def _take_shares(code: InnerCode, pairs, count: int, failed: int | None = None):
+    """The intake of the module docstring: (nodes, block) from ``count`` pairs."""
+    p, nodes = code.params, []
+    for node, share in pairs:
+        if len(nodes) == count:
+            raise InsufficientNodesError(f"need exactly {count} shares, got more")
+        p.check_node(node)
+        if node == failed or node in nodes:
+            raise ValueError(f"node {node} cannot appear {'twice' if node in nodes else 'among its helpers'}")
+        if not nodes:
+            block = np.empty((p.d, p.d, share.shape[-1]), code.field.dtype)
+        if share.shape != block.shape[1:]:
+            shape = f"{len(share)} rows, expected {p.d}, and chunk count {share.shape[-1]}, expected {block.shape[2]}"
+            raise ValueError(f"share for node {node} has {shape}")
+        block[:, len(nodes)] = share
+        nodes.append(node)
+        del share  # before the next pair is drawn
+    if len(nodes) < count:
+        raise InsufficientNodesError(f"need {count} shares, got {len(nodes)}")
+    return nodes, block
+
+
+def _inverse(code: InnerCode, nodes: list) -> np.ndarray:
+    """The inverse of the nodes' encoding rows on their first len(nodes)
+    columns: a read set's Psi1^-1, d helpers' Psi_H^-1."""
+    square = submatrix(code.encoding_matrix, [e - 1 for e in nodes], range(len(nodes)))
+    return np.array(invert(square).data, code.field.dtype)
+
+
+def reconstruct_bulk(code: InnerCode, shares, rows: VirtualRows | None = None):
     """The read map of the module docstring: the symbols ``rows`` names, by
-    default the codeword, of every chunk, from the first k shares (node ->
-    d x N array, copied once: a transposed view is fine).  Block t < k of
-    its input is [Y[:, t]; T[t]'], which a type-t row reads with weights
-    [phi1 Psi1^-1 | phi1 Psi1^-1 Psi2 + phi2]; a row of type t >= k reads
-    phi1 on column t of every block, where T[:, t-k] sits.  The weights
-    come from the field's log/exp tables, not the kernel.
+    default the codeword, of every chunk, from the first k (node, d x N
+    share) pairs drawn from ``shares`` by the intake, in that order (a
+    transposed view is fine).  Block t < k of ``block[:k]`` is [Y[:, t];
+    T[t]'], which a type-t row reads with weights [phi1 Psi1^-1 |
+    phi1 Psi1^-1 Psi2 + phi2]; a row of type t >= k reads phi1 on column t
+    of every block, where T[:, t-k] sits.  The weights come from the
+    field's log/exp tables, not the kernel.
     """
     k, d = code.params.k, code.params.d
-    if len(share_cols) < k:
-        raise InsufficientNodesError(f"need at least k={k} shares, got {len(share_cols)}")
-    code._check_shares(share_cols)
+    nodes, block = _take_shares(code, islice(shares, k), k)
     types, phi = code.codeword_rows if rows is None else rows
-    nodes = sorted(share_cols)[:k]
     f = code.field
-    node_rows = [e - 1 for e in nodes]
-    psi1_inv = np.array(invert(submatrix(code.encoding_matrix, node_rows, range(k))).data, f.dtype)
-    psi2 = np.array(submatrix(code.encoding_matrix, node_rows, range(k, d)).data, f.dtype)
-
-    n_chunks = share_cols[nodes[0]].shape[1]
-    inputs = np.empty((k, d, n_chunks), f.dtype)  # block t, then position
-    for i, e in enumerate(nodes):
-        inputs[:, i] = share_cols[e][:k]
-    wing = np.stack([share_cols[e][k:] for e in nodes]).reshape(k, (d - k) * n_chunks)
-    wing = f.mat_mul_cols(psi1_inv, wing)  # solved before the map runs; empty if d == k
-    inputs[:, k:] = wing.reshape(k, d - k, n_chunks)
-    del wing
+    psi1_inv = _inverse(code, nodes)
+    psi2 = np.array(submatrix(code.encoding_matrix, [e - 1 for e in nodes], range(k, d)).data, f.dtype)
+    rhs = block[k:, :k].transpose(1, 0, 2)  # Y[:, k:] as a view; reshaping copies it for one call
+    block[:k, k:] = f.mat_mul_cols(psi1_inv, rhs.reshape(k, -1)).reshape(k, d - k, block.shape[2])  # T
 
     read = np.zeros((len(types), k, d), f.dtype)
     low, high = types < k, np.flatnonzero(types >= k)
     g1 = _product(f, phi[low, :k], psi1_inv)
     read[low, types[low]] = np.hstack([g1, _product(f, g1, psi2) ^ phi[low, k:]])
     read[high[:, None], np.arange(k), types[high, None]] = phi[high, :k]
-    return f.mat_mul_cols(read.reshape(len(read), -1), inputs.reshape(k * d, -1))
+    return f.mat_mul_cols(read.reshape(len(read), -1), block[:k].reshape(k * d, -1))
 
 
 def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -273,38 +290,20 @@ def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def repair_bulk(code: InnerCode, failed: int, helper_shares):
     """Vectorized exact repair; returns (repaired d x N array, symbols downloaded).
 
-    ``helper_shares`` yields the d helpers as (node, d x N share) pairs.
-    Each share is checked and copied into its slot of one d x (d N) block,
-    the helpers' shares side by side, before the next is drawn, so a
-    caller that reads them lazily, as ``cluster_repair`` does, holds one
-    at a time.  Helper h uploads psi_f s_h per chunk, its share dotted with
-    the failed node's encoding row psi_f, so one kernel call applies psi_f
-    to the block: a single-row map, which takes the kernel's fan-in path
-    where its row has enough nonzeros for the degree and the block enough
-    columns.  The repaired share is the helpers' encoding rows inverted on
-    those d symbols per chunk alone.
+    ``helper_shares`` yields the d helpers' (node, d x N share) pairs, which
+    the intake copies to the block, helper i at ``block[:, i]``, so a lazy
+    caller, as ``cluster_repair`` is, holds one share at a time.  Helper i
+    uploads psi_f s_i per chunk, its share dotted with the failed node's
+    encoding row psi_f: one single-row kernel map on the block as d x (d N),
+    which takes the fan-in path where its row has enough nonzeros for the
+    degree and the block enough columns.  The repaired share is the
+    helpers' encoding rows inverted on those d symbols per chunk alone.
     """
     p = code.params
     p.check_node(failed)
-    helpers, block = [], None
-    for node, cols in helper_shares:
-        if node == failed:
-            raise ValueError(f"failed node {failed} cannot appear among its helpers")
-        if len(helpers) == p.d:
-            raise InsufficientNodesError(f"repair needs exactly d={p.d} helpers, got more")
-        code._check_shares({node: cols})
-        if block is None:
-            block = np.empty((p.d, p.d, cols.shape[1]), code.field.dtype)
-        elif cols.shape[1:] != block.shape[2:]:
-            raise ValueError("shares differ in chunk count")
-        block[:, len(helpers)] = cols
-        helpers.append(node)
-        del cols  # before the next share is drawn
-    if len(helpers) != p.d:
-        raise InsufficientNodesError(f"repair needs exactly d={p.d} helpers, got {len(helpers)}")
+    helpers, block = _take_shares(code, helper_shares, p.d, failed)
     f = code.field
     target_row = np.array(code.encoding_matrix.data[failed - 1 : failed], f.dtype)
     uploads = f.mat_mul_cols(target_row, block.reshape(p.d, -1)).reshape(p.d, -1)  # row i: helper i
-    stack = submatrix(code.encoding_matrix, [h - 1 for h in helpers], range(p.d))
-    repaired = f.mat_mul_cols(invert(stack).data, uploads)
+    repaired = f.mat_mul_cols(_inverse(code, helpers), uploads)
     return repaired, uploads.size  # one symbol per helper per chunk

@@ -56,6 +56,8 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sBBBBBBHI")
 # The header holds n, k, d and the node index in one byte each.
 _MAX_NODES = 255
+# Node e's share file, relative to the cluster root.
+_SHARE_PATH = "node_{}/share.wsrc"
 
 
 # -- plaintext <-> symbols ---------------------------------------------------
@@ -189,7 +191,7 @@ class SymbolSource:
 
 def _share_map(n: int) -> dict:
     """The manifest's node -> relative share path map, fixed by n."""
-    return {str(e): f"node_{e}/share.wsrc" for e in range(1, n + 1)}
+    return {str(e): _SHARE_PATH.format(e) for e in range(1, n + 1)}
 
 
 @dataclass
@@ -353,7 +355,7 @@ class Cluster:
         return Manifest.from_json(self.manifest_path.read_text())
 
     def share_path(self, node: int) -> Path:
-        return self.root / f"node_{node}" / "share.wsrc"
+        return self.root / _SHARE_PATH.format(node)
 
     def live_nodes(self, manifest: Manifest) -> list[int]:
         """Nodes whose share file exists, given the operation's manifest."""
@@ -398,10 +400,10 @@ def cluster_store(data: bytes, params: CodeParams, root, seed=None) -> Manifest:
             path.parent.mkdir(exist_ok=True)
             write_share(path, params, e, node_shares[e].T)
         # A share above n, left by an earlier store, would still hold its file.
-        for entry in os.scandir(cluster.root):
-            e = entry.name.removeprefix("node_")
-            if e != entry.name and e.isdecimal() and int(e) > params.n:
-                cluster.share_path(int(e)).unlink(missing_ok=True)
+        for path in cluster.root.glob(_SHARE_PATH.format("*")):
+            e = path.parent.name.removeprefix(_SHARE_PATH.split("{}")[0])
+            if e.isdecimal() and int(e) > params.n:
+                path.unlink()
         cluster.manifest_path.write_text(manifest.to_json())
     return manifest
 
@@ -411,13 +413,10 @@ def cluster_reconstruct(root) -> bytes:
     cluster = Cluster(root)
     manifest = cluster.manifest()
     p = manifest.params
-    live = cluster.live_nodes(manifest)
-    if len(live) < p.k:
-        raise InsufficientNodesError(f"only {len(live)} live nodes, need k={p.k}")
     codec = make_codec(p)
-    shares = {e: cluster.read(e, manifest).T for e in live[: p.k]}
+    # The intake draws k shares, one file buffer at a time, and refuses fewer.
+    shares = ((e, cluster.read(e, manifest).T) for e in cluster.live_nodes(manifest))
     chunks = codec.outer.coset_decode_bulk(codec.inner, shares)
-    del shares  # freed before the plaintext bytes are assembled
     data = unchunk_plaintext(chunks.T, manifest.original_length, p)
     digest = hashlib.sha256(data).hexdigest()
     if digest != manifest.digest_sha256:
@@ -448,13 +447,9 @@ def cluster_repair(root, node: int) -> RepairStats:
         path = cluster.share_path(node)
         if path.exists():
             raise ValueError(f"node {node} is live; nothing to repair")
-        live = cluster.live_nodes(manifest)
-        if len(live) < p.d:
-            raise InsufficientNodesError(f"repair needs d={p.d} helpers, only {len(live)} live")
-        helpers = live[: p.d]
+        helpers = cluster.live_nodes(manifest)[: p.d]
         codec = make_codec(p)
-        # One helper's file buffer at a time: repair_bulk copies each share
-        # into its slot of the helpers' block before the next is read.
+        # One helper's file buffer at a time, as in cluster_reconstruct.
         shares = ((e, cluster.read(e, manifest).T) for e in helpers)
         repaired, downloaded = repair_bulk(codec.inner, node, shares)
         path.parent.mkdir(exist_ok=True)
@@ -472,7 +467,7 @@ def cluster_observation_demo(cluster: Cluster, manifest: Manifest) -> dict:
     """Check that each live node's share is its generator matrix applied to the codewords."""
     inner = make_codec(manifest.params).inner
     share_cols = {e: cluster.read(e, manifest).T for e in cluster.live_nodes(manifest)}
-    codeword_cols = reconstruct_bulk(inner, share_cols)
+    codeword_cols = reconstruct_bulk(inner, share_cols.items())
     expected = encode_bulk(inner, codeword_cols)
     ok = sum(1 for e, cols in share_cols.items() if (expected[e] == cols).all())
     return {"chunks": int(codeword_cols.shape[1]), "nodes": len(share_cols), "nodes_verified": ok}

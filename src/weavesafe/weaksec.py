@@ -181,10 +181,11 @@ class OuterCode:
             out[[b - 1 for b in step.variables]] = f.mat_mul_cols(step.inverse, rhs)
         return out
 
-    def coset_decode_bulk(self, inner: InnerCode, share_cols: dict):
-        """The message of every chunk, H * c, read from k shares of the
-        inner code (node -> d x N array) as virtual nodes' symbols."""
-        return reconstruct_bulk(inner, share_cols, self.check_rows)
+    def coset_decode_bulk(self, inner: InnerCode, shares):
+        """The message of every chunk, H * c, read as virtual nodes' symbols
+        from the first k (node, d x N share) pairs of ``shares``, which
+        ``reconstruct_bulk`` draws through the inner code's intake."""
+        return reconstruct_bulk(inner, shares, self.check_rows)
 
 
 @lru_cache(maxsize=_CODEC_MEMO)

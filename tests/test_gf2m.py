@@ -471,7 +471,7 @@ def test_warm_bit_sliced_call_allocates_no_scratch(point, monkeypatch):
     maps, real = [], Field.mat_mul_cols
     monkeypatch.setattr(Field, "mat_mul_cols", lambda self, rows, cols: maps.append((rows, cols)) or real(self, rows, cols))
     shares = encode_bulk(codec.inner, codewords)
-    codec.outer.coset_decode_bulk(codec.inner, {e: shares[e] for e in range(1, p.k + 1)})
+    codec.outer.coset_decode_bulk(codec.inner, ((e, shares[e]) for e in range(1, p.k + 1)))
     repair_bulk(codec.inner, 1, ((e, shares[e]) for e in range(2, p.d + 2)))
     monkeypatch.undo()
     calls = _spy_paths(monkeypatch)

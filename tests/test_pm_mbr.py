@@ -54,7 +54,7 @@ def encode_one(code, codeword) -> dict:
 
 def reconstruct_one(code, shares: dict) -> list:
     cols = {e: column(code, share) for e, share in shares.items()}
-    return reconstruct_bulk(code, cols)[:, 0].tolist()
+    return reconstruct_bulk(code, cols.items())[:, 0].tolist()
 
 
 def repair_one(code, failed, shares: dict) -> list:
@@ -269,7 +269,7 @@ def test_reconstruct_errors(code534):
         reconstruct_one(code534, {0: [0] * 4, 1: [0] * 4, 2: [0] * 4})
     widths = {1: 2, 2: 2, 3: 1}  # one column would otherwise broadcast over two
     with pytest.raises(ValueError, match="chunk count"):
-        reconstruct_bulk(code534, {e: np.zeros((4, w), code534.field.dtype) for e, w in widths.items()})
+        reconstruct_bulk(code534, ((e, np.zeros((4, w), code534.field.dtype)) for e, w in widths.items()))
 
 
 # -- repair --------------------------------------------------------------------
@@ -343,6 +343,78 @@ def test_repair_exact_on_other_parameters():
             assert reconstruct_one(code, {e: shares[e] for e in subset}) == x
 
 
+# -- the share intake --------------------------------------------------------
+
+# Each case: the map, the nodes it is handed in order (a tuple is (node,
+# rows, chunks) of a share unlike the others' 4 x 2), and the refusal. A
+# read draws 3 shares at (6,3,4,4); a repair rebuilds node 1 from 4 helpers.
+INTAKE_REFUSALS = {
+    "read-node-out-of-range": ("read", [1, 2, 9], ValueError, "node index 9 out of range"),
+    "repair-node-out-of-range": ("repair", [2, 3, 9, 4], ValueError, "node index 9 out of range"),
+    "read-bool-node": ("read", [1, True, 3], ValueError, "node index True out of range"),
+    "repair-bool-node": ("repair", [2, True, 4, 5], ValueError, "node index True out of range"),
+    "read-row-count": ("read", [1, (2, 3, 2), 3], ValueError, "node 2 has 3 rows, expected 4"),
+    "repair-row-count": ("repair", [2, 3, 4, (5, 5, 2)], ValueError, "node 5 has 5 rows, expected 4"),
+    "read-chunk-count": ("read", [1, 2, (3, 4, 1)], ValueError, "node 3 .* chunk count 1, expected 2"),
+    "repair-chunk-count": ("repair", [2, (3, 4, 3), 4, 5], ValueError, "node 3 .* chunk count 3, expected 2"),
+    "read-repeated-node": ("read", [1, 2, 2], ValueError, "node 2 cannot appear twice"),
+    "repair-repeated-node": ("repair", [2, 3, 3, 4], ValueError, "node 3 cannot appear twice"),
+    "repair-failed-node-as-helper": ("repair", [2, 1, 3, 4], ValueError, "node 1 cannot appear among its helpers"),
+    "read-too-few": ("read", [1, 2], InsufficientNodesError, "need 3 shares, got 2"),
+    "repair-too-few": ("repair", [2, 3, 4], InsufficientNodesError, "need 4 shares, got 3"),
+    "repair-more-than-d": ("repair", [2, 3, 4, 5, 6], InsufficientNodesError, "need exactly 4 shares, got more"),
+}
+
+
+@pytest.mark.parametrize("case", INTAKE_REFUSALS)
+def test_intake_refusals(case, monkeypatch):
+    """reconstruct_bulk and repair_bulk take shares through one intake, which
+    refuses each bad pair with an error naming the node, or the short or long
+    share set, before any kernel call.  A repeated node, once a singular
+    solve, is refused by name."""
+    from weavesafe.gf2m import Field
+
+    kind, nodes, error, match = INTAKE_REFUSALS[case]
+    code = inner(6, 3, 4, 4)
+    specs = (e if isinstance(e, tuple) else (e, 4, 2) for e in nodes)
+    pairs = ((e, np.zeros((rows, chunks), code.field.dtype)) for e, rows, chunks in specs)
+    calls = []
+    monkeypatch.setattr(Field, "mat_mul_cols", lambda *args: calls.append(args))
+    with pytest.raises(error, match=match):
+        reconstruct_bulk(code, pairs) if kind == "read" else repair_bulk(code, 1, pairs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["read", "repair"])
+def test_intake_draws_its_count_one_share_at_a_time(kind):
+    """A read draws exactly k pairs, though more are offered, and a repair its
+    d helpers; each drawn share is dropped before the next pair is drawn."""
+    import weakref
+
+    code = inner(6, 3, 4, 4)
+    p = code.params
+    x = np.random.default_rng(3).integers(0, 16, (p.total_symbols, 5)).astype(code.field.dtype)
+    shares = encode_bulk(code, x)
+    offered = [1, 2, 3, 4, 5, 6] if kind == "read" else [2, 3, 4, 5]
+    drawn, refs = [], []
+
+    def pairs():
+        for e in offered:
+            assert all(r() is None for r in refs), (drawn, e)  # every earlier share dropped
+            share = shares[e].copy()
+            refs.append(weakref.ref(share))
+            drawn.append(e)
+            yield e, share
+            del share
+
+    if kind == "read":
+        assert reconstruct_bulk(code, pairs()).tolist() == x.tolist()
+        assert drawn == [1, 2, 3]
+    else:
+        assert repair_bulk(code, 1, pairs())[0].tolist() == shares[1].tolist()
+        assert drawn == [2, 3, 4, 5]
+
+
 # -- bulk variants ----------------------------------------------------------
 
 
@@ -361,7 +433,7 @@ def test_bulk_reconstruct_matches_scalar(code534):
     chunks = [random_codeword(code534, rng) for _ in range(13)]
     cols = np.array(chunks, dtype=np.int32).T
     shares = encode_bulk(code534, cols)
-    recovered = reconstruct_bulk(code534, {e: shares[e] for e in (2, 4, 5)})
+    recovered = reconstruct_bulk(code534, ((e, shares[e]) for e in (2, 4, 5)))
     assert recovered.T.tolist() == chunks
 
 
@@ -475,7 +547,7 @@ def test_reconstruct_upper_triangle_matches_full_product(monkeypatch):
                 subset = rng.sample(range(1, p.n + 1), k)
                 chosen = {e: shares[e] for e in subset}
                 del mults[:]
-                got = reconstruct_bulk(code, chosen)
+                got = reconstruct_bulk(code, chosen.items())
                 wing = k * (d - k)
                 assert sum(mults) == (k * wing + k * (k + 1) // 2 * d + wing) * 23, (k, d, subset)
                 assert got.tolist() == full_product_reconstruct(code, chosen).tolist() == cols.tolist()

@@ -34,7 +34,7 @@ def coset_decode(codec, codeword) -> list:
     """One chunk through coset_decode_bulk: a one-column call on the
     shares of the first k nodes, made with encode_bulk."""
     shares = encode_bulk(codec.inner, np.array(codeword, dtype=codec.field.dtype).reshape(-1, 1))
-    cols = codec.outer.coset_decode_bulk(codec.inner, {e: shares[e] for e in range(1, codec.params.k + 1)})
+    cols = codec.outer.coset_decode_bulk(codec.inner, ((e, shares[e]) for e in range(1, codec.params.k + 1)))
     return cols[:, 0].tolist()
 
 
@@ -311,9 +311,9 @@ def test_coset_length_validation(codec534):
         coset_encode(outer, [0] * 7, [0])
     shares = encode_bulk(codec534.inner, np.zeros((9, 1), dtype=codec534.field.dtype))
     with pytest.raises(ValueError, match="has 3 rows, expected 4"):
-        outer.coset_decode_bulk(codec534.inner, {1: shares[1], 2: shares[2], 3: shares[3][:3]})
+        outer.coset_decode_bulk(codec534.inner, [(1, shares[1]), (2, shares[2]), (3, shares[3][:3])])
     with pytest.raises(InsufficientNodesError):
-        outer.coset_decode_bulk(codec534.inner, {1: shares[1], 2: shares[2]})
+        outer.coset_decode_bulk(codec534.inner, [(1, shares[1]), (2, shares[2])])
 
 
 def test_coset_bulk_matches_scalar(codec534):
@@ -323,7 +323,7 @@ def test_coset_bulk_matches_scalar(codec534):
     rnds = [[rng.randrange(16) for _ in range(2)] for _ in range(11)]
     cols = outer.coset_encode_bulk(np.array(msgs, dtype=np.int32).T, np.array(rnds, dtype=np.int32).T)
     shares = encode_bulk(codec534.inner, cols)
-    decoded = outer.coset_decode_bulk(codec534.inner, {e: shares[e] for e in (2, 4, 5)})
+    decoded = outer.coset_decode_bulk(codec534.inner, ((e, shares[e]) for e in (2, 4, 5)))
     for t in range(11):
         assert cols[:, t].tolist() == coset_encode(outer, msgs[t], rnds[t])
         assert decoded[:, t].tolist() == msgs[t] == mat_vec(outer.parity_check, cols[:, t].tolist())
@@ -354,7 +354,7 @@ def test_coset_decode_from_every_k_subset(params, monkeypatch):
     nonzeros = sum(1 for row in codec.outer.parity_check.data for a in row if a)
     for subset in combinations(range(1, p.n + 1), p.k):
         del mults[:]
-        decoded = codec.outer.coset_decode_bulk(codec.inner, {e: shares[e] for e in subset})
+        decoded = codec.outer.coset_decode_bulk(codec.inner, ((e, shares[e]) for e in subset))
         assert sum(mults) == (p.k * p.k * (p.d - p.k) + nonzeros) * 17, subset
         assert decoded.tolist() == message.tolist(), subset
 
