@@ -161,12 +161,15 @@ def cmd_eavesdrop(args) -> int:
 
 def cmd_audit(args) -> int:
     flags = (args.n, args.k, args.d, args.m)
+    missing = "/".join(f"-{c}" for c, v in zip("nkd", flags) if v is None)
     if args.root is not None and flags == (None,) * 4:
         cluster = store.Cluster(args.root)
         manifest = cluster.manifest()
         params = manifest.params
-    elif args.root is None and None not in flags[:3]:
+    elif args.root is None and not missing:
         params = _params_from_args(args)
+    elif args.root is None:
+        raise ParameterError(f"audit without a cluster root needs {missing}")
     else:
         raise ParameterError("audit needs either -n/-k/-d or a cluster root, not both")
     codec = make_codec(params)

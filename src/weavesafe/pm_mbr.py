@@ -16,18 +16,18 @@ count them.
 Reconstruct and repair take (node, d x N share) pairs through one
 intake, one pair at a time: it checks the pair (node in 1..n, neither the
 failed node nor drawn before, d rows, the first share's chunk count),
-copies the share to block[:, i] of one d x d x N block, i its draw index,
-and drops it before drawing the next, so a lazy caller holds one share at
-a time.  A read draws k pairs and no more, a repair exactly d.
+copies the share to block[:, i] of one d x count x N block, i its draw
+index, and drops it before drawing the next, so a lazy caller holds one
+share at a time.  A read draws count = k pairs and no more, a repair d.
 
 A read returns virtual nodes' symbols.  Split the read nodes' encoding
 rows Psi = [Psi1 | Psi2] after column k and M = [[S, T], [T', 0]]: their
 shares are Y = Psi M = [Psi1 S + Psi2 T' | Psi1 T], so the wing is
-T = Psi1^-1 Y[:, k:], solved into the block's free slots block[:k, k:];
+T = Psi1^-1 Y[:, k:], written over Y[:, k:] as block[k + j, i] = T[i, j];
 column t < k of M is then [Psi1^-1 (Y[:, t] + Psi2 T[t]'); T[t]'] and
 column t >= k is [T[:, t-k]; 0].  A node with coefficient row phi would
 store phi M[:, t] as its type-t symbol, so any such symbols (unit rows at
-the message cells give the codeword) are one kernel map on block[:k].
+the message cells give the codeword) are one kernel map on the block.
 
 ``CodeParams`` owns the point budget 2^m >= n + 2d, the (n+d) x d Cauchy
 stack on those points (every square submatrix nonsingular) and its typed
@@ -135,7 +135,7 @@ def params_new(n: int, k: int, d: int, m: int) -> CodeParams:
 
 
 # -- message-matrix layout ---------------------------------------------------
-# All three helpers are 0-based and cached per (k, d); the public API
+# Both helpers are 0-based and cached per (k, d); the public API
 # converts at the boundary.
 
 
@@ -146,24 +146,15 @@ def message_cells(k: int, d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def cell_index(k: int, d: int):
-    """Map (i, j) -> 0-based symbol index, None on the structural zeros."""
-    idx = {}
-    for b, (i, j) in enumerate(message_cells(k, d)):
-        idx[(i, j)] = idx[(j, i)] = b
-    return idx
-
-
-@lru_cache(maxsize=None)
 def type_positions(k: int, d: int, t: int) -> tuple:
     """(symbol, column) pairs appearing in row t of the message matrix.
 
     Row t of the message matrix (equivalently column t, by symmetry) is
     the support shared by every node's t-th stored symbol; t is 0-based
-    here.  Rows t < k touch d symbols, the rest touch k.
+    here.  Rows t < k touch d symbols, the rest touch k.  Cell (i, j)
+    lies in row t when t is i or j, at column i + j - t.
     """
-    idx = cell_index(k, d)
-    return tuple((idx[(t, j)], j) for j in range(d) if (t, j) in idx)
+    return tuple((b, i + j - t) for b, (i, j) in enumerate(message_cells(k, d)) if t in (i, j))
 
 
 class VirtualRows(NamedTuple):
@@ -235,8 +226,8 @@ def _take_shares(code: InnerCode, pairs, count: int, failed: int | None = None):
         if node == failed or node in nodes:
             raise ValueError(f"node {node} cannot appear {'twice' if node in nodes else 'among its helpers'}")
         if not nodes:
-            block = np.empty((p.d, p.d, share.shape[-1]), code.field.dtype)
-        if share.shape != block.shape[1:]:
+            block = np.empty((p.d, count, share.shape[-1]), code.field.dtype)
+        if share.shape != (p.d, block.shape[2]):
             shape = f"{len(share)} rows, expected {p.d}, and chunk count {share.shape[-1]}, expected {block.shape[2]}"
             raise ValueError(f"share for node {node} has {shape}")
         block[:, len(nodes)] = share
@@ -258,11 +249,11 @@ def reconstruct_bulk(code: InnerCode, shares, rows: VirtualRows | None = None):
     """The read map of the module docstring: the symbols ``rows`` names, by
     default the codeword, of every chunk, from the first k (node, d x N
     share) pairs drawn from ``shares`` by the intake, in that order (a
-    transposed view is fine).  Block t < k of ``block[:k]`` is [Y[:, t];
-    T[t]'], which a type-t row reads with weights [phi1 Psi1^-1 |
-    phi1 Psi1^-1 Psi2 + phi2]; a row of type t >= k reads phi1 on column t
-    of every block, where T[:, t-k] sits.  The weights come from the
-    field's log/exp tables, not the kernel.
+    transposed view is fine).  Row t of the d x k x N block is then Y[:, t]
+    for t < k, which a type-t row reads with phi1 Psi1^-1 (and T[t]' at
+    ``block[k:, t]`` with phi1 Psi1^-1 Psi2 + phi2), and T[:, t-k] for
+    t >= k, which it reads with phi1.  The weights come from the field's
+    log/exp tables, not the kernel.
     """
     k, d = code.params.k, code.params.d
     nodes, block = _take_shares(code, islice(shares, k), k)
@@ -270,15 +261,16 @@ def reconstruct_bulk(code: InnerCode, shares, rows: VirtualRows | None = None):
     f = code.field
     psi1_inv = _inverse(code, nodes)
     psi2 = np.array(submatrix(code.encoding_matrix, [e - 1 for e in nodes], range(k, d)).data, f.dtype)
-    rhs = block[k:, :k].transpose(1, 0, 2)  # Y[:, k:] as a view; reshaping copies it for one call
-    block[:k, k:] = f.mat_mul_cols(psi1_inv, rhs.reshape(k, -1)).reshape(k, d - k, block.shape[2])  # T
+    rhs = block[k:].transpose(1, 0, 2)  # Y[:, k:] as a view; reshaping copies it for one call
+    rhs[:] = f.mat_mul_cols(psi1_inv, rhs.reshape(k, -1)).reshape(k, d - k, block.shape[2])  # T over Y[:, k:]
 
-    read = np.zeros((len(types), k, d), f.dtype)
-    low, high = types < k, np.flatnonzero(types >= k)
+    read = np.zeros((len(types), d, k), f.dtype)
+    low, high = types < k, types >= k
     g1 = _product(f, phi[low, :k], psi1_inv)
-    read[low, types[low]] = np.hstack([g1, _product(f, g1, psi2) ^ phi[low, k:]])
-    read[high[:, None], np.arange(k), types[high, None]] = phi[high, :k]
-    return f.mat_mul_cols(read.reshape(len(read), -1), block[:k].reshape(k * d, -1))
+    read[low, types[low]] = g1
+    read[low, k:, types[low]] = _product(f, g1, psi2) ^ phi[low, k:]
+    read[high, types[high]] = phi[high, :k]
+    return f.mat_mul_cols(read.reshape(len(read), -1), block.reshape(d * k, -1))
 
 
 def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:

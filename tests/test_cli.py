@@ -175,6 +175,18 @@ def test_audit_requires_params_or_root():
 
 
 @pytest.mark.parametrize(
+    "flags, missing",
+    [((), "-n/-k/-d"), (("-n", 5), "-k/-d"), (("-n", 5, "-d", 4, "-m", 8), "-k")],
+)
+def test_audit_without_a_root_names_the_missing_flags(capsys, flags, missing):
+    """With no cluster root the refusal names the flags still needed and
+    does not claim a root was given."""
+    assert run("audit", *flags) == 3
+    err = capsys.readouterr().err
+    assert f"needs {missing}" in err and "not both" not in err
+
+
+@pytest.mark.parametrize(
     "flags",
     [("-n", 7, "-k", 4, "-d", 6, "-m", 5), ("-n", 5), ("-k", 3), ("-d", 4), ("-m", 4)],
 )

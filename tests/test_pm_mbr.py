@@ -10,7 +10,6 @@ from weavesafe.linalg import invert, mat_vec, rank, submatrix
 from weavesafe.pm_mbr import (
     CodeParams,
     InnerCode,
-    cell_index,
     encode_bulk,
     message_cells,
     params_new,
@@ -129,6 +128,15 @@ def test_fill_matches_reference_layout(code534):
         [3, 6, 8, 9],
         [4, 7, 9, 0],
     ]
+
+
+def cell_index(k: int, d: int) -> dict:
+    """Map (i, j) -> 0-based symbol index on both triangles of the message
+    matrix, with no entry on the structural zeros."""
+    idx = {}
+    for b, (i, j) in enumerate(message_cells(k, d)):
+        idx[(i, j)] = idx[(j, i)] = b
+    return idx
 
 
 def test_fill_zero_and_roundtrip(code534):
