@@ -79,9 +79,6 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls.derived(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def row(self, i: int) -> list[int]:
-        return list(self.data[i])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)

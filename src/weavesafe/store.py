@@ -15,8 +15,11 @@ Share file format (bit-exact):
     payload          chunk_count * d symbols, each big-endian
                      ceil(m/8) bytes, high bits zero
 
-The plaintext is packed big-endian into m-bit symbols, grouped into
-chunks of B-2 symbols (zero-padded at the tail), and every chunk runs
+The plaintext is packed big-endian into m-bit symbols, 8/g symbols from
+each m/g bytes (g = gcd(m, 8)), straight into chunks of B-2 symbols
+(zero-padded at the tail); unchunking copies the chunks into one buffer,
+refuses there a grid too short for the length or any nonzero bit past
+it, and unpacks.  In between, every chunk runs
 through coset encoding with two fresh random symbols before the inner
 code fans it out to the nodes.  In memory, symbols are numpy arrays at
 native width from chunking to share files and back: uint8 for m <= 8,
@@ -60,7 +63,7 @@ _MAX_NODES = 255
 _SHARE_PATH = "node_{}/share.wsrc"
 
 
-# -- plaintext <-> symbols ---------------------------------------------------
+# -- plaintext <-> chunks ----------------------------------------------------
 
 
 def _bit_groups(m: int) -> tuple[int, int]:
@@ -68,60 +71,6 @@ def _bit_groups(m: int) -> tuple[int, int]:
     a byte boundary: 8/g symbols fill m/g bytes, g = gcd(m, 8)."""
     g = math.gcd(m, 8)
     return 8 // g, m // g
-
-
-def plaintext_to_symbols(data: bytes, m: int) -> np.ndarray:
-    """Big-endian bit packing at m bits per symbol, zero-padded tail."""
-    dtype = native_dtype(m)
-    if m % 8 == 0:  # byte-aligned: the bytes already are the symbols
-        width = m // 8
-        padded = data + bytes(-len(data) % width)
-        return np.frombuffer(padded, dtype=f">u{width}").astype(dtype)
-    per_group, group_bytes = _bit_groups(m)
-    count = -(-len(data) * 8 // m)
-    groups = -(-count // per_group)
-    raw = np.zeros(groups * group_bytes, dtype=np.uint8)
-    raw[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    raw = raw.reshape(groups, group_bytes)
-    out = np.empty((groups, per_group), dtype=dtype)
-    for j in range(per_group):
-        # symbol j holds bits j*m .. j*m+m-1 of its group, within bytes first..last
-        first, last = j * m // 8, (j * m + m - 1) // 8
-        value = raw[:, first].astype(np.uint32)
-        for b in range(first + 1, last + 1):
-            value <<= 8
-            value |= raw[:, b]
-        value >>= 8 * (last + 1) - (j + 1) * m
-        out[:, j] = value & ((1 << m) - 1)
-    return out.reshape(-1)[:count]
-
-
-def symbols_to_plaintext(symbols: np.ndarray, m: int, byte_length: int) -> bytes:
-    """Inverse of plaintext_to_symbols given the original byte length."""
-    if byte_length == 0:
-        return b""
-    if symbols.size * m < byte_length * 8:
-        raise ValueError(f"{symbols.size} symbols cannot hold {byte_length} bytes")
-    if m % 8 == 0:
-        width = m // 8
-        raw = symbols[: -(-byte_length // width)].astype(f">u{width}", copy=False).tobytes()
-        return raw[:byte_length]
-    per_group, group_bytes = _bit_groups(m)
-    count = -(-byte_length * 8 // m)
-    groups = -(-count // per_group)
-    grid = np.zeros(groups * per_group, dtype=native_dtype(m))
-    grid[:count] = symbols[:count]
-    grid = grid.reshape(groups, per_group)
-    raw = np.empty((groups, group_bytes), dtype=np.uint8)
-    for b in range(group_bytes):
-        # byte b holds bits 8b .. 8b+7 of its group, from symbols 8b//m .. (8b+7)//m
-        value = np.zeros(groups, dtype=np.uint32)
-        for j in range(8 * b // m, (8 * b + 7) // m + 1):
-            shift = 8 * (b + 1) - (j + 1) * m
-            part = grid[:, j].astype(np.uint32)
-            value |= part << shift if shift >= 0 else part >> -shift
-        raw[:, b] = value & 0xFF
-    return raw.reshape(-1)[:byte_length].tobytes()
 
 
 def _chunks_for(byte_length: int, params: CodeParams) -> int:
@@ -133,21 +82,58 @@ def _chunks_for(byte_length: int, params: CodeParams) -> int:
 
 def chunk_plaintext(data: bytes, params: CodeParams) -> np.ndarray:
     """Chunk rows of B-2 symbols each; the final chunk is zero-padded."""
-    symbols = plaintext_to_symbols(data, params.m)
-    width = params.secure_symbols
+    m, width = params.m, params.secure_symbols
     count = _chunks_for(len(data), params)
-    padded = np.zeros(count * width, dtype=symbols.dtype)
-    padded[: len(symbols)] = symbols
-    return padded.reshape(count, width)
+    if m % 8 == 0:  # byte-aligned: the padded bytes already are the symbols
+        raw = np.zeros(count * width * (m // 8), dtype=np.uint8)
+        raw[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+        return raw.view(f">u{m // 8}").astype(native_dtype(m), copy=False).reshape(count, width)
+    per_group, group_bytes = _bit_groups(m)
+    groups = -(-count * width // per_group)
+    raw = np.zeros((groups, group_bytes), dtype=np.uint8)
+    raw.reshape(-1)[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    out = np.empty((groups, per_group), dtype=native_dtype(m))
+    for j in range(per_group):
+        # symbol j holds bits j*m .. j*m+m-1 of its group, within bytes first..last
+        first, last = j * m // 8, (j * m + m - 1) // 8
+        value = raw[:, first].astype(np.uint32)
+        for b in range(first + 1, last + 1):
+            value <<= 8
+            value |= raw[:, b]
+        value >>= 8 * (last + 1) - (j + 1) * m
+        out[:, j] = value & ((1 << m) - 1)
+    return out.reshape(-1)[: count * width].reshape(count, width)
 
 
 def unchunk_plaintext(chunks: np.ndarray, byte_length: int, params: CodeParams) -> bytes:
-    """Inverse of chunk_plaintext, refusing any nonzero bit past byte_length."""
-    symbols = chunks.reshape(-1)
-    q, r = divmod(8 * byte_length, params.m)  # bit 8 * byte_length is bit r of symbol q
-    if (symbols[q : q + 1] & ((1 << (params.m - r)) - 1)).any() or symbols[q + 1 :].any():
+    """Inverse of chunk_plaintext, refusing a grid too short for
+    byte_length and any nonzero bit past it."""
+    m, size = params.m, chunks.size
+    if size * m < byte_length * 8:
+        raise ValueError(f"{size} symbols cannot hold {byte_length} bytes")
+    per_group, group_bytes = _bit_groups(m)
+    groups = -(-size // per_group)
+    symbols = np.empty(groups * per_group, dtype=chunks.dtype)
+    symbols[:size].reshape(chunks.shape)[...] = chunks
+    symbols[size:] = 0
+    q, r = divmod(8 * byte_length, m)  # bit 8 * byte_length is bit r of symbol q
+    if (symbols[q : q + 1] & ((1 << (m - r)) - 1)).any() or symbols[q + 1 :].any():
         raise IntegrityError(f"nonzero data past original_length {byte_length} (cut length or corrupt share)")
-    return symbols_to_plaintext(symbols, params.m, byte_length)
+    if m % 8 == 0:
+        width = m // 8
+        raw = symbols[: -(-byte_length // width)].astype(f">u{width}", copy=False)
+        return raw.view(np.uint8)[:byte_length].tobytes()
+    grid = symbols.reshape(groups, per_group)
+    raw = np.empty((groups, group_bytes), dtype=np.uint8)
+    for b in range(group_bytes):
+        # byte b holds bits 8b .. 8b+7 of its group, from symbols 8b//m .. (8b+7)//m
+        value = np.zeros(groups, dtype=np.uint32)
+        for j in range(8 * b // m, (8 * b + 7) // m + 1):
+            shift = 8 * (b + 1) - (j + 1) * m
+            part = grid[:, j].astype(np.uint32)
+            value |= part << shift if shift >= 0 else part >> -shift
+        raw[:, b] = value & 0xFF
+    return raw.reshape(-1)[:byte_length].tobytes()
 
 
 # -- randomness ----------------------------------------------------------------

@@ -62,9 +62,9 @@ def test_criterion_1_running_example_fidelity(codec534):
     ]
     coeff = submatrix(codec534.params.cauchy_stack, range(5, 9), range(4))  # coefficient rows
     for r, (type_i, source_row) in enumerate(codec534.outer.row_types):
-        values = [v for v in h.row(r) if v]
+        values = [v for v in h.data[r] if v]
         width = 4 if type_i <= 3 else 3
-        assert values == coeff.row(source_row - 1)[:width]
+        assert values == coeff.data[source_row - 1][:width]
 
     ext = codec534.outer.parity_check_ext
     assert rank(ext) == 9  # invertible extension

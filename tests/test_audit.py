@@ -141,7 +141,7 @@ def test_leak_at_weight_k_row_support(codec534):
     p = codec534.params
     for e in range(1, p.n + 1):
         g = codec534.inner.generator_matrix(e)
-        weight_k_row = g.row(p.d - 1)
+        weight_k_row = g.data[p.d - 1]
         support = tuple(i + 1 for i, v in enumerate(weight_k_row) if v)
         assert len(support) == p.k
         assert leakage(identity_rows(codec534, support), g) >= 1

@@ -175,7 +175,7 @@ def test_encode_matches_row_times_matrix(code534):
         x = random_codeword(code534, rng)
         msg = message_matrix(code534, x)
         expected = [0] * 4
-        psi_e = code534.encoding_matrix.row(e - 1)
+        psi_e = code534.encoding_matrix.data[e - 1]
         for j in range(4):
             acc = 0
             for c in range(4):
@@ -238,7 +238,7 @@ def test_generator_rows_are_fresh_plain_lists(code534):
 
 def test_generator_values_come_from_encoding_row(code534):
     g = code534.generator_matrix(2)
-    psi = code534.encoding_matrix.row(1)
+    psi = code534.encoding_matrix.data[1]
     assert g.data[0][:4] == psi  # row 1 carries the full encoding row in order
     assert [g.data[3][3], g.data[3][6], g.data[3][8]] == psi[:3]
 
@@ -299,7 +299,7 @@ def test_repair_download_is_one_symbol_per_helper(code534):
     rng = random.Random(7)
     x = random_codeword(code534, rng)
     shares = encode_one(code534, x)
-    psi1 = code534.encoding_matrix.row(0)
+    psi1 = code534.encoding_matrix.data[0]
     uploads = []
     for h in (2, 3, 4, 5):
         acc = 0
@@ -492,7 +492,7 @@ def test_bulk_kernel_calls_keep_their_symbol_counts(monkeypatch):
     # 6 * 19 columns are below the fan-in column count, so the upload is on
     # tables: one gather per nonzero coefficient over every helper's chunks,
     # the d * 19 multiplications of each that d per-helper calls made.
-    nonzero = [a for a in code.encoding_matrix.row(0) if a]
+    nonzero = [a for a in code.encoding_matrix.data[0] if a]
     gathers = [c[1:] for c in calls if c[0] == "mul_vec"][: len(nonzero)]
     assert gathers == [(a, (p.d * 19,)) for a in nonzero]
     assert repaired.tolist() == shares[1].tolist() and downloaded == p.d * 19
@@ -501,9 +501,9 @@ def test_bulk_kernel_calls_keep_their_symbol_counts(monkeypatch):
 def test_codec_uses_top_rows_of_stack():
     codec = make_codec(params_new(5, 3, 4, 4))
     stack = codec.params.cauchy_stack
-    assert codec.inner.encoding_matrix.data == [stack.row(i) for i in range(5)]
+    assert codec.inner.encoding_matrix.data == [stack.data[i] for i in range(5)]
     for row, (t, c) in zip(codec.outer.parity_check_ext.data, codec.outer.ext_row_types, strict=True):
-        assert [v for v in row if v] == stack.row(4 + c)[: 4 if t <= 3 else 3]  # coefficient rows 5..8
+        assert [v for v in row if v] == stack.data[4 + c][: 4 if t <= 3 else 3]  # coefficient rows 5..8
 
 
 def full_product_reconstruct(code, share_cols):

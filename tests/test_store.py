@@ -30,9 +30,7 @@ from weavesafe.store import (
     cluster_reconstruct,
     cluster_repair,
     cluster_store,
-    plaintext_to_symbols,
     read_share,
-    symbols_to_plaintext,
     unchunk_plaintext,
     write_share,
 )
@@ -45,29 +43,35 @@ P534_BYTE = params_new(5, 3, 4, 8)
 # -- symbol packing -----------------------------------------------------------
 
 
+def one_symbol_chunks(m: int):
+    """Parameters with B-2 = 1, so a chunk grid flattened is the symbol array."""
+    return params_new(3, 2, 2, m)
+
+
 def test_symbols_m8_is_byte_identity():
     data = bytes([0, 1, 127, 255, 16])
-    assert plaintext_to_symbols(data, 8).tolist() == [0, 1, 127, 255, 16]
+    assert chunk_plaintext(data, one_symbol_chunks(8)).reshape(-1).tolist() == [0, 1, 127, 255, 16]
 
 
 def test_symbols_m4_high_nibble_first():
-    assert plaintext_to_symbols(b"\xab\x05", 4).tolist() == [0xA, 0xB, 0x0, 0x5]
+    assert chunk_plaintext(b"\xab\x05", one_symbol_chunks(4)).reshape(-1).tolist() == [0xA, 0xB, 0x0, 0x5]
 
 
 def test_symbols_empty():
-    assert plaintext_to_symbols(b"", 7).size == 0
-    assert symbols_to_plaintext(np.zeros(0, dtype=np.int32), 7, 0) == b""
+    assert chunk_plaintext(b"", one_symbol_chunks(7)).size == 0
+    assert unchunk_plaintext(np.zeros(0, dtype=np.int32), 0, one_symbol_chunks(7)) == b""
 
 
 @pytest.mark.parametrize("m", [3, 4, 8, 11, 16])
 def test_symbol_packing_roundtrip(m):
     rng = random.Random(m)
+    params = one_symbol_chunks(m)
     for length in (0, 1, 2, 7, 64, 251):
         data = bytes(rng.randrange(256) for _ in range(length))
-        symbols = plaintext_to_symbols(data, m)
+        symbols = chunk_plaintext(data, params).reshape(-1)
         assert symbols.dtype == native_dtype(m)
         assert symbols.size == -(-length * 8 // m) if length else symbols.size == 0
-        assert symbols_to_plaintext(symbols, m, length) == data
+        assert unchunk_plaintext(symbols, length, params) == data
 
 
 def reference_plaintext_to_symbols(data: bytes, m: int) -> np.ndarray:
@@ -94,18 +98,36 @@ def test_group_packing_matches_bitwise_reference(m):
     """Group-wise shifts give the same symbols and bytes as packing bit by
     bit, for every length up to a few groups of 8/gcd(m, 8) symbols."""
     rng = random.Random(300 + m)
+    params = one_symbol_chunks(m)
     group_bytes = m // math.gcd(m, 8)
     for length in range(4 * group_bytes + 2):
         data = bytes(rng.randrange(256) for _ in range(length))
-        symbols = plaintext_to_symbols(data, m)
+        symbols = chunk_plaintext(data, params).reshape(-1)
         expected = reference_plaintext_to_symbols(data, m)
         assert symbols.dtype == expected.dtype and symbols.tolist() == expected.tolist(), (m, length)
-        assert symbols_to_plaintext(symbols, m, length) == data
+        assert unchunk_plaintext(symbols, length, params) == data
         if length:
             assert reference_symbols_to_plaintext(expected, m, length) == data
-            # extra symbols past the plaintext's bits are ignored
-            padded = np.concatenate([symbols, np.full(3, (1 << m) - 1, dtype=symbols.dtype)])
-            assert symbols_to_plaintext(padded, m, length) == data
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_unchunk_refuses_a_short_grid_and_any_bit_past_the_length(m):
+    """A grid too short for the length is a ValueError, not zero-filled
+    bytes; any set bit past the length, in the last symbol's slack or in
+    whole symbols after it, is an IntegrityError."""
+    params = one_symbol_chunks(m)
+    length = 5
+    data = bytes(range(1, length + 1))
+    chunks = np.concatenate([chunk_plaintext(data, params), np.zeros((3, 1), dtype=native_dtype(m))])
+    assert unchunk_plaintext(chunks, length, params) == data
+    short = -(-8 * length // m) - 1
+    with pytest.raises(ValueError, match=f"{short} symbols cannot hold {length} bytes"):
+        unchunk_plaintext(chunks[:short], length, params)
+    for bit in range(8 * length, chunks.size * m):
+        bad = chunks.copy()
+        bad[bit // m, 0] ^= 1 << (m - 1 - bit % m)  # big-endian: bit 0 is a symbol's high bit
+        with pytest.raises(IntegrityError, match="nonzero data past original_length"):
+            unchunk_plaintext(bad, length, params)
 
 
 def test_chunking_exact_fit():
@@ -823,13 +845,19 @@ def test_reconstruct_peak_memory_stays_at_the_read_block(tmp_path):
     """A warm read of a 1 MiB file allocates at most its measured peak above
     what it enters with; a d x d x N read block would pass neither bound
     (3.34 and 4.58 MiB).  At (20,10,16,8) the d x k x N block (1.42 MiB)
-    is freed before the unchunk's three 1 MiB copies set the 3.01 MiB
+    is freed before the unchunk, where the decoded chunks, the unchunk's
+    one symbol buffer and the returned bytes, 1 MiB each, set the 3.01 MiB
     peak; at (5,3,4,8) the 4.01 MiB peak is inside the read map: the
-    1.71 MiB block, the 1 MiB output and one table gather's index copy."""
+    1.71 MiB block, the 1 MiB output and one table gather's index copy.
+    At (7,4,6,5) the m = 5 unchunk sets the 6.81 MiB peak: the decoded
+    chunks and its buffer (1.6 MiB each, a byte a symbol), the packed
+    bytes and the returned bytes (1 MiB each) and one byte's 0.8 MiB
+    uint32 column and sum; an unchunk that copied the symbols twice
+    (flattened, then zero-padded) would read 8.40 MiB."""
     import tracemalloc
 
     data = bytes(np.random.default_rng(1).integers(0, 256, 1 << 20, dtype=np.uint8))
-    for point, bound in (((20, 10, 16, 8), 3.01), ((5, 3, 4, 8), 4.01)):
+    for point, bound in (((20, 10, 16, 8), 3.01), ((5, 3, 4, 8), 4.01), ((7, 4, 6, 5), 6.81)):
         root = tmp_path / f"c{point[0]}"
         cluster_store(data, params_new(*point), root, seed=1)
         assert cluster_reconstruct(root) == data  # plans, inverse and the thread's kernel workspace

@@ -118,10 +118,10 @@ def test_codes_are_cut_from_the_params_stack(p):
     stack = p.cauchy_stack
     inner, outer = InnerCode(p), OuterCode(p)
     coeffs = submatrix(stack, range(p.n, p.n + p.d), range(p.d))
-    assert inner.encoding_matrix.data == [stack.row(i) for i in range(p.n)]
+    assert inner.encoding_matrix.data == [stack.data[i] for i in range(p.n)]
     sets = index_sets(p.k, p.d)
     for row, (t, c) in zip(outer.parity_check_ext.data, outer.ext_row_types, strict=True):
-        assert [v for v in row if v] == coeffs.row(c - 1)[: len(sets[t - 1])]
+        assert [v for v in row if v] == coeffs.data[c - 1][: len(sets[t - 1])]
     for code, matrix, shape in (
         (inner, inner.encoding_matrix, (p.n, p.d)),
         (outer, coeffs, (p.d, p.d)),
@@ -145,7 +145,7 @@ def scalar_type_row(k: int, d: int, t: int, coeffs: list) -> list:
 def test_typed_row_group_two():
     p = params_new(5, 3, 4, 4)
     for r in range(p.n + p.d):
-        g, g2, g3, _ = p.cauchy_stack.row(r)  # 4th entry unused for type 4
+        g, g2, g3, _ = p.cauchy_stack.data[r]  # 4th entry unused for type 4
         assert p.typed_rows[r, 3].tolist() == [0, 0, 0, g, 0, 0, g2, 0, g3]
 
 
@@ -168,7 +168,7 @@ def test_typed_rows_are_every_row_of_the_codes(point):
     assert not typed.flags.writeable
     for r in range(p.n + p.d):
         for t in range(1, p.d + 1):
-            assert typed[r, t - 1].tolist() == scalar_type_row(p.k, p.d, t, p.cauchy_stack.row(r)), (r, t)
+            assert typed[r, t - 1].tolist() == scalar_type_row(p.k, p.d, t, p.cauchy_stack.data[r]), (r, t)
 
     def at(ledger):
         return [typed[p.n + c - 1, t - 1].tolist() for t, c in ledger]
@@ -178,7 +178,7 @@ def test_typed_rows_are_every_row_of_the_codes(point):
     assert codec.inner.generator_stack.tolist() == [typed[e, t].tolist() for e in range(p.n) for t in range(p.d)]
     assert outer.parity_check.data == at(outer.row_types)
     assert outer.check_rows.types.tolist() == [t - 1 for t, _ in outer.row_types]
-    assert outer.check_rows.coefficients.tolist() == [p.cauchy_stack.row(p.n + c - 1) for _, c in outer.row_types]
+    assert outer.check_rows.coefficients.tolist() == [p.cauchy_stack.data[p.n + c - 1] for _, c in outer.row_types]
     assert outer.parity_check_ext.data == at(outer.ext_row_types)
     for subset in [(), tuple(range(1, p.k + 1)), tuple(range(p.secure_symbols - p.d, p.secure_symbols + 1))]:
         for node in (1, p.n):
@@ -207,7 +207,7 @@ def test_parity_check_matches_reference_pattern(codec534):
         expected = [0] * 9
         for b, j in REFERENCE_POSITIONS[type_i]:
             expected[b - 1] = coeff.data[p - 1][j - 1]
-        assert h.row(r) == expected, f"row {r}"
+        assert h.data[r] == expected, f"row {r}"
 
 
 def test_parity_check_rank(codec534):
@@ -218,12 +218,12 @@ def test_extension_top_block_is_parity_check(codec534):
     outer = codec534.outer
     ext = outer.parity_check_ext
     assert ext.rows == ext.cols == 9
-    assert [ext.row(i) for i in range(7)] == [outer.parity_check.row(i) for i in range(7)]
+    assert [ext.data[i] for i in range(7)] == [outer.parity_check.data[i] for i in range(7)]
     # appended rows: a type-3 row drawing the last coefficient row, then a
     # type-1 row drawing the first
     coeff = submatrix(codec534.params.cauchy_stack, range(5, 9), range(4))
-    assert ext.row(7) == scalar_type_row(3, 4, 3, coeff.row(3))
-    assert ext.row(8) == scalar_type_row(3, 4, 1, coeff.row(0))
+    assert ext.data[7] == scalar_type_row(3, 4, 3, coeff.data[3])
+    assert ext.data[8] == scalar_type_row(3, 4, 1, coeff.data[0])
 
 
 def test_extension_invertible_on_grid():

@@ -7,10 +7,11 @@ store points:
         --tree parent=/path/to/parent/checkout --tree change=.
 
 Every (tree, point, repetition) runs in a fresh child process that imports
-weavesafe from the tree's src/, runs one small warm-up cycle, then
-``--cycles`` cycles of store, reconstruct, fail and repair on a random
-file of ``--size`` bytes (unseeded store, as in production), checking the
-bytes and the repaired share.  Its result is the median seconds per op,
+weavesafe from the tree's src/, then runs one untimed warm-up cycle and
+``--cycles`` timed cycles of store, reconstruct, fail and repair, each on
+a random file of ``--size`` bytes (unseeded store, as in production), so
+that the first timed cycle finds the heap already grown to that size.
+Every cycle checks the bytes and the repaired share.  Its result is the median seconds per op,
 the median minor page faults per op (``ru_minflt`` deltas) and the
 process's peak RSS (getrusage).
 
@@ -115,7 +116,7 @@ def child(src: str, point: tuple, size: int, cycles: int, seed: int) -> dict:
     work = Path(tempfile.mkdtemp(prefix="fixed-points-"))
     try:
         for c in range(cycles + 1):
-            data = rng.bytes(size if c else 4096)
+            data = rng.bytes(size)
             node = int(rng.integers(1, params.n + 1))
             root = work / f"c{c}"
             f0, t0 = _minor_faults(), time.perf_counter()
