@@ -15,20 +15,20 @@ Share file format (bit-exact):
     payload          chunk_count * d symbols, each big-endian
                      ceil(m/8) bytes, high bits zero
 
-The plaintext is packed big-endian into m-bit symbols, 8/g symbols from
-each m/g bytes (g = gcd(m, 8)), straight into chunks of B-2 symbols
-(zero-padded at the tail); unchunking copies the chunks into one buffer,
-refuses there a grid too short for the length or any nonzero bit past
-it, and unpacks.  In between, every chunk runs
-through coset encoding with two fresh random symbols before the inner
-code fans it out to the nodes.  In memory, symbols are numpy arrays at
-native width from chunking to share files and back: uint8 for m <= 8,
-uint16 above (``gf2m.native_dtype``).  A failed node is simply a
-missing share file; repair rebuilds it bit-identically from d live
-helpers.  The store owns every share file: ``Cluster.read`` is the one
-way a share leaves the disk.  Store, fail and repair hold the
-single-writer lock (root/.lock) for the whole operation; reconstruct,
-eavesdrop and the audit command's cluster check read without it.
+The plaintext is packed big-endian into m-bit symbols, 8/g symbols from each
+m/g bytes (g = gcd(m, 8)), straight into chunks of B-2 symbols (zero-padded
+at the tail); unchunking copies the chunks into one buffer, refuses there a
+grid too short for the length or any nonzero bit past it, and unpacks.  One
+routine regroups the bits both ways at native width; a byte view serves
+m = 8 and 16.  In between, every chunk runs through coset encoding with two
+fresh random symbols before the inner code fans it out to the nodes.  In
+memory, symbols are numpy arrays at native width from chunking to share files
+and back: uint8 for m <= 8, uint16 above (``gf2m.native_dtype``).  A failed
+node is simply a missing share file; repair rebuilds it bit-identically from
+d live helpers.  The store owns every share file: ``Cluster.read`` is the one
+way a share leaves the disk.  Store, fail and repair hold the single-writer
+lock (root/.lock) for the whole operation; reconstruct, eavesdrop and the
+audit command's cluster check read without it.
 
 Reusing a seed voids the uniformity that the coset layer's secrecy rests
 on: the seed flag exists for tests and reproducibility checks only.
@@ -73,6 +73,22 @@ def _bit_groups(m: int) -> tuple[int, int]:
     return 8 // g, m // g
 
 
+def _regroup(units: np.ndarray, bits: int, out_bits: int, dtype) -> np.ndarray:
+    """Rows of bits-wide units, read big-endian, as rows of out_bits-wide values.
+    Works at the wider native dtype, where a shift loses only bits above
+    out_bits, which the mask drops.  A row holds a whole number of both."""
+    work = np.promote_types(units.dtype, dtype)
+    out = np.empty((len(units), units.shape[1] * bits // out_bits), dtype=dtype)
+    for j in range(out.shape[1]):  # value j: bits j*out_bits .. (j+1)*out_bits-1 of its row
+        value = np.zeros(len(units), dtype=work)
+        for i in range(j * out_bits // bits, ((j + 1) * out_bits - 1) // bits + 1):
+            shift = (j + 1) * out_bits - (i + 1) * bits  # unit i's low bit to its place in value j
+            part = units[:, i].astype(work, copy=False)
+            value |= part << shift if shift >= 0 else part >> -shift
+        out[:, j] = value & ((1 << out_bits) - 1)
+    return out
+
+
 def _chunks_for(byte_length: int, params: CodeParams) -> int:
     """Chunks of B-2 symbols that byte_length bytes fill at m bits a
     symbol: ceil(ceil(8 * byte_length / m) / (B-2)), 0 for no bytes."""
@@ -84,24 +100,12 @@ def chunk_plaintext(data: bytes, params: CodeParams) -> np.ndarray:
     """Chunk rows of B-2 symbols each; the final chunk is zero-padded."""
     m, width = params.m, params.secure_symbols
     count = _chunks_for(len(data), params)
-    if m % 8 == 0:  # byte-aligned: the padded bytes already are the symbols
-        raw = np.zeros(count * width * (m // 8), dtype=np.uint8)
-        raw[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-        return raw.view(f">u{m // 8}").astype(native_dtype(m), copy=False).reshape(count, width)
     per_group, group_bytes = _bit_groups(m)
-    groups = -(-count * width // per_group)
-    raw = np.zeros((groups, group_bytes), dtype=np.uint8)
+    raw = np.zeros((-(-count * width // per_group), group_bytes), dtype=np.uint8)
     raw.reshape(-1)[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    out = np.empty((groups, per_group), dtype=native_dtype(m))
-    for j in range(per_group):
-        # symbol j holds bits j*m .. j*m+m-1 of its group, within bytes first..last
-        first, last = j * m // 8, (j * m + m - 1) // 8
-        value = raw[:, first].astype(np.uint32)
-        for b in range(first + 1, last + 1):
-            value <<= 8
-            value |= raw[:, b]
-        value >>= 8 * (last + 1) - (j + 1) * m
-        out[:, j] = value & ((1 << m) - 1)
+    if m % 8 == 0:  # byte-aligned: the padded bytes already are the symbols
+        return raw.view(f">u{m // 8}").astype(native_dtype(m), copy=False).reshape(count, width)
+    out = _regroup(raw, 8, m, native_dtype(m))
     return out.reshape(-1)[: count * width].reshape(count, width)
 
 
@@ -111,7 +115,7 @@ def unchunk_plaintext(chunks: np.ndarray, byte_length: int, params: CodeParams) 
     m, size = params.m, chunks.size
     if size * m < byte_length * 8:
         raise ValueError(f"{size} symbols cannot hold {byte_length} bytes")
-    per_group, group_bytes = _bit_groups(m)
+    per_group = _bit_groups(m)[0]
     groups = -(-size // per_group)
     symbols = np.empty(groups * per_group, dtype=chunks.dtype)
     symbols[:size].reshape(chunks.shape)[...] = chunks
@@ -123,16 +127,7 @@ def unchunk_plaintext(chunks: np.ndarray, byte_length: int, params: CodeParams) 
         width = m // 8
         raw = symbols[: -(-byte_length // width)].astype(f">u{width}", copy=False)
         return raw.view(np.uint8)[:byte_length].tobytes()
-    grid = symbols.reshape(groups, per_group)
-    raw = np.empty((groups, group_bytes), dtype=np.uint8)
-    for b in range(group_bytes):
-        # byte b holds bits 8b .. 8b+7 of its group, from symbols 8b//m .. (8b+7)//m
-        value = np.zeros(groups, dtype=np.uint32)
-        for j in range(8 * b // m, (8 * b + 7) // m + 1):
-            shift = 8 * (b + 1) - (j + 1) * m
-            part = grid[:, j].astype(np.uint32)
-            value |= part << shift if shift >= 0 else part >> -shift
-        raw[:, b] = value & 0xFF
+    raw = _regroup(symbols.reshape(groups, per_group), m, 8, np.uint8)
     return raw.reshape(-1)[:byte_length].tobytes()
 
 

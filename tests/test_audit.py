@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -99,6 +100,23 @@ def test_oracle_sees_real_leakage(codec322):
     g = codec322.inner.generator_matrix(1)
     row = submatrix(g, [0], range(g.cols))
     assert leakage(row, g) == 1
+    # an outer code whose one message symbol is a symbol node e stores: the
+    # oracle must count a full symbol at e and nothing at the other nodes
+    n = codec322.params.n
+    for e in range(1, n + 1):
+        g = codec322.inner.generator_matrix(e)
+        for r in range(g.rows):
+            row = submatrix(g, [r], range(g.cols))
+            leaky = SimpleNamespace(
+                params=codec322.params,
+                field=codec322.field,
+                inner=codec322.inner,
+                outer=SimpleNamespace(parity_check=row),
+            )
+            for node in range(1, n + 1):
+                mi = exhaustive_mi_oracle(leaky, (1,), node)
+                assert mi == (Fraction(1) if node == e else 0), (e, r, node)
+                assert mi == leakage(row, codec322.inner.generator_matrix(node))
 
 
 def test_oracle_rejects_large_spaces(codec534):

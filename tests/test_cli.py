@@ -235,6 +235,9 @@ def test_eavesdrop_json(encoded, tmp_path, capsys):
 
     assert doc["observations"] == cluster_eavesdrop(root, 3).tolist()
     assert doc["params"] == {"n": 5, "k": 3, "d": 4, "m": 4}
+    capsys.readouterr()
+    assert run("eavesdrop", root, 3) == 0  # without -o, the document goes to stdout
+    assert json.loads(capsys.readouterr().out) == doc
 
 
 def test_usage_error_exits_2():

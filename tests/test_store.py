@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 from pathlib import Path
 
@@ -634,6 +635,25 @@ def test_writers_refuse_a_missing_cluster(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+def test_every_operation_refuses_a_missing_manifest(tmp_path, capsys):
+    """A cluster whose manifest is gone is refused by name, by the library
+    and the CLI alike, and the writers release their lock."""
+    root = tmp_path / "c"
+    cluster_store(b"m" * 100, P534, root, seed=21)
+    (root / "manifest.json").unlink()
+    message = f"no manifest at {root / 'manifest.json'}"
+    for op in (cluster_reconstruct, cluster_repair, cluster_fail, cluster_eavesdrop):
+        args = (root,) if op is cluster_reconstruct else (root, 1)
+        with pytest.raises(ShareFormatError, match=re.escape(message)):
+            op(*args)
+        assert not (root / ".lock").exists()
+    capsys.readouterr()
+    for argv in (["reconstruct", str(root), str(tmp_path / "out.bin")], ["audit", str(root)]):
+        assert cli_main(argv) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.bin").exists()
+
+
 def test_repair_holds_the_lock_through_its_reads(tmp_path, monkeypatch):
     """A store that lands while repair works from the helpers' shares is
     refused, so the repaired share cannot come from data it overwrote."""
@@ -849,15 +869,23 @@ def test_reconstruct_peak_memory_stays_at_the_read_block(tmp_path):
     one symbol buffer and the returned bytes, 1 MiB each, set the 3.01 MiB
     peak; at (5,3,4,8) the 4.01 MiB peak is inside the read map: the
     1.71 MiB block, the 1 MiB output and one table gather's index copy.
-    At (7,4,6,5) the m = 5 unchunk sets the 6.81 MiB peak: the decoded
-    chunks and its buffer (1.6 MiB each, a byte a symbol), the packed
-    bytes and the returned bytes (1 MiB each) and one byte's 0.8 MiB
-    uint32 column and sum; an unchunk that copied the symbols twice
-    (flattened, then zero-padded) would read 8.40 MiB."""
+    Below m = 8 the unchunk sets the peak, at a byte a symbol.  At
+    (7,4,6,5) it is 5.21 MiB as the bytes return: the decoded chunks and
+    the buffer (1.6 MiB each), the packed bytes and the returned bytes
+    (1 MiB each).  At (6,3,5,4) it is 7.01 MiB inside the regrouping: the
+    chunks and the buffer (2 MiB each), the packed bytes and a byte
+    column's value and shifted part (1 MiB each, a byte from two
+    symbols).  Regrouping through uint32 columns, as the unchunk once
+    did, read 6.80 and 17.00 MiB."""
     import tracemalloc
 
     data = bytes(np.random.default_rng(1).integers(0, 256, 1 << 20, dtype=np.uint8))
-    for point, bound in (((20, 10, 16, 8), 3.01), ((5, 3, 4, 8), 4.01), ((7, 4, 6, 5), 6.81)):
+    for point, bound in (
+        ((20, 10, 16, 8), 3.01),
+        ((5, 3, 4, 8), 4.01),
+        ((7, 4, 6, 5), 5.21),
+        ((6, 3, 5, 4), 7.01),
+    ):
         root = tmp_path / f"c{point[0]}"
         cluster_store(data, params_new(*point), root, seed=1)
         assert cluster_reconstruct(root) == data  # plans, inverse and the thread's kernel workspace
