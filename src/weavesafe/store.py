@@ -16,24 +16,25 @@ Share file format (bit-exact):
                      ceil(m/8) bytes, high bits zero
 
 The plaintext is packed big-endian into m-bit symbols, 8/g symbols from each
-m/g bytes (g = gcd(m, 8)), straight into chunks of B-2 symbols (zero-padded
-at the tail); unchunking copies the chunks into one buffer, refuses there a
-grid too short for the length or any nonzero bit past it, and unpacks.  One
-routine regroups the bits both ways at native width; a byte view serves
-m = 8 and 16.  In between, every chunk runs through coset encoding with two
-fresh random symbols before the inner code fans it out to the nodes.  In
-memory, symbols are numpy arrays at native width from chunking to share files
-and back: uint8 for m <= 8, uint16 above (``gf2m.native_dtype``).  A failed
-node is simply a missing share file; repair rebuilds it bit-identically from
-d live helpers.  The store owns every share file: ``Cluster.read`` is the one
-way a share leaves the disk.  Store, fail and repair hold the single-writer
-lock (root/.lock) for the whole operation; reconstruct, eavesdrop and the
-audit command's cluster check read without it.
+m/g bytes (g = gcd(m, 8)), straight into chunks of B-2 symbols (zero-padded at
+the tail); unchunking copies the chunks into one buffer, refuses there a grid
+too short for the length or any nonzero bit past it, and unpacks.  One routine
+regroups the bits both ways at native width; a byte view serves m = 8 and 16.
+Every chunk then runs through coset encoding with two fresh random symbols
+before the inner code fans it out to the nodes.  In memory, symbols are numpy
+arrays at native width from chunking to share files and back: uint8 for m <= 8,
+uint16 above (``gf2m.native_dtype``).  A failed node is a missing share file;
+repair rebuilds it bit-identically from d live helpers.  The store owns every
+share file: ``write_share``, which makes the node directory, is the one way in
+and ``Cluster.read`` the one way out.  Store, fail and repair hold the
+single-writer lock (root/.lock) through one function for the whole operation;
+reconstruct, eavesdrop and the audit command's cluster check read without it.
 
 Reusing a seed voids the uniformity that the coset layer's secrecy rests
 on: the seed flag exists for tests and reproducibility checks only.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -245,8 +246,9 @@ def _symbol_dtype(m: int):
 
 
 def write_share(path, params: CodeParams, node: int, symbols: np.ndarray) -> None:
-    """symbols is (chunk_count, d); payload is chunk-major, copied once."""
+    """Makes the node directory; symbols is (chunk_count, d), copied once, chunk-major."""
     p = params
+    path.parent.mkdir(exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, p.m, p.n, p.k, p.d, node, 0, len(symbols)))
         fh.write(np.ascontiguousarray(symbols, dtype=_symbol_dtype(p.m)))
@@ -297,27 +299,21 @@ def read_share(path, params: CodeParams, node: int, chunk_count: int) -> np.ndar
 # -- cluster ----------------------------------------------------------------------
 
 
-class _ClusterLock:
+@contextlib.contextmanager
+def _cluster_lock(root: Path):
     """Advisory single-writer lock: an exclusively created file under root."""
-
-    def __init__(self, root: Path):
-        self.path = root / ".lock"
-
-    def __enter__(self):
-        try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ShareFormatError(
-                f"cluster {self.path.parent} is locked by another writer "
-                f"(remove {self.path} if stale)"
-            ) from None
-        except FileNotFoundError:
-            raise ShareFormatError(f"no cluster at {self.path.parent}") from None
-        return self
-
-    def __exit__(self, *exc):
-        os.close(self._fd)
-        os.unlink(self.path)
+    path = root / ".lock"
+    try:
+        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        raise ShareFormatError(f"cluster {root} is locked by another writer (remove {path} if stale)") from None
+    except FileNotFoundError:
+        raise ShareFormatError(f"no cluster at {root}") from None
+    try:
+        yield
+    finally:
+        os.close(fd)
+        os.unlink(path)
 
 
 class Cluster:
@@ -363,7 +359,7 @@ def cluster_store(data: bytes, params: CodeParams, root, seed=None) -> Manifest:
     codec = make_codec(params)
     cluster = Cluster(root)
     cluster.root.mkdir(parents=True, exist_ok=True)
-    with _ClusterLock(cluster.root):
+    with _cluster_lock(cluster.root):
         chunks = chunk_plaintext(data, params)
         n_chunks = chunks.shape[0]
         randomness = source.symbols(2 * n_chunks).reshape(n_chunks, 2)
@@ -377,9 +373,7 @@ def cluster_store(data: bytes, params: CodeParams, root, seed=None) -> Manifest:
             digest_sha256=hashlib.sha256(data).hexdigest(),
         )
         for e in range(1, params.n + 1):
-            path = cluster.share_path(e)
-            path.parent.mkdir(exist_ok=True)
-            write_share(path, params, e, node_shares[e].T)
+            write_share(cluster.share_path(e), params, e, node_shares[e].T)
         # A share above n, left by an earlier store, would still hold its file.
         for path in cluster.root.glob(_SHARE_PATH.format("*")):
             e = path.parent.name.removeprefix(_SHARE_PATH.split("{}")[0])
@@ -410,7 +404,7 @@ def cluster_reconstruct(root) -> bytes:
 def cluster_fail(root, node: int) -> None:
     """Simulate a node failure by removing its share file."""
     cluster = Cluster(root)
-    with _ClusterLock(cluster.root):
+    with _cluster_lock(cluster.root):
         cluster.manifest().params.check_node(node)
         path = cluster.share_path(node)
         if not path.exists():
@@ -421,7 +415,7 @@ def cluster_fail(root, node: int) -> None:
 def cluster_repair(root, node: int) -> RepairStats:
     """Regenerate a failed node's share, bit-identical, from d helpers."""
     cluster = Cluster(root)
-    with _ClusterLock(cluster.root):
+    with _cluster_lock(cluster.root):
         manifest = cluster.manifest()
         p = manifest.params
         p.check_node(node)
@@ -433,7 +427,6 @@ def cluster_repair(root, node: int) -> RepairStats:
         # One helper's file buffer at a time, as in cluster_reconstruct.
         shares = ((e, cluster.read(e, manifest).T) for e in helpers)
         repaired, downloaded = repair_bulk(codec.inner, node, shares)
-        path.parent.mkdir(exist_ok=True)
         write_share(path, p, node, repaired.T)
     return RepairStats(node, tuple(helpers), manifest.chunk_count, downloaded)
 

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -255,6 +256,20 @@ def test_misordered_steps_name_every_stray_variable(codec534):
         assert _check_steps(matrix, order) == expected
         rejected += expected is not None
     assert rejected == 3
+
+
+def test_broken_steps_are_named(codec534):
+    """A step short of a row, a step repeating a row and a missing step are
+    each refused with their own verdict."""
+    matrix = codec534.outer.parity_check_ext
+    steps = certify_extended_parity(codec534).steps
+    assert [(s.type_index, len(s.rows)) for s in steps] == [(3, 4), (2, 3), (4, 1), (1, 1)]
+    first, rest = steps[0], steps[1:]
+    short = replace(first, rows=first.rows[:-1])
+    assert _check_steps(matrix, (short,) + rest) == "type 3 step is not square"
+    repeated = replace(first, rows=first.rows[:-1] + first.rows[:1])
+    assert _check_steps(matrix, (repeated,) + rest) == "type 3 step submatrix is singular"
+    assert _check_steps(matrix, steps[:-1]) == "steps decode 8 of 9 variables"
 
 
 def test_extension_certificate_grid():

@@ -79,11 +79,14 @@ def test_reconstruct_refuses_a_bad_manifest(encoded, tmp_path, capsys, key, valu
     assert not out.exists()
 
 
-def test_encode_invalid_params_exits_3(tmp_path):
+def test_encode_invalid_params_exits_3(tmp_path, capsys):
     src = tmp_path / "f"
     src.write_bytes(b"x")
     assert run("encode", "-n", 5, "-k", 1, "-d", 4, src, tmp_path / "c") == 3
     assert run("encode", "-n", 5, "-k", 3, "-d", 4, "-m", 3, src, tmp_path / "c") == 3
+    capsys.readouterr()
+    assert run("encode", "-n", 65530, "-k", 2, "-d", 4, src, tmp_path / "c") == 3
+    assert "no supported field fits n + 2d = 65538" in capsys.readouterr().err
 
 
 def test_encode_more_nodes_than_a_share_holds_exits_3(tmp_path, capsys):

@@ -676,6 +676,31 @@ def test_repair_holds_the_lock_through_its_reads(tmp_path, monkeypatch):
     assert cluster_reconstruct(root) == data
 
 
+def test_store_failing_between_share_writes_releases_the_lock(tmp_path, monkeypatch):
+    """A store whose third share write fails raises that error, releases
+    the lock, and leaves the first store's manifest, which is written last;
+    the next writer then takes the lock."""
+    from weavesafe import store
+
+    root = tmp_path / "c"
+    cluster_store(b"first file" * 30, P534_BYTE, root, seed=22)
+    manifest = (root / "manifest.json").read_bytes()
+    real = store.write_share
+
+    def failing(path, params, node, symbols):
+        if node == 3:
+            raise OSError("disk full at node 3")
+        real(path, params, node, symbols)
+
+    monkeypatch.setattr(store, "write_share", failing)
+    with pytest.raises(OSError, match="disk full at node 3"):
+        cluster_store(b"second file" * 40, P534_BYTE, root, seed=23)
+    assert not (root / ".lock").exists()
+    assert (root / "manifest.json").read_bytes() == manifest
+    cluster_fail(root, 1)
+    assert not Cluster(root).share_path(1).exists()
+
+
 def test_share_manifest_cross_validation(tmp_path):
     cluster_store(b"q" * 64, P534, tmp_path / "c", seed=16)
     other = params_new(6, 3, 4, 4)

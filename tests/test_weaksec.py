@@ -235,6 +235,24 @@ def test_extension_invertible_on_grid():
             assert rank(codec.outer.parity_check_ext) == p.total_symbols, (k, d)
 
 
+def test_solve_steps_refuse_a_broken_extension(codec534):
+    """The coset encoder's build refuses a type with more rows than
+    unsolved symbols, and a singular step, each by name."""
+    outer, p = codec534.outer, codec534.params
+    ext, types = outer.parity_check_ext, outer.ext_row_types
+    assert types[0] == (2, 1)
+    relabeled = ((3, 1),) + types[1:]
+    with pytest.raises(ParameterError) as exc:
+        weaksec._solve_steps(p, ext, relabeled)
+    assert str(exc.value) == "parity-check matrix is rank-deficient: type 3 has 5 rows for 4 unsolved symbols"
+    first, second = [r for r, (t, _) in enumerate(types) if t == 3][:2]
+    data = [list(row) for row in ext.data]
+    data[second] = list(data[first])
+    with pytest.raises(ParameterError) as exc:
+        weaksec._solve_steps(p, Matrix(ext.field, data), types)
+    assert str(exc.value) == "extended parity-check matrix is singular: type 3 step"
+
+
 # -- coset encode / decode ------------------------------------------------
 
 
