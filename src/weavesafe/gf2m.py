@@ -50,15 +50,15 @@ Galois Field Arithmetic Using Intel SIMD Instructions", FAST 2013):
   by a lane-wise xtime (shift left, clear the bit that left each lane,
   xor the reduction polynomial into the lanes whose top bit was set).
   Row r of the product is the xor of the planes picked by the set bits of
-  its coefficients: one gather and one ``np.bitwise_xor.reduce`` per
-  window for every batch of up to eight rows.  A window holds
+  its coefficients.  A batch of up to eight rows takes one gather a window,
+  plane-major (picks x rows x words), and one ``np.bitwise_xor.reduce``
+  over its leading axis, whose inner loop so spans all its rows: 1.4 to
+  1.8 times as fast in narrow windows (76 to 106 words a plane for the
+  read map and inner encode at (20,10,16,8)).  A window holds
   ``_PLANE_BYTES`` of its N planes and ``_row_batches`` keeps a gather
   within N planes, so the planes, carry, gather and reduce take at most
-  (2 + 9/N) ``_PLANE_BYTES``, at most 2.5 times from N = 18.  They are
-  cut from one workspace per thread, kept across calls and never an
-  output: allocated per call, glibc trimmed them after each store, read
-  and repair and the next faulted them in again, about 790, 1450 and 560
-  minor faults an op on the benchmark's ``audit`` workload.
+  (2 + 9/N) ``_PLANE_BYTES`` (2.5 from N = 18) of one workspace per thread,
+  never an output, kept across calls lest glibc trim it and ops fault it in.
 * Fan-in path: the bit-sliced path turned round, expanding the outputs.
   The used columns are staged raw in the same window loop and workspace;
   for each row r and bit i, S_{r,i} is the xor of the columns whose
@@ -119,11 +119,11 @@ last ``_SPLIT_MEMO`` (4096) (degree, coefficient) pairs.  A map's plan
 (the nonzero entries for the table path; the used columns and the row
 batches with their plane indices for the bit-sliced path, or each row's
 columns per bit for fan-in, with its nonzero entries for calls on fewer
-columns) is keyed on
-(m, shape, coefficient bytes) and kept for the last ``_PLAN_MEMO`` (256)
-distinct maps.  A plan does not depend on the column count, so one map
-applied to files of any size shares one plan.  The bounds are fixed, and
-no memo holds any symbol of the data the maps are applied to.
+columns) is keyed on (m, shape, coefficient bytes) and kept for the last
+``_PLAN_MEMO`` (256) distinct maps.  A plan does not depend on the
+column count, so one map applied to files of any size shares one plan.
+The bounds are fixed, and no memo holds any symbol of the data the maps
+are applied to.
 """
 
 import itertools
@@ -316,8 +316,8 @@ class Field:
                 xtime(planes[i - 1], gather[:n_used], planes[i])
             for rows, index in plan.batches:
                 picked = gather.reshape(-1)[: index.size * flat.shape[1]].reshape(index.shape + flat.shape[1:])
-                flat.take(index, axis=0, out=picked, mode="clip")
-                np.bitwise_xor.reduce(picked, axis=1, out=acc[: len(rows)])
+                flat.take(index, axis=0, out=picked, mode="clip")  # picks x rows x words
+                np.bitwise_xor.reduce(picked, axis=0, out=acc[: len(rows)])
                 out[rows, window] = acc[: len(rows)].view(self.dtype)[:, :width]
 
     def _mat_mul_fan_in(self, plan, cols, out):
@@ -435,11 +435,11 @@ def _row_batches(coeffs, m: int) -> tuple:
     Plane i*U + u is x^i times used column u of U, and the plane after the
     last one is zero.  Row r xors the planes of its coefficients' set bits.
     Rows in order of their number of picks go in batches of up to _GROUP
-    that share one gather and one reduce: index[j] lists the planes of
-    rows[j], padded with the zero plane.  A batch picks at most half as
-    many planes as there are (unless one row alone picks more), so its
-    gather stays within half of the plane scratch at every window size.
-    All-zero rows are left out.
+    that share one gather and one reduce.  The index is plane-major (picks
+    x rows, C order): index[:, j] lists the planes of rows[j], padded with
+    the zero plane.  A batch picks at most half as many planes as there
+    are (unless one row alone picks more), so its gather stays within half
+    of the plane scratch at every window size.  All-zero rows are left out.
     """
     row_of, col_of = np.nonzero(coeffs)
     values = coeffs[row_of, col_of]
@@ -452,9 +452,9 @@ def _row_batches(coeffs, m: int) -> tuple:
     batches = []
     for first in range(0, len(live), group):
         rows = live[first : first + group]
-        index = np.full((len(rows), counts[rows[-1]]), zero_plane, np.min_scalar_type(zero_plane))
+        index = np.full((counts[rows[-1]], len(rows)), zero_plane, np.min_scalar_type(zero_plane))
         for j, r in enumerate(rows):
-            index[j, : counts[r]] = picks[r]
+            index[: counts[r], j] = picks[r]
         batches.append((np.array(rows), index))
     return tuple(batches)
 

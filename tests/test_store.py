@@ -1006,6 +1006,37 @@ def test_fan_in_moves_only_the_listed_maps(tmp_path, monkeypatch, point):
         assert {path for _, _, path, _, wide in maps if wide} == {"fan-in", "table"}
 
 
+@pytest.mark.parametrize("point, size", [((20, 10, 16, 8), 1 << 20), ((7, 4, 6, 5), 1 << 18)], ids=str)
+def test_maps_take_the_documented_paths(tmp_path, monkeypatch, point, size):
+    """The path table of the gf2m module docstring, at the benchmark's file
+    sizes: inner encode, the read's wing solve and read map, the coset
+    solve steps of more than one row with their couplings, and the repair
+    inverse take the bit-sliced path; the repair upload takes fan-in; the
+    one-row coset steps, over N columns, stay on tables."""
+    p = params_new(*point)
+    root = tmp_path / "c"
+    data = np.random.default_rng(1).integers(0, 256, size, dtype=np.uint8).tobytes()
+    read = []
+
+    def paths(run):
+        return [(shape, path) for shape, _, path, _, _ in _kernel_paths(monkeypatch, run)]
+
+    *coset, inner = paths(lambda: cluster_store(data, p, root, seed=1))
+    decode = paths(lambda: read.append(cluster_reconstruct(root)))
+    cluster_fail(root, 1)
+    repair = paths(lambda: cluster_repair(root, 1))
+    assert read == [data]
+    assert inner == ((p.n * p.d, p.total_symbols), "sliced")
+    multi = [path for shape, path in coset if shape[0] > 1]
+    one_row = [path for shape, path in coset if shape[0] == 1]
+    # Types k down to 2 solve several rows a step, each but type k with its
+    # coupling; types k + 1 to d and type 1 solve one row with its coupling.
+    assert len(multi) == 2 * p.k - 3 and set(multi) == {"sliced"}, coset
+    assert len(one_row) == 2 * (p.d - p.k + 1) and set(one_row) == {"table"}, coset
+    assert decode == [((p.k, p.k), "sliced"), ((p.secure_symbols, p.k * p.d), "sliced")]
+    assert repair == [((1, p.d), "fan-in"), ((p.d, p.d), "sliced")]
+
+
 @pytest.mark.parametrize("point, guesses", [((6, 3, 5, 4), 4), ((7, 4, 6, 5), 3)], ids=str)
 def test_fan_in_moves_no_audit_map(monkeypatch, point, guesses):
     """The audit's kernel maps (the quotient's products, one nonzero a row)

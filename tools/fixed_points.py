@@ -15,6 +15,18 @@ Every cycle checks the bytes and the repaired share.  Its result is the median s
 the median minor page faults per op (``ru_minflt`` deltas) and the
 process's peak RSS (getrusage).
 
+Map mode (``--maps``) times the GF kernel calls inside those operations:
+
+    python3 tools/fixed_points.py --maps --out BENCH_gather.json \
+        --tree parent=/path/to/parent/checkout --tree change=.
+
+Each child wraps ``Field.mat_mul_cols`` and runs the same warm-up and
+timed cycles, recording every call of a timed store, reconstruct and
+repair with its coefficient shape, its column count and the kernel path
+it took (bit-sliced, fan-in or tables).  Its result is the median
+milliseconds of each call, named by operation, order, shape, columns and
+path, so that the same map is compared across the trees.
+
 Audit mode measures ``verify_weak_secrecy`` at the audit points and at
 the store point (20,10,16,8):
 
@@ -104,8 +116,39 @@ def audit_child(src: str, point: tuple) -> dict:
     }
 
 
-def child(src: str, point: tuple, size: int, cycles: int, seed: int) -> dict:
-    """One child's measurement; runs inside the child process."""
+def _record_maps(ws) -> list:
+    """Wrap ``Field.mat_mul_cols`` so that every call appends (name,
+    seconds) to the returned list, the name giving the coefficient shape,
+    the column count and the path the call took."""
+    field = ws.gf2m.Field
+    calls, paths = [], []
+    mat_mul_cols = field.mat_mul_cols
+
+    def spy(path, method):
+        def wrapper(self, *args):
+            paths.append(path)
+            return method(self, *args)
+        return wrapper
+
+    def timed(self, rows, cols):
+        paths.clear()
+        t0 = time.perf_counter()
+        out = mat_mul_cols(self, rows, cols)
+        seconds = time.perf_counter() - t0
+        path = paths[0] if paths else "tables"
+        calls.append((f"{len(rows)}x{cols.shape[0]} over {cols.shape[1]}, {path}", seconds))
+        return out
+
+    field._mat_mul_sliced = spy("bit-sliced", field._mat_mul_sliced)
+    field._mat_mul_fan_in = spy("fan-in", field._mat_mul_fan_in)
+    field.mat_mul_cols = timed
+    return calls
+
+
+def child(src: str, point: tuple, size: int, cycles: int, seed: int, maps: bool = False) -> dict:
+    """One child's measurement; runs inside the child process.  With
+    ``maps`` its result is the median milliseconds of each kernel call
+    instead (see the module docstring)."""
     import numpy as np
 
     ws = _import(src)
@@ -113,18 +156,23 @@ def child(src: str, point: tuple, size: int, cycles: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     seconds = {op: [] for op in OPS}
     faults = {op: [] for op in OPS}
+    calls = _record_maps(ws) if maps else []
+    map_ms = {}
     work = Path(tempfile.mkdtemp(prefix="fixed-points-"))
     try:
         for c in range(cycles + 1):
             data = rng.bytes(size)
             node = int(rng.integers(1, params.n + 1))
             root = work / f"c{c}"
+            calls.clear()
             f0, t0 = _minor_faults(), time.perf_counter()
             ws.cluster_store(data, params, root)
             f1, t1 = _minor_faults(), time.perf_counter()
+            stored = len(calls)
             if ws.cluster_reconstruct(root) != data:
                 raise SystemExit(f"{point}: reconstructed bytes differ")
             f2, t2 = _minor_faults(), time.perf_counter()
+            read = len(calls)
             share = ws.store.Cluster(root).share_path(node)
             original = share.read_bytes()
             ws.cluster_fail(root, node)
@@ -140,8 +188,13 @@ def child(src: str, point: tuple, size: int, cycles: int, seed: int) -> dict:
                 seconds["repair"].append(t4 - t3)
                 for op, delta in zip(OPS, (f1 - f0, f2 - f1, f4 - f3)):
                     faults[op].append(delta)
+                for op, part in zip(OPS, (calls[:stored], calls[stored:read], calls[read:])):
+                    for i, (name, s) in enumerate(part, 1):
+                        map_ms.setdefault(f"{op} {i}: {name}", []).append(1e3 * s)
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    if maps:
+        return {name: statistics.median(ms) for name, ms in map_ms.items()}
     out = {f"{op}_mbps": size / statistics.median(s) / 1e6 for op, s in seconds.items()}
     out.update({f"{op}_faults_per_op": statistics.median(f) for op, f in faults.items()})
     out["peak_rss_mib"] = _peak_rss_mib()
@@ -152,7 +205,7 @@ def run_child(tree: Path, point: tuple, args, seed: int) -> dict:
     cmd = [
         sys.executable, __file__, "--child", str(tree / "src"), ",".join(map(str, point)),
         "--size", str(args.size), "--cycles", str(args.cycles), "--seed", str(seed),
-    ] + ["--audit"] * args.audit
+    ] + ["--audit"] * args.audit + ["--maps"] * args.maps
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True, timeout=600)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -191,6 +244,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--audit", action="store_true", help="measure verify_weak_secrecy at the audit points")
+    parser.add_argument("--maps", action="store_true", help="time each kernel call at the store points")
     parser.add_argument(
         "--tree", action="append", default=[],
         help="LABEL=DIR of a checkout to measure (repeatable; default: this checkout)",
@@ -201,13 +255,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--child", nargs=2, metavar=("SRC", "POINT"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.audit and args.maps:
+        parser.error("--audit and --maps are separate modes")
 
     if args.child:
         src, point = args.child[0], tuple(int(x) for x in args.child[1].split(","))
         if args.audit:
             print(json.dumps(audit_child(src, point)))
         else:
-            print(json.dumps(child(src, point, args.size, args.cycles, args.seed)))
+            print(json.dumps(child(src, point, args.size, args.cycles, args.seed, args.maps)))
         return 0
     if not args.out:
         parser.error("--out is required")
@@ -222,7 +278,8 @@ def main(argv=None) -> int:
             for label in labels:
                 result = run_child(trees[label], point, args, args.seed + rep)
                 runs[(point, label)].append(result)
-                print(f"rep {rep} {point} {label}: " + ", ".join(f"{k} {v:.3g}" for k, v in result.items()),
+                shown = {"kernel_ms": sum(result.values())} if args.maps else result
+                print(f"rep {rep} {point} {label}: " + ", ".join(f"{k} {v:.3g}" for k, v in shown.items()),
                       flush=True)
 
     first = next(iter(trees))
@@ -234,7 +291,7 @@ def main(argv=None) -> int:
                 entry[f"{label}/{first}"] = {  # None where the first tree's median is 0
                     name: entry[label][name]["median"] / entry[first][name]["median"]
                     if entry[first][name]["median"] else None
-                    for name in entry[label]
+                    for name in entry[label] if name in entry[first]  # a map on another path is its own name
                 }
         name = "(%d,%d,%d,%d)" % point
         if args.audit:
@@ -251,7 +308,10 @@ def main(argv=None) -> int:
     else:
         settings.update({
             "size_bytes": args.size, "cycles_per_child": args.cycles, "seed": args.seed,
-            "timing": "median seconds and minor page faults (ru_minflt) per op within a child, "
+            "timing": "median milliseconds of each Field.mat_mul_cols call (op i: rows x columns of the "
+                      "map over the input's columns, path) within a child, median over children"
+                      if args.maps else
+                      "median seconds and minor page faults (ru_minflt) per op within a child, "
                       "median over children; peak RSS of each child process from getrusage",
         })
     doc = {"machine": machine(), "settings": settings, "points": results}
